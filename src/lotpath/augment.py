@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import LotpathError, NonTerminationError
 from .graph import Arc, CycleInfo, NodeId, PathSolution, ReplenishmentGraph, shortest_path
 
@@ -168,11 +170,9 @@ def augment_once(
     # furthest span starting here whose level the carried stock still exceeds;
     # scanning the matrix (not surviving arcs) keeps filtered spans from being
     # re-issued as duplicates that violate the same pairing
-    violating_ends = {violation.effective_end}
-    for k in range(v.period, graph.horizon + 1):
-        if matrix.entry(v.period, k).order_up_to < closing - tol:
-            violating_ends.add(k)
-    j = max(violating_ends)
+    row = v.period - 1
+    ends = v.period + np.flatnonzero(matrix.level[row, row:] < closing - tol)
+    j = max(violation.effective_end, *ends.tolist())
 
     w = graph.new_virtual(v.period)
     step = AugmentationStep(node=v, new_node=w, gap=violation.gap, redirected_from=inbound.u)
@@ -197,13 +197,12 @@ def augment_once(
         if not graph.has_node(NodeId(k)):
             step.skipped_targets.append(k)
             continue
-        opt = matrix.entry(start, k - 1)
         info = CycleInfo(
             start=start,
             end=k - 1,
-            order_up_to=opt.order_up_to,
-            closing=opt.expected_closing,
-            cost=opt.expected_cost + K * len(absorbed),
+            order_up_to=float(matrix.level[start - 1, k - 2]),
+            closing=float(matrix.closing[start - 1, k - 2]),
+            cost=float(matrix.cost[start - 1, k - 2]) + K * len(absorbed),
             absorbed=absorbed,
         )
         graph.add_arc(Arc(w, NodeId(k), "recomputed", info, anchor=inbound.u))
@@ -213,13 +212,12 @@ def augment_once(
         if not graph.has_node(NodeId(x)):
             step.skipped_targets.append(x)
             continue
-        opt = matrix.entry(v.period, x - 1)
         info = CycleInfo(
             start=v.period,
             end=x - 1,
-            order_up_to=opt.order_up_to,
-            closing=opt.expected_closing,
-            cost=opt.expected_cost,
+            order_up_to=float(matrix.level[row, x - 2]),
+            closing=float(matrix.closing[row, x - 2]),
+            cost=float(matrix.cost[row, x - 2]),
         )
         graph.add_arc(Arc(w, NodeId(x), "duplicated", info))
         step.duplicated_targets.append(x)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -45,6 +45,7 @@ __all__ = [
     "CycleOptimum",
     "ConnectionMatrix",
     "cycle_cost_at",
+    "cycle_losses",
     "optimize_order_up_to",
     "build_connection_matrix",
 ]
@@ -77,10 +78,10 @@ class CostParams:
 class CycleOptimum:
     """Optimal order-up-to level and expected cost of one cycle.
 
-    ``expected_holding``/``expected_backorder`` hold the per-period expected
-    on-hand and shortage quantities at the optimum, one entry per covered
-    period. ``expected_closing`` is the expected inventory at the end of the
-    cycle and equals ``order_up_to - cumulative mean`` exactly.
+    ``expected_closing`` is the expected inventory at the end of the cycle
+    and equals ``order_up_to - cumulative mean`` exactly. The per-period
+    expected on-hand and shortage quantities behind ``expected_cost`` are
+    recomputed on demand by :func:`cycle_losses`.
     """
 
     first_period: int
@@ -88,107 +89,152 @@ class CycleOptimum:
     order_up_to: float
     expected_cost: float
     expected_closing: float
-    expected_holding: Tuple[float, ...]
-    expected_backorder: Tuple[float, ...]
     terminal: bool = False
 
 
 # ---------------------------------------------------------------------------
-# vectorised kernels over the cumulative-demand arrays of one cycle
+# batched kernels over (span x period) blocks of cumulative demand
+#
+# Row r of a block describes one cycle: column k holds the mean and standard
+# deviation of the demand accumulated over its first k + 1 periods. Every
+# row of a block covers the same number of periods, so numpy sums each row
+# in exactly the order it sums the arrays of a single cycle, and the batched
+# levels equal those of a per-cycle scalar bisection bit for bit (the tests
+# keep one as the reference). Blocks are therefore cut by cycle length, not
+# by start period: zero-padded rows of mixed length sum in another order,
+# which moves a few levels in the last bit.
 # ---------------------------------------------------------------------------
 
 
-def _cdf_sum(y: float, mus: np.ndarray, sds: np.ndarray) -> float:
-    """Sum of cumulative-demand CDFs at y; zero-variance entries step at mu."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = (y - mus) / sds
-    vals = np.where(sds > 0.0, ndtr(u), (y >= mus).astype(float))
-    return float(vals.sum())
+def _moments(demands: Sequence[PeriodDemand]) -> Tuple[np.ndarray, np.ndarray]:
+    means = np.array([d.mean for d in demands], dtype=float)
+    var = np.array([d.std_dev**2 for d in demands], dtype=float)
+    return means, var
 
 
 def _loss_pair(y, mus, sds):
-    """Vectorised (loss, complementary_loss) against each cumulative demand.
+    """Elementwise (loss, complementary_loss) of level ``y`` against Normal
+    cumulative demands ``(mus, sds)``, with numpy broadcasting.
 
-    ``y`` may be a scalar or a column vector for grid evaluation.
+    The closed form is evaluated only where sd > 0 (a unit divisor stands in
+    elsewhere, so no 0 * inf arises); a zero sd is a point mass at its mean.
     """
-    y = np.asarray(y, dtype=float)
-    yy = y[..., None] if y.ndim else y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = (yy - mus) / sds
+    pos = sds > 0.0
+    u = (y - mus) / np.where(pos, sds, 1.0)
     phi = np.exp(-0.5 * u * u) / _SQRT_2PI
     lo = sds * (phi - (1.0 - ndtr(u)) * u)
-    lo = np.where(sds > 0.0, lo, np.maximum(mus - yy, 0.0))
     # exact identity: complementary - loss = y - mu
-    hi = lo + (yy - mus)
-    hi = np.where(sds > 0.0, hi, np.maximum(yy - mus, 0.0))
+    hi = lo + (y - mus)
+    if not pos.all():
+        lo = np.where(pos, lo, np.maximum(mus - y, 0.0))
+        hi = np.where(pos, hi, np.maximum(y - mus, 0.0))
     return lo, hi
 
 
-def _cost_at(y, mus, sds, params: CostParams, terminal: bool):
-    lo, hi = _loss_pair(y, mus, sds)
-    base = params.K + (params.z * y if terminal else params.z * mus[-1])
-    return base + (params.h * hi + params.b * lo).sum(axis=-1)
+def _block_costs(
+    y: np.ndarray, mus: np.ndarray, sds: np.ndarray, params: CostParams, terminal: np.ndarray
+) -> np.ndarray:
+    """Expected cost of each row's cycle at its level ``y``.
 
-
-def _bisect_root(g, lo: float, hi: float, y_tol: float, max_expand: int = 64) -> float:
-    """Root of a non-decreasing function by plain bisection.
-
-    Expands the bracket geometrically until the signs differ; gives up with a
-    :class:`NumericalError` describing the interval and the function signs.
+    ``terminal`` flags the rows whose cycle ends at the horizon; they carry
+    the unit cost on the level instead of on the cycle mean.
     """
-    g_lo, g_hi = g(lo), g(hi)
+    lo, hi = _loss_pair(y[:, None], mus, sds)
+    base = params.K + np.where(terminal, params.z * y, params.z * mus[:, -1])
+    return base + (params.h * hi + params.b * lo).sum(axis=1)
+
+
+def _bisect_roots(
+    g, lo: np.ndarray, hi: np.ndarray, y_tol: float, max_expand: int = 64
+) -> np.ndarray:
+    """Roots of non-decreasing functions, one per row, by plain bisection.
+
+    ``g(y, rows)`` evaluates the functions of ``rows`` at the points ``y``.
+    Each bracket expands geometrically until its signs differ; a row that
+    cannot be bracketed raises :class:`NumericalError` describing its
+    interval and function signs. Only rows wider than ``y_tol`` are
+    evaluated, so each row follows exactly the midpoints a scalar bisection
+    of its own function would.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    rows = np.arange(len(lo))
+    g_lo, g_hi = g(lo, rows), g(hi, rows)
     width = hi - lo
     expansions = 0
-    while g_lo > 0.0 or g_hi < 0.0:
+    bad = rows[(g_lo > 0.0) | (g_hi < 0.0)]
+    while bad.size:
         if expansions >= max_expand:
+            r = bad[0]
             raise NumericalError(
-                f"could not bracket the optimum: g({lo:.6g})={g_lo:.6g}, "
-                f"g({hi:.6g})={g_hi:.6g} after {expansions} expansions"
+                f"could not bracket the optimum: g({lo[r]:.6g})={g_lo[r]:.6g}, "
+                f"g({hi[r]:.6g})={g_hi[r]:.6g} after {expansions} expansions"
             )
-        width *= 2.0
-        if g_lo > 0.0:
-            lo -= width
-            g_lo = g(lo)
-        if g_hi < 0.0:
-            hi += width
-            g_hi = g(hi)
+        width[bad] *= 2.0
+        low = bad[g_lo[bad] > 0.0]
+        if low.size:
+            lo[low] -= width[low]
+            g_lo[low] = g(lo[low], low)
+        high = bad[g_hi[bad] < 0.0]
+        if high.size:
+            hi[high] += width[high]
+            g_hi[high] = g(hi[high], high)
         expansions += 1
-    while hi - lo > y_tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        bad = bad[(g_lo[bad] > 0.0) | (g_hi[bad] < 0.0)]
+    active = rows[hi - lo > y_tol]
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        below = g(mid, active) < 0.0
+        lo[active[below]] = mid[below]
+        hi[active[~below]] = mid[~below]
+        active = active[hi[active] - lo[active] > y_tol]
     return 0.5 * (lo + hi)
 
 
-def _optimize_arrays(
-    mus: np.ndarray,
-    sds: np.ndarray,
-    params: CostParams,
-    terminal: bool,
-    method: str,
-    y_tol: float,
-    grid_step: float,
-    grid_range: Tuple[float, float],
-) -> Tuple[float, float, np.ndarray, np.ndarray]:
-    n = len(mus)
-    if method == "bisection":
-        target = (n * params.b - (params.z if terminal else 0.0)) / (params.b + params.h)
-        smax = float(sds.max())
-        lo = float(mus.min()) - 12.0 * smax - 1.0
-        hi = float(mus.max()) + 12.0 * smax + 1.0
-        y = _bisect_root(lambda v: _cdf_sum(v, mus, sds) - target, lo, hi, y_tol)
-    elif method == "grid":
-        lo, hi = grid_range
-        ys = np.arange(lo, hi + grid_step, grid_step)
-        costs = _cost_at(ys, mus, sds, params, terminal)
-        y = float(ys[int(np.argmin(costs))])
-    else:
-        raise ValueError(f"unknown optimisation method {method!r}")
-    cost = float(_cost_at(y, mus, sds, params, terminal))
-    lo_arr, hi_arr = _loss_pair(y, mus, sds)
-    return y, cost, lo_arr, hi_arr
+def _bisect_levels(
+    mus: np.ndarray, sds: np.ndarray, params: CostParams, terminal: np.ndarray, y_tol: float
+) -> np.ndarray:
+    """Levels solving the newsvendor condition for each row of a block.
+
+    The cold bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1 holds
+    the root of every row; each CDF with zero sd steps at its mean.
+    """
+    n = mus.shape[1]
+    target = (n * params.b - np.where(terminal, params.z, 0.0)) / (params.b + params.h)
+    pos = sds > 0.0
+    scale = np.where(pos, sds, 1.0)
+    steps = not pos.all()
+
+    def g(y, rows):
+        yy = y[:, None]
+        m = mus[rows]
+        vals = ndtr((yy - m) / scale[rows])
+        if steps:
+            vals = np.where(pos[rows], vals, yy >= m)
+        return vals.sum(axis=1) - target[rows]
+
+    smax = sds.max(axis=1)
+    lo = mus.min(axis=1) - 12.0 * smax - 1.0
+    hi = mus.max(axis=1) + 12.0 * smax + 1.0
+    return _bisect_roots(g, lo, hi, y_tol)
+
+
+def _grid_levels(
+    mus: np.ndarray, sds: np.ndarray, params: CostParams, ys: np.ndarray, terminal: bool
+) -> np.ndarray:
+    """Grid minimiser of every cycle sharing one start period.
+
+    ``mus``/``sds`` are the cumulative demands from the start; the cost of
+    the cycle ending at period k is a running sum over the periods up to k,
+    so one pass over the grid prices all ends. ``terminal`` marks the last
+    end as the horizon.
+    """
+    lo, hi = _loss_pair(ys[None, :], mus[:, None], sds[:, None])
+    # K and an interior cycle's unit-cost share are constant in y
+    costs = np.cumsum(params.h * hi + params.b * lo, axis=0)
+    if terminal:
+        costs[-1] += params.z * ys
+    return ys[np.argmin(costs, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +264,20 @@ def cycle_cost_at(
     return total
 
 
+def cycle_losses(
+    y: float, first: int, last: int, demands: Sequence[PeriodDemand]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Expected on-hand and shortage quantities of cycle ``first..last`` at level ``y``.
+
+    One entry per covered period, each against the demand accumulated since
+    the order. ``K + sum(h * on_hand + b * short)`` plus the unit-cost share
+    is the cycle cost.
+    """
+    means, var = _moments(demands[first - 1 : last])
+    short, on_hand = _loss_pair(y, np.cumsum(means), np.sqrt(np.cumsum(var)))
+    return on_hand, short
+
+
 def optimize_order_up_to(
     first: int,
     last: int,
@@ -234,52 +294,81 @@ def optimize_order_up_to(
     ``method="bisection"`` solves the newsvendor fractile condition on the
     (monotone) cost derivative to ``y_tol``. ``method="grid"`` scans a fixed
     line ``grid_range`` with spacing ``grid_step``; the default range is
-    [0, 4 * total horizon mean], mirroring a plain line-search setup.
+    [0, 4 * total horizon mean], mirroring a plain line-search setup. Runs
+    the kernels of :func:`build_connection_matrix` on this one cycle.
     """
-    means = np.array([d.mean for d in demands], dtype=float)
-    var = np.array([d.std_dev**2 for d in demands], dtype=float)
-    mus = np.cumsum(means[first - 1 : last])
-    sds = np.sqrt(np.cumsum(var[first - 1 : last]))
-    if grid_range is None:
-        grid_range = (0.0, 4.0 * float(means.sum()))
-    y, cost, lo_arr, hi_arr = _optimize_arrays(
-        mus, sds, params, terminal, method, y_tol, grid_step, grid_range
-    )
+    means, var = _moments(demands)
+    mus = np.cumsum(means[first - 1 : last])[None, :]
+    sds = np.sqrt(np.cumsum(var[first - 1 : last]))[None, :]
+    flags = np.array([terminal])
+    if method == "bisection":
+        y = _bisect_levels(mus, sds, params, flags, y_tol)
+    elif method == "grid":
+        lo, hi = grid_range if grid_range is not None else (0.0, 4.0 * float(means.sum()))
+        ys = np.arange(lo, hi + grid_step, grid_step)
+        y = _grid_levels(mus[0], sds[0], params, ys, terminal)[-1:]
+    else:
+        raise ValueError(f"unknown optimisation method {method!r}")
+    cost = _block_costs(y, mus, sds, params, flags)
     return CycleOptimum(
         first_period=first,
         last_period=last,
-        order_up_to=y,
-        expected_cost=cost,
-        expected_closing=y - float(mus[-1]),
-        expected_holding=tuple(float(v) for v in hi_arr),
-        expected_backorder=tuple(float(v) for v in lo_arr),
+        order_up_to=float(y[0]),
+        expected_cost=float(cost[0]),
+        expected_closing=float(y[0] - mus[0, -1]),
         terminal=terminal,
     )
 
 
 class ConnectionMatrix:
-    """Upper-triangular table of optimised cycles for one instance.
+    """Optimised cycles of one instance as three (horizon x horizon) arrays.
 
-    ``entry(i, j)`` returns the :class:`CycleOptimum` of the cycle covering
-    periods i..j (1 <= i <= j <= horizon). Cycles ending at the horizon are
-    terminal and include the unit-cost term that depends on the level.
+    ``level[i - 1, j - 1]``, ``cost[i - 1, j - 1]`` and ``closing[i - 1, j - 1]``
+    hold the order-up-to level, expected cost and expected closing inventory
+    of the cycle covering periods i..j (1 <= i <= j <= horizon); entries
+    below the diagonal are NaN. ``entry(i, j)`` wraps one cycle as a
+    :class:`CycleOptimum`. Cycles ending at the horizon are terminal and
+    include the unit-cost term that depends on the level.
     """
 
-    def __init__(self, horizon: int, params: CostParams, entries: Dict[Tuple[int, int], CycleOptimum], total_mean: float, method: str):
+    def __init__(
+        self,
+        horizon: int,
+        params: CostParams,
+        level: np.ndarray,
+        cost: np.ndarray,
+        closing: np.ndarray,
+        total_mean: float,
+        method: str,
+    ):
         self.horizon = horizon
         self.params = params
-        self._entries = entries
+        self.level = level
+        self.cost = cost
+        self.closing = closing
         self.total_mean = total_mean
         self.method = method
 
     def entry(self, first: int, last: int) -> CycleOptimum:
-        return self._entries[(first, last)]
+        if not 1 <= first <= last <= self.horizon:
+            raise KeyError((first, last))
+        i, j = first - 1, last - 1
+        return CycleOptimum(
+            first_period=first,
+            last_period=last,
+            order_up_to=float(self.level[i, j]),
+            expected_cost=float(self.cost[i, j]),
+            expected_closing=float(self.closing[i, j]),
+            terminal=last == self.horizon,
+        )
 
     def __len__(self):
-        return len(self._entries)
+        return self.horizon * (self.horizon + 1) // 2
 
-    def items(self):
-        return self._entries.items()
+    def items(self) -> List[Tuple[Tuple[int, int], CycleOptimum]]:
+        """All cycles as ``((i, j), entry)`` pairs, by start then end period."""
+        T = self.horizon
+        return [((i, j), self.entry(i, j)) for i in range(1, T + 1) for j in range(i, T + 1)]
 
 
 def build_connection_matrix(
@@ -291,35 +380,40 @@ def build_connection_matrix(
     """Optimise every feasible cycle of ``instance``.
 
     ``instance`` needs ``horizon``, ``demands`` and ``params`` attributes.
-    Produces horizon * (horizon + 1) / 2 entries.
+    Produces horizon * (horizon + 1) / 2 entries. Cycles are priced in
+    batches: one block per cycle length for the bisection and the costs,
+    one running sum per start period for the grid.
     """
-    demands = instance.demands
+    if method not in ("bisection", "grid"):
+        raise ValueError(f"unknown optimisation method {method!r}")
     params = instance.params
     T = instance.horizon
-    means = np.array([d.mean for d in demands], dtype=float)
-    var = np.array([d.std_dev**2 for d in demands], dtype=float)
+    means, var = _moments(instance.demands)
     total_mean = float(means.sum())
-    grid_range = (0.0, 4.0 * total_mean)
 
-    entries: Dict[Tuple[int, int], CycleOptimum] = {}
-    for i in range(1, T + 1):
-        mus_all = np.cumsum(means[i - 1 :])
-        sds_all = np.sqrt(np.cumsum(var[i - 1 :]))
-        for j in range(i, T + 1):
-            span = j - i + 1
-            terminal = j == T
-            y, cost, lo_arr, hi_arr = _optimize_arrays(
-                mus_all[:span], sds_all[:span], params, terminal,
-                method, y_tol, grid_step, grid_range,
-            )
-            entries[(i, j)] = CycleOptimum(
-                first_period=i,
-                last_period=j,
-                order_up_to=y,
-                expected_cost=cost,
-                expected_closing=y - float(mus_all[span - 1]),
-                expected_holding=tuple(float(v) for v in hi_arr),
-                expected_backorder=tuple(float(v) for v in lo_arr),
-                terminal=terminal,
-            )
-    return ConnectionMatrix(T, params, entries, total_mean, method)
+    # row i: cumulative demand from period i + 1, accumulated the way a
+    # single cycle starting there accumulates it
+    mus = np.full((T, T), np.nan)
+    sds = np.full((T, T), np.nan)
+    for i in range(T):
+        mus[i, : T - i] = np.cumsum(means[i:])
+        sds[i, : T - i] = np.sqrt(np.cumsum(var[i:]))
+
+    level = np.full((T, T), np.nan)
+    cost = np.full((T, T), np.nan)
+    closing = np.full((T, T), np.nan)
+    if method == "grid":
+        ys = np.arange(0.0, 4.0 * total_mean + grid_step, grid_step)
+        for i in range(T):
+            level[i, i:] = _grid_levels(mus[i, : T - i], sds[i, : T - i], params, ys, True)
+    for n in range(1, T + 1):
+        starts = np.arange(T - n + 1)
+        ends = starts + n - 1
+        block_mus, block_sds = mus[: T - n + 1, :n], sds[: T - n + 1, :n]
+        terminal = ends == T - 1
+        if method == "bisection":
+            level[starts, ends] = _bisect_levels(block_mus, block_sds, params, terminal, y_tol)
+        y = level[starts, ends]
+        cost[starts, ends] = _block_costs(y, block_mus, block_sds, params, terminal)
+        closing[starts, ends] = y - block_mus[:, -1]
+    return ConnectionMatrix(T, params, level, cost, closing, total_mean, method)

@@ -223,15 +223,18 @@ class ReplenishmentGraph:
 
 def build_graph(matrix: ConnectionMatrix) -> ReplenishmentGraph:
     """Complete cycle graph: one arc (i, j+1) per matrix entry (i, j)."""
-    g = ReplenishmentGraph(matrix.horizon, matrix)
-    for (i, j), opt in matrix.items():
-        info = CycleInfo(
-            start=i, end=j,
-            order_up_to=opt.order_up_to,
-            closing=opt.expected_closing,
-            cost=opt.expected_cost,
-        )
-        g.add_arc(Arc(NodeId(i), NodeId(j + 1), "normal", info))
+    T = matrix.horizon
+    g = ReplenishmentGraph(T, matrix)
+    level, closing, cost = matrix.level.tolist(), matrix.closing.tolist(), matrix.cost.tolist()
+    for i in range(1, T + 1):
+        for j in range(i, T + 1):
+            info = CycleInfo(
+                start=i, end=j,
+                order_up_to=level[i - 1][j - 1],
+                closing=closing[i - 1][j - 1],
+                cost=cost[i - 1][j - 1],
+            )
+            g.add_arc(Arc(NodeId(i), NodeId(j + 1), "normal", info))
     return g
 
 

@@ -6,19 +6,27 @@ quoted to 4 decimals, costs to 4 decimals.
 """
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
 from lotpath import (
     CostParams,
+    InstanceSpec,
     NumericalError,
     PeriodDemand,
     build_connection_matrix,
     cycle_cost_at,
+    generate_instances,
     optimize_order_up_to,
+    solve_instance,
 )
-from lotpath.cycles import _bisect_root
+from lotpath.cycles import _bisect_roots, cycle_losses
+
+from conftest import golden_spec
 
 GOLDEN_PARAMS = CostParams(K=50.0, z=0.0, h=1.0, b=19.0)
 
@@ -75,10 +83,10 @@ class TestOptimizer:
 
     def test_cost_components_sum(self, golden):
         opt = optimize_order_up_to(2, 4, golden.demands, GOLDEN_PARAMS)
-        assert len(opt.expected_holding) == 3  # one entry per covered period
+        on_hand, short = cycle_losses(opt.order_up_to, 2, 4, golden.demands)
+        assert len(on_hand) == len(short) == 3  # one entry per covered period
         total = GOLDEN_PARAMS.K + sum(
-            GOLDEN_PARAMS.h * on_hand + GOLDEN_PARAMS.b * short
-            for on_hand, short in zip(opt.expected_holding, opt.expected_backorder)
+            GOLDEN_PARAMS.h * h + GOLDEN_PARAMS.b * s for h, s in zip(on_hand, short)
         )
         assert opt.expected_cost == pytest.approx(total, rel=1e-9)
 
@@ -117,7 +125,7 @@ class TestOptimizer:
 
     def test_bracket_failure_raises(self):
         with pytest.raises(NumericalError, match="bracket"):
-            _bisect_root(lambda y: 1.0, 0.0, 1.0, y_tol=1e-6, max_expand=8)
+            _bisect_roots(lambda y, rows: np.ones_like(y), [0.0], [1.0], y_tol=1e-6, max_expand=8)
 
 
 class TestConnectionMatrix:
@@ -154,3 +162,64 @@ class TestConnectionMatrix:
         for (i, j), entry in bis.items():
             other = grid.entry(i, j)
             assert other.expected_cost == pytest.approx(entry.expected_cost, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# batched kernel vs a per-cycle scalar bisection as the reference
+
+
+def scalar_level(mus, sds, params, terminal, y_tol=1e-6):
+    """Per-cycle bisection on the newsvendor condition, one CDF sum per step."""
+    target = (len(mus) * params.b - (params.z if terminal else 0.0)) / (params.b + params.h)
+
+    def g(y):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = (y - mus) / sds
+        vals = np.where(sds > 0.0, ndtr(u), (y >= mus).astype(float))
+        return float(vals.sum()) - target
+
+    smax = float(sds.max())
+    lo = float(mus.min()) - 12.0 * smax - 1.0
+    hi = float(mus.max()) + 12.0 * smax + 1.0
+    assert g(lo) <= 0.0 <= g(hi)
+    while hi - lo > y_tol:
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+ZERO_MEAN = dict(horizon=4, means=(0, 0, 50, 0), cv=0.3, K=50, z=0, h=1, b=19)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        golden_spec(),
+        generate_instances("lumpy", 30, 0.3, 225.0, 10.0, count=1, seed=3)[0],
+        golden_spec(z=2.0),
+        InstanceSpec(**ZERO_MEAN),
+    ],
+    ids=["golden", "lumpy-30", "unit-cost", "zero-mean"],
+)
+def test_batched_matrix_matches_scalar_bisection(instance):
+    matrix = build_connection_matrix(instance)
+    means = np.array([d.mean for d in instance.demands])
+    var = np.array([d.std_dev**2 for d in instance.demands])
+    T = instance.horizon
+    for (i, j), entry in matrix.items():
+        mus = np.cumsum(means[i - 1 : j])
+        sds = np.sqrt(np.cumsum(var[i - 1 : j]))
+        level = scalar_level(mus, sds, instance.params, terminal=j == T)
+        assert entry.order_up_to == level, (i, j)
+        cost = cycle_cost_at(level, i, j, instance.demands, instance.params, terminal=j == T)
+        assert entry.expected_cost == pytest.approx(cost, rel=1e-12, abs=0.0), (i, j)
+
+
+def test_zero_mean_periods_emit_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_instance(InstanceSpec(**ZERO_MEAN))
+    assert math.isfinite(sol.expected_cost)
