@@ -32,7 +32,6 @@ from .graph import (
     PathSolution,
     ReplenishmentGraph,
     build_graph,
-    filter_arcs,
     graph_dump,
     shortest_path,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "cycle_cost_at",
     "effective_cycles",
     "expected_trace",
-    "filter_arcs",
     "generate_instances",
     "graph_dump",
     "load_instance",

@@ -152,16 +152,12 @@ class AugmentationStep:
     redirected_from: NodeId
     recomputed_targets: List[int] = field(default_factory=list)
     duplicated_targets: List[int] = field(default_factory=list)
-    skipped_targets: List[int] = field(default_factory=list)
-    removed_nodes: List[NodeId] = field(default_factory=list)
-    pruned_inbound: int = 0
-    upstream_flag: bool = False
 
 
 @dataclass
 class AugmentationTrace:
     steps: List[AugmentationStep]
-    dijkstra_runs: int
+    searches: int
     reoptimised: bool = False  # stage 3 replaced the loop's plan
 
     @property
@@ -195,8 +191,9 @@ def augment_once(
     K = matrix.params.K
 
     # furthest span starting here whose level the carried stock still exceeds;
-    # scanning the matrix (not surviving arcs) keeps filtered spans from being
-    # re-issued as duplicates that violate the same pairing
+    # every such span becomes a merged cycle, never a duplicate that would
+    # violate the same pairing. The matrix row holds every span, including
+    # those whose arcs earlier splits removed from node v.
     row = v.period - 1
     ends = v.period + np.flatnonzero(matrix.level[row, row:] < closing - tol)
     j = max(violation.effective_end, *ends.tolist())
@@ -218,11 +215,9 @@ def augment_once(
             and oc.cost >= inbound.cycle.cost - 1e-12
         ):
             graph.remove_arc(other)
-            step.pruned_inbound += 1
 
     for k in range(v.period + 1, j + 2):
         if not graph.has_node(NodeId(k)):
-            step.skipped_targets.append(k)
             continue
         info = CycleInfo(
             start=start,
@@ -237,7 +232,6 @@ def augment_once(
 
     for x in range(j + 2, graph.horizon + 2):
         if not graph.has_node(NodeId(x)):
-            step.skipped_targets.append(x)
             continue
         info = CycleInfo(
             start=v.period,
@@ -249,7 +243,7 @@ def augment_once(
         graph.add_arc(Arc(w, NodeId(x), "duplicated", info))
         step.duplicated_targets.append(x)
 
-    step.removed_nodes = graph.cleanup_isolated()
+    graph.cleanup_isolated()
     return step
 
 
@@ -260,10 +254,9 @@ def repetitive_augment(
 ) -> Tuple[PathSolution, AugmentationTrace]:
     """Re-solve and repair until the shortest path carries no violations.
 
-    Processes the earliest violation of each path, re-runs Dijkstra after
-    every split (an upstream pairing broken by a merge then surfaces on the
-    next round; the classical upstream recheck is recorded as a diagnostic
-    flag on the step). Raises :class:`NonTerminationError` after
+    Processes the earliest violation of each path and re-runs the shortest
+    path search after every split, so an upstream pairing broken by a merge
+    surfaces on the next round. Raises :class:`NonTerminationError` after
     ``max_iterations`` splits (default 10 * horizon).
 
     This is stage 2 of the repair. Its plan is feasible but not always the
@@ -277,7 +270,7 @@ def repetitive_augment(
         runs += 1
         violations = check_feasibility(path, tol)
         if not violations:
-            return path, AugmentationTrace(steps=steps, dijkstra_runs=runs)
+            return path, AugmentationTrace(steps=steps, searches=runs)
         if len(steps) >= cap:
             raise NonTerminationError(
                 f"feasibility repair did not terminate within {cap} splits",
@@ -290,19 +283,7 @@ def repetitive_augment(
                     "outstanding_violations": [str(v) for v in violations],
                 },
             )
-        worst = violations[0]
-        cycles = effective_cycles(path)
-        step = augment_once(graph, worst, tol)
-        # upstream recheck: would the pairing before the merged cycle now break?
-        upstream_closing = (
-            cycles[worst.pair_index - 2].cycle.closing if worst.pair_index >= 2 else 0.0
-        )
-        new_levels = [
-            graph.get_arc(step.new_node, NodeId(k)).cycle.order_up_to
-            for k in step.recomputed_targets
-        ]
-        step.upstream_flag = bool(new_levels) and upstream_closing > min(new_levels) + tol
-        steps.append(step)
+        steps.append(augment_once(graph, violations[0], tol))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ def run_benchmark(
     holding: float = 1.0,
     unit_cost: float = 0.0,
     method: str = "bisection",
-    filtered: bool = True,
     progress: Optional[Callable[[BenchRecord], None]] = None,
 ) -> List[BenchRecord]:
     """Solve the full factorial design and return one record per instance."""
@@ -87,7 +86,7 @@ def run_benchmark(
                             seed=seed,
                         )
                         for inst in instances:
-                            sol = solve_instance(inst, filtered=filtered, method=method)
+                            sol = solve_instance(inst, method=method)
                             rel = sol.relaxed_cost
                             aug = sol.expected_cost
                             rec = BenchRecord(

@@ -14,11 +14,10 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
-from .augment import check_feasibility, repetitive_augment
 from .bench import DESK_GRID, FULL_GRID, bench_to_csv, run_benchmark, summarize
 from .cycles import build_connection_matrix
 from .errors import InputError, LotpathError, NonTerminationError
-from .graph import build_graph, filter_arcs, graph_dump, shortest_path
+from .graph import build_graph, graph_dump
 from .instances import generate_instances, load_instance, save_instance
 from .simulate import Policy, expected_trace, simulate_policy
 from .solver import solve_instance
@@ -34,7 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the best feasible review schedule")
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--no-filter", action="store_true", help="keep redundant arcs")
     p.add_argument("--method", choices=("bisection", "grid"), default="bisection")
     p.add_argument("--grid-step", type=float, default=1.0, help="level grid step (grid method)")
     p.add_argument("--max-iterations", type=int, default=None, help="repair split cap")
@@ -69,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-graph", help="dump the cycle graph as CSV arcs")
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--no-filter", action="store_true")
     p.add_argument(
         "--augmented",
         action="store_true",
@@ -121,7 +118,6 @@ def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     sol = solve_instance(
         inst,
-        filtered=not args.no_filter,
         method=args.method,
         grid_step=args.grid_step,
         max_iterations=args.max_iterations,
@@ -194,15 +190,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_export_graph(args) -> int:
     inst = load_instance(args.instance)
-    matrix = build_connection_matrix(inst)
-    graph = build_graph(matrix)
-    if not args.no_filter:
-        filter_arcs(graph)
     if args.augmented:
-        # repairs run on the full arc set, same as solve
-        if not args.no_filter and check_feasibility(shortest_path(graph)):
-            graph = build_graph(matrix)
-        repetitive_augment(graph)
+        graph = solve_instance(inst).graph
+    else:
+        graph = build_graph(build_connection_matrix(inst))
     _emit(graph_dump(graph), args.output)
     return 0
 

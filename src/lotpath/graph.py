@@ -1,9 +1,11 @@
-"""Replenishment-cycle graph: construction, redundancy filter, shortest path.
+"""Replenishment-cycle graph: construction, shortest path, CSV dump.
 
 Nodes 1..T+1 mark period starts (node T+1 is the sink). Arc (i, j) carries
 the optimised cycle covering periods i..j-1, so every 1 -> T+1 path is a
-review schedule partitioning the horizon and Dijkstra returns the minimum
-total expected cost schedule when order quantities are unrestricted in sign.
+review schedule partitioning the horizon. Every arc raises the period, so
+one pass over the nodes in period order (the Wagner-Whitin recursion) finds
+the minimum total expected cost schedule when order quantities are
+unrestricted in sign.
 
 Feasibility repair (see :mod:`lotpath.augment`) later adds virtual copies of
 nodes. A virtual node always has exactly one inbound arc. Arcs come in three
@@ -25,8 +27,7 @@ values. Those arcs belong to no graph.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .cycles import ConnectionMatrix
@@ -39,12 +40,12 @@ __all__ = [
     "PathSolution",
     "ReplenishmentGraph",
     "build_graph",
-    "filter_arcs",
     "shortest_path",
     "graph_dump",
 ]
 
-FILTER_TOL = 1e-9
+#: most negative traversal weight the search accepts as rounding noise
+NEGATIVE_WEIGHT_TOL = 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -181,16 +182,6 @@ class ReplenishmentGraph:
     def virtual_nodes(self) -> List[NodeId]:
         return [n for n in sorted(self._out) if n.copy > 0]
 
-    def copy(self) -> "ReplenishmentGraph":
-        g = ReplenishmentGraph(self.horizon, self.matrix)
-        for node in self._out:
-            g.add_node(node)
-        g._copies = dict(self._copies)
-        for node in self._out:
-            for arc in self._out[node].values():
-                g.add_arc(arc)
-        return g
-
     # -- traversal weights ---------------------------------------------------
 
     def single_inbound(self, node: NodeId) -> Arc:
@@ -242,71 +233,30 @@ def build_graph(matrix: ConnectionMatrix) -> ReplenishmentGraph:
     return g
 
 
-def filter_arcs(graph: ReplenishmentGraph, tol: float = FILTER_TOL) -> ReplenishmentGraph:
-    """Drop arcs that a chain of shorter arcs covers at no extra cost.
-
-    Arc (a, b) is redundant when the shortest a -> b distance over arcs of
-    strictly smaller span does not exceed its own cost. Runs in O(T^3) by
-    optimality of sub-paths, mutates the graph in place and returns it.
-    Intended for the freshly built graph (period nodes only); never changes
-    the shortest-path cost.
-    """
-    T1 = graph.horizon + 1
-    INF = float("inf")
-    dist = [[INF] * (T1 + 1) for _ in range(T1 + 1)]
-    doomed: List[Arc] = []
-    for span in range(1, T1):
-        for a in range(1, T1 - span + 1):
-            b = a + span
-            arc = graph.get_arc(NodeId(a), NodeId(b))
-            direct = arc.cycle.cost if arc is not None else INF
-            via = min(
-                (dist[a][m] + dist[m][b] for m in range(a + 1, b)),
-                default=INF,
-            )
-            dist[a][b] = min(direct, via)
-            if arc is not None and via <= direct + tol:
-                doomed.append(arc)
-    for arc in doomed:
-        graph.remove_arc(arc)
-    return graph
-
-
 def shortest_path(graph: ReplenishmentGraph) -> PathSolution:
-    """Dijkstra from node 1 to the sink over effective arc weights.
+    """Cheapest source -> sink path over effective arc weights.
 
-    Ties on distance break toward the lexicographically smaller predecessor
-    node, which keeps reported paths deterministic.
+    ``graph.nodes`` is sorted by (period, copy) and every arc raises the
+    period, so one relaxation pass in that order is exact. The strict ``<``
+    keeps the first predecessor scanned among equal-cost ones, i.e. the
+    smallest node, which keeps reported paths deterministic.
     """
     dist: Dict[NodeId, float] = {graph.source: 0.0}
     pred: Dict[NodeId, Arc] = {}
-    done = set()
-    heap: List[Tuple[float, Tuple[int, int], NodeId]] = [
-        (0.0, (graph.source.period, graph.source.copy), graph.source)
-    ]
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u in done:
+    for u in graph.nodes:
+        d = dist.get(u)
+        if d is None:
             continue
-        done.add(u)
-        if u == graph.sink:
-            break
         for arc in graph.out_arcs(u):
             w = graph.effective_cost(arc)
-            if w < -FILTER_TOL:
+            if w < -NEGATIVE_WEIGHT_TOL:
                 raise LotpathError(f"negative traversal weight on {arc}")
             nd = d + w
-            v = arc.v
-            old = dist.get(v)
+            old = dist.get(arc.v)
             if old is None or nd < old:
-                dist[v] = nd
-                pred[v] = arc
-                heapq.heappush(heap, (nd, (v.period, v.copy), v))
-            elif nd == old and v in pred:
-                cur = pred[v]
-                if (arc.u.period, arc.u.copy) < (cur.u.period, cur.u.copy):
-                    pred[v] = arc
-    if graph.sink not in done:
+                dist[arc.v] = nd
+                pred[arc.v] = arc
+    if graph.sink not in dist:
         raise LotpathError("sink unreachable; graph is corrupt")
     arcs: List[Arc] = []
     node = graph.sink
@@ -317,25 +267,6 @@ def shortest_path(graph: ReplenishmentGraph) -> PathSolution:
     arcs.reverse()
     nodes = [graph.source] + [a.v for a in arcs]
     return PathSolution(nodes=nodes, arcs=arcs, total_cost=dist[graph.sink])
-
-
-def shortest_path_bellman(graph: ReplenishmentGraph) -> float:
-    """Distance to the sink by dynamic programming in period order.
-
-    Independent cross-check of the Dijkstra result: every arc strictly
-    increases the period, so scanning nodes by period is a topological order.
-    """
-    INF = float("inf")
-    dist = {n: INF for n in graph.nodes}
-    dist[graph.source] = 0.0
-    for u in sorted(graph.nodes, key=lambda n: (n.period, n.copy)):
-        if dist[u] == INF:
-            continue
-        for arc in graph.out_arcs(u):
-            nd = dist[u] + graph.effective_cost(arc)
-            if nd < dist[arc.v]:
-                dist[arc.v] = nd
-    return dist[graph.sink]
 
 
 def graph_dump(graph: ReplenishmentGraph) -> str:

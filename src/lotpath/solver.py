@@ -18,7 +18,7 @@ from .augment import (
     repetitive_augment,
 )
 from .cycles import ConnectionMatrix, build_connection_matrix
-from .graph import PathSolution, ReplenishmentGraph, build_graph, filter_arcs, shortest_path
+from .graph import PathSolution, ReplenishmentGraph, build_graph, shortest_path
 from .instances import InstanceSpec
 from .simulate import Policy
 
@@ -58,7 +58,6 @@ class Solution:
     trace: AugmentationTrace
     graph: ReplenishmentGraph
     matrix: ConnectionMatrix
-    filtered: bool
     relaxed_violations: int
     timings: Dict[str, float]
 
@@ -76,7 +75,6 @@ class Solution:
             "introduced_nodes": self.introduced_nodes,
             "path": list(self.path.node_labels),
             "relaxed_path": list(self.relaxed_path.node_labels),
-            "filtered": self.filtered,
             "reoptimised": self.trace.reoptimised,
             "timings": dict(self.timings),
         }
@@ -84,7 +82,6 @@ class Solution:
 
 def solve_instance(
     instance: InstanceSpec,
-    filtered: bool = True,
     method: str = "bisection",
     y_tol: float = 1e-6,
     grid_step: float = 1.0,
@@ -92,11 +89,11 @@ def solve_instance(
 ) -> Solution:
     """Compute the best feasible review schedule for ``instance``.
 
-    ``filtered`` drops provably redundant arcs before the relaxed search
-    (pure speed-up). ``method`` selects how each cycle level is optimised:
-    ``"bisection"`` on the stationarity condition or ``"grid"`` sweep with
-    ``grid_step``. Path costs below include the unit-cost credit for initial
-    inventory, so they are true expected policy costs.
+    ``method`` selects how each cycle level is optimised: ``"bisection"`` on
+    the stationarity condition or ``"grid"`` sweep with ``grid_step``. The
+    graph is built once and holds every span; the relaxed search and the
+    repair both run on it. Path costs below include the unit-cost credit for
+    initial inventory, so they are true expected policy costs.
 
     When the relaxed path needs a repair, the split loop runs first and the
     re-optimising stage then replaces its plan if it finds a cheaper
@@ -106,18 +103,10 @@ def solve_instance(
     t0 = time.perf_counter()
     matrix = build_connection_matrix(instance, method=method, y_tol=y_tol, grid_step=grid_step)
     graph = build_graph(matrix)
-    if filtered:
-        filter_arcs(graph)
     t1 = time.perf_counter()
     relaxed = shortest_path(graph)
     t2 = time.perf_counter()
     relaxed_violations = len(check_feasibility(relaxed))
-    if relaxed_violations and filtered:
-        # Filtering is only safe for the relaxed optimum: a repair may need
-        # long spans the pruning discarded and would otherwise re-create them
-        # as merged cycles that pay K for nothing. Repair the full arc set so
-        # the final policy never depends on the filter flag.
-        graph = build_graph(matrix)
     path, trace = repetitive_augment(graph, max_iterations=max_iterations)
     if relaxed_violations:
         better = reoptimise(matrix, instance.demands, path, relaxed)
@@ -137,7 +126,6 @@ def solve_instance(
         trace=trace,
         graph=graph,
         matrix=matrix,
-        filtered=filtered,
         relaxed_violations=relaxed_violations,
         timings={
             "t_prep": t1 - t0,

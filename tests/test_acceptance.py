@@ -16,16 +16,13 @@ from conftest import golden_spec
 from lotpath import (
     CostParams,
     PeriodDemand,
-    build_connection_matrix,
     build_graph,
     check_feasibility,
-    filter_arcs,
     generate_instances,
     optimize_order_up_to,
     policy_from_path,
     repetitive_augment,
     schedule_enumeration_oracle,
-    shortest_path,
     simulate_policy,
     solve_instance,
 )
@@ -147,45 +144,6 @@ def test_single_period_fractile_suite(criterion):
     )
     assert worst_fractile <= 1e-4
     assert worst_shift <= 1e-6
-
-
-# ---------------------------------------------------------------------------
-# 5. arc pruning changes nothing observable
-
-
-def test_filter_safety(criterion, golden, golden_solution):
-    patterns = ("erratic", "lumpy")
-    rhos = (0.1, 0.2, 0.3)
-    fixed = (225.0, 900.0, 2500.0)
-    pens = (2.0, 5.0, 10.0)
-    worst = 0.0
-    for i in range(100):
-        (inst,) = generate_instances(
-            pattern=patterns[i % 2],
-            horizon=6 + (i % 7),
-            rho=rhos[i % 3],
-            K=fixed[i % 3],
-            b=pens[(i // 3) % 3],
-            count=1,
-            seed=1000 + i,
-        )
-        g = build_graph(build_connection_matrix(inst))
-        pruned = g.copy()
-        filter_arcs(pruned)
-        worst = max(
-            worst,
-            abs(shortest_path(pruned).total_cost - shortest_path(g).total_cost),
-        )
-    unfiltered = solve_instance(golden, filtered=False)
-    same_path = unfiltered.path.node_labels == golden_solution.path.node_labels
-    ok = worst <= 1e-9 and same_path
-    criterion(
-        5, "arc pruning safety (100 instances, T<=12)", ok,
-        f"max relaxed-cost drift {worst:.2e} (cap 1e-9), "
-        f"worked-example final path identical: {same_path}",
-    )
-    assert worst <= 1e-9
-    assert same_path
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Cycle graph construction, pruning, and shortest paths."""
+"""Cycle graph construction and shortest paths."""
 
 import pytest
 
@@ -7,15 +7,40 @@ from lotpath import (
     LotpathError,
     build_connection_matrix,
     build_graph,
-    filter_arcs,
     generate_instances,
     graph_dump,
+    repetitive_augment,
     shortest_path,
 )
-from lotpath.graph import NodeId, shortest_path_bellman
+from lotpath.graph import Arc, CycleInfo, NodeId, ReplenishmentGraph
 
-# arcs that survive pruning on the five-period example
-GOLDEN_FILTERED_ARCS = {(1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)}
+
+def enumerated_optimum(graph):
+    """Cheapest source -> sink cost found by walking every path.
+
+    Independent of the search under test: no ordering of nodes, no
+    relaxation, only the sum of ``effective_cost`` along each path.
+    """
+    best = float("inf")
+    stack = [(graph.source, 0.0)]
+    while stack:
+        node, cost = stack.pop()
+        if node == graph.sink:
+            best = min(best, cost)
+            continue
+        for arc in graph.out_arcs(node):
+            stack.append((arc.v, cost + graph.effective_cost(arc)))
+    return best
+
+
+def assert_search_matches_enumeration(graph):
+    sol = shortest_path(graph)
+    assert sol.nodes[0] == graph.source and sol.nodes[-1] == graph.sink
+    assert all(graph.get_arc(a.u, a.v) is a for a in sol.arcs)
+    assert sol.total_cost == pytest.approx(
+        sum(graph.effective_cost(a) for a in sol.arcs), abs=1e-9
+    )
+    assert sol.total_cost == pytest.approx(enumerated_optimum(graph), abs=1e-9)
 
 
 def test_node_rendering():
@@ -41,13 +66,6 @@ class TestBuildGraph:
         assert arc.cycle.order_up_to == entry.order_up_to
         assert arc.cycle.start == 2 and arc.cycle.end == 3
         assert arc.kind == "normal"
-
-    def test_copy_is_independent(self, golden_matrix):
-        g = build_graph(golden_matrix)
-        clone = g.copy()
-        clone.remove_arc(clone.get_arc(NodeId(1), NodeId(2)))
-        assert clone.get_arc(NodeId(1), NodeId(2)) is None
-        assert g.get_arc(NodeId(1), NodeId(2)) is not None
 
     def test_new_virtual_counts_copies(self, golden_matrix):
         g = build_graph(golden_matrix)
@@ -76,55 +94,47 @@ class TestShortestPath:
             sum(a.cycle.cost for a in sol.arcs), rel=1e-12
         )
 
-    def test_bellman_agrees_with_dijkstra(self, golden_matrix):
+    def test_matches_enumeration_on_golden(self, golden_matrix):
         g = build_graph(golden_matrix)
-        assert shortest_path_bellman(g) == pytest.approx(
-            shortest_path(g).total_cost, abs=1e-9
-        )
+        assert_search_matches_enumeration(g)
+        repetitive_augment(g)
+        assert g.virtual_nodes  # the repair split a node
+        assert_search_matches_enumeration(g)
 
-    def test_bellman_agrees_on_generated_instances(self):
+    def test_matches_enumeration_on_generated_instances(self):
+        recomputed = 0
         for inst in generate_instances(
             pattern="lumpy", horizon=8, rho=0.3, K=225.0, b=10.0, count=5, seed=3
         ):
             g = build_graph(build_connection_matrix(inst))
-            assert shortest_path_bellman(g) == pytest.approx(
-                shortest_path(g).total_cost, abs=1e-9
-            )
+            assert_search_matches_enumeration(g)
+            repetitive_augment(g)
+            assert_search_matches_enumeration(g)
+            recomputed += sum(a.kind == "recomputed" for a in g.arcs())
+        assert recomputed > 0  # repaired graphs with merged-cycle arcs were searched
 
+    def test_tie_goes_to_the_smaller_predecessor(self):
+        g = ReplenishmentGraph(2)
+        for u, v, cost in ((1, 2, 1.0), (2, 3, 1.0), (1, 3, 2.0)):
+            info = CycleInfo(start=u, end=v - 1, order_up_to=0.0, closing=0.0, cost=cost)
+            g.add_arc(Arc(NodeId(u), NodeId(v), "normal", info))
+        sol = shortest_path(g)
+        assert sol.node_labels == ("1", "3")
+        assert sol.total_cost == 2.0
 
-class TestFilterArcs:
-    def test_golden_surviving_arcs(self, golden_matrix):
+    def test_negative_weight_is_an_error(self):
+        g = ReplenishmentGraph(1)
+        info = CycleInfo(start=1, end=1, order_up_to=0.0, closing=0.0, cost=-1.0)
+        g.add_arc(Arc(NodeId(1), NodeId(2), "normal", info))
+        with pytest.raises(LotpathError, match="negative"):
+            shortest_path(g)
+
+    def test_unreachable_sink_is_an_error(self, golden_matrix):
         g = build_graph(golden_matrix)
-        filter_arcs(g)
-        kept = {(a.u.period, a.v.period) for a in g.arcs()}
-        assert kept == GOLDEN_FILTERED_ARCS
-
-    def test_pruning_preserves_optimum(self, golden_matrix):
-        full = build_graph(golden_matrix)
-        pruned = full.copy()
-        filter_arcs(pruned)
-        assert shortest_path(pruned).total_cost == pytest.approx(
-            shortest_path(full).total_cost, abs=1e-9
-        )
-
-    def test_pruning_preserves_optimum_randomised(self):
-        # mixture of patterns and cost settings; pruning must never change
-        # the relaxed optimum
-        cases = [
-            ("erratic", 10, 0.2, 225.0, 5.0, 11),
-            ("lumpy", 12, 0.3, 900.0, 10.0, 12),
-            ("lumpy", 9, 0.1, 2500.0, 2.0, 13),
-        ]
-        for pattern, T, rho, K, b, seed in cases:
-            for inst in generate_instances(
-                pattern=pattern, horizon=T, rho=rho, K=K, b=b, count=4, seed=seed
-            ):
-                full = build_graph(build_connection_matrix(inst))
-                pruned = full.copy()
-                filter_arcs(pruned)
-                assert shortest_path(pruned).total_cost == pytest.approx(
-                    shortest_path(full).total_cost, abs=1e-9
-                ), inst.name
+        for arc in g.in_arcs(g.sink):
+            g.remove_arc(arc)
+        with pytest.raises(LotpathError, match="unreachable"):
+            shortest_path(g)
 
 
 class TestGraphDump:
