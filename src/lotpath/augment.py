@@ -256,7 +256,11 @@ def repetitive_augment(
 
     Processes the earliest violation of each path and re-runs the shortest
     path search after every split, so an upstream pairing broken by a merge
-    surfaces on the next round. Raises :class:`NonTerminationError` after
+    surfaces on the next round. A split changes only arcs into the split
+    period and later ones, so each search resumes there and keeps the labels
+    of earlier nodes; a search on a graph that an earlier search already
+    settled does no work. ``searches`` in the trace counts the searches run
+    here, one more than the splits. Raises :class:`NonTerminationError` after
     ``max_iterations`` splits (default 10 * horizon).
 
     This is stage 2 of the repair. Its plan is feasible but not always the

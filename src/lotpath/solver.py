@@ -76,6 +76,9 @@ class Solution:
             "path": list(self.path.node_labels),
             "relaxed_path": list(self.relaxed_path.node_labels),
             "reoptimised": self.trace.reoptimised,
+            "splits": len(self.trace.steps),
+            "searches": self.trace.searches,
+            "arcs_relaxed": self.graph.arcs_relaxed,
             "timings": dict(self.timings),
         }
 
@@ -92,8 +95,10 @@ def solve_instance(
     ``method`` selects how each cycle level is optimised: ``"bisection"`` on
     the stationarity condition or ``"grid"`` sweep with ``grid_step``. The
     graph is built once and holds every span; the relaxed search and the
-    repair both run on it. Path costs below include the unit-cost credit for
-    initial inventory, so they are true expected policy costs.
+    repair both run on it, and the repair's first search reuses the relaxed
+    search's labels (see :func:`lotpath.graph.shortest_path`). Path costs
+    below include the unit-cost credit for initial inventory, so they are
+    true expected policy costs.
 
     When the relaxed path needs a repair, the split loop runs first and the
     re-optimising stage then replaces its plan if it finds a cheaper

@@ -189,6 +189,29 @@ class TestSolveInstance:
         assert set(t) == {"t_prep", "t_shortest_path", "t_augment"}
         assert all(v >= 0.0 for v in t.values())
 
+    def test_search_counters(self, golden_solution):
+        d = golden_solution.to_dict()
+        # one split, two loop searches: the first reuses the relaxed search's
+        # full pass over the 15 arcs, the second re-computes nodes 3, 3', 4,
+        # 5 and 6 from their 1 + 1 + 4 + 5 + 6 inbound arcs
+        assert (d["splits"], d["searches"], d["arcs_relaxed"]) == (1, 2, 15 + 17)
+
+    def test_resumed_searches_relax_fewer_arcs(self, monkeypatch):
+        (inst,) = generate_instances(
+            pattern="lumpy", horizon=100, rho=0.3, K=225.0, b=10.0, count=1, seed=7
+        )
+        arcs_at_search = []
+
+        def counting(graph):
+            arcs_at_search.append(graph.arc_count)
+            return shortest_path(graph)
+
+        monkeypatch.setattr(augment, "shortest_path", counting)
+        d = solve_instance(inst).to_dict()
+        assert d["searches"] == len(arcs_at_search) == d["splits"] + 1
+        assert d["splits"] > 0
+        assert d["arcs_relaxed"] < sum(arcs_at_search)
+
     def test_initial_inventory_offsets_cost(self):
         # with z > 0, stock on hand is worth z per unit against the plan cost
         from conftest import golden_spec

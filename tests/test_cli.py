@@ -25,6 +25,7 @@ class TestSolve:
         assert payload["expected_cost"] == pytest.approx(447.4670, abs=1e-3)
         assert payload["relaxed_violations"] == 1
         assert payload["policy"]["reviews"] == [1, 2, 3, 5]
+        assert (payload["splits"], payload["searches"], payload["arcs_relaxed"]) == (1, 2, 32)
 
     def test_output_file(self, golden_file, tmp_path, capsys):
         out = tmp_path / "solution.json"

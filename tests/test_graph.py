@@ -7,11 +7,13 @@ from lotpath import (
     LotpathError,
     build_connection_matrix,
     build_graph,
+    check_feasibility,
     generate_instances,
     graph_dump,
     repetitive_augment,
     shortest_path,
 )
+from lotpath.augment import augment_once
 from lotpath.graph import Arc, CycleInfo, NodeId, ReplenishmentGraph
 
 
@@ -43,11 +45,49 @@ def assert_search_matches_enumeration(graph):
     assert sol.total_cost == pytest.approx(enumerated_optimum(graph), abs=1e-9)
 
 
+def full_push_pass(graph):
+    """The search as one full push pass summing live ``effective_cost``.
+
+    Independent of the labels and stored weights the graph keeps: every node
+    is relaxed in (period, copy) order, and the strict ``<`` keeps the first,
+    i.e. smallest, predecessor among equal-cost ones. Returns the distance
+    and predecessor arc of every reachable node.
+    """
+    dist = {graph.source: 0.0}
+    pred = {}
+    for u in graph.nodes:
+        d = dist.get(u)
+        if d is None:
+            continue
+        for arc in graph.out_arcs(u):
+            nd = d + graph.effective_cost(arc)
+            old = dist.get(arc.v)
+            if old is None or nd < old:
+                dist[arc.v] = nd
+                pred[arc.v] = arc
+    return dist, pred
+
+
 def test_node_rendering():
     assert str(NodeId(3)) == "3"
     assert str(NodeId(3, 1)) == "3'"
     assert str(NodeId(3, 2)) == "3''"
+    assert repr(NodeId(3, 1)) == "3'"
     assert NodeId(3) < NodeId(3, 1) < NodeId(4)
+    assert sorted([NodeId(4), NodeId(3, 2), NodeId(3), NodeId(3, 1)]) == [
+        NodeId(3), NodeId(3, 1), NodeId(3, 2), NodeId(4)
+    ]
+
+
+def test_node_hash_agrees_with_equality():
+    assert NodeId(3) == NodeId(3, 0)
+    assert hash(NodeId(3)) == hash(NodeId(3, 0))
+    assert NodeId(3) != NodeId(3, 1)
+    labels = {NodeId(3): "a"}
+    labels[NodeId(3, 0)] = "b"
+    assert labels == {NodeId(3): "b"}
+    # a NodeId is the plain tuple of its fields
+    assert NodeId(3, 1) == (3, 1) and hash(NodeId(3, 1)) == hash((3, 1))
 
 
 class TestBuildGraph:
@@ -118,7 +158,9 @@ class TestShortestPath:
         for u, v, cost in ((1, 2, 1.0), (2, 3, 1.0), (1, 3, 2.0)):
             info = CycleInfo(start=u, end=v - 1, order_up_to=0.0, closing=0.0, cost=cost)
             g.add_arc(Arc(NodeId(u), NodeId(v), "normal", info))
-        sol = shortest_path(g)
+            if u == 2:
+                assert shortest_path(g).node_labels == ("1", "2", "3")
+        sol = shortest_path(g)  # resumes at the added arc's period
         assert sol.node_labels == ("1", "3")
         assert sol.total_cost == 2.0
 
@@ -131,10 +173,90 @@ class TestShortestPath:
 
     def test_unreachable_sink_is_an_error(self, golden_matrix):
         g = build_graph(golden_matrix)
-        for arc in g.in_arcs(g.sink):
+        shortest_path(g)
+        removed = g.in_arcs(g.sink)
+        for arc in removed:
             g.remove_arc(arc)
         with pytest.raises(LotpathError, match="unreachable"):
             shortest_path(g)
+        with pytest.raises(LotpathError, match="unreachable"):
+            shortest_path(g)  # no labels survive the failed search
+        for arc in removed:
+            g.add_arc(arc)
+        assert shortest_path(g).node_labels == ("1", "2", "3", "4", "6")
+
+    def test_negative_weight_fails_again_on_the_same_graph(self):
+        g = ReplenishmentGraph(2)
+        for u, v, cost in ((1, 2, 1.0), (2, 3, -1.0), (1, 3, 5.0)):
+            info = CycleInfo(start=u, end=v - 1, order_up_to=0.0, closing=0.0, cost=cost)
+            g.add_arc(Arc(NodeId(u), NodeId(v), "normal", info))
+        for _ in range(2):
+            with pytest.raises(LotpathError, match="negative"):
+                shortest_path(g)
+
+    def test_unchanged_graph_costs_no_work(self, golden_matrix):
+        g = build_graph(golden_matrix)
+        first = shortest_path(g)
+        assert g.arcs_relaxed == g.arc_count  # the first search is a full pass
+        second = shortest_path(g)
+        assert g.arcs_relaxed == g.arc_count
+        assert second.arcs == first.arcs and second.total_cost == first.total_cost
+
+
+def assert_search_matches_full_pass(graph):
+    sol = shortest_path(graph)
+    dist, pred = full_push_pass(graph)
+    ref_arcs, node = [], graph.sink
+    while node != graph.source:
+        ref_arcs.append(pred[node])
+        node = pred[node].u
+    ref_arcs.reverse()
+    assert sol.total_cost == dist[graph.sink]
+    assert len(sol.arcs) == len(ref_arcs)
+    assert all(a is b for a, b in zip(sol.arcs, ref_arcs))
+    assert sol.node_labels == tuple(str(n) for n in [graph.source] + [a.v for a in ref_arcs])
+    # every node's label, not only those on the path
+    assert graph._dist == dist
+    assert graph._pred.keys() == pred.keys()
+    assert all(graph._pred[n] is arc for n, arc in pred.items())
+    return sol
+
+
+class TestResumedSearch:
+    """After every split the resumed search equals a full pass from scratch."""
+
+    def repair_step_by_step(self, matrix):
+        """Split as ``repetitive_augment`` does, checking every search;
+        returns the number of splits."""
+        g = build_graph(matrix)
+        splits = 0
+        while True:
+            violations = check_feasibility(assert_search_matches_full_pass(g))
+            if not violations:
+                break
+            augment_once(g, violations[0])
+            splits += 1
+        # the weights stored when the arcs were added are still the live ones
+        assert all(g._weight[arc.v][arc.u] == g.effective_cost(arc) for arc in g.arcs())
+        return splits
+
+    def test_golden(self, golden_matrix):
+        assert self.repair_step_by_step(golden_matrix) == 1
+
+    def test_lumpy_t8(self):
+        splits = [
+            self.repair_step_by_step(build_connection_matrix(inst))
+            for inst in generate_instances(
+                pattern="lumpy", horizon=8, rho=0.3, K=225.0, b=10.0, count=5, seed=3
+            )
+        ]
+        assert sum(splits) > 0
+
+    def test_lumpy_t30(self):
+        (inst,) = generate_instances(
+            pattern="lumpy", horizon=30, rho=0.3, K=225.0, b=10.0, count=1, seed=3
+        )
+        assert self.repair_step_by_step(build_connection_matrix(inst)) == 19
 
 
 class TestGraphDump:
