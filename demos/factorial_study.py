@@ -54,7 +54,7 @@ def main():
     for row in summarize(records, by=("pattern", "K")):
         print(
             "  {pattern:8s} K={K:6g}: {n:3d} instances, {n_augmented:3d} repaired, "
-            "mean splits {mean_introduced_nodes:5.2f}, "
+            "mean violations {mean_negative_orders:5.2f}, "
             "mean cost increase when repaired {mean_pct_increase:5.2f}%".format(**row)
         )
 
@@ -71,13 +71,13 @@ def main():
             f"(mean cost increase {mean_pct:.2f}%, "
             f"max {max(r.pct_increase for r in lumpy_aug):.2f}%)"
         )
-    erratic_aug = sum(1 for r in records if r.pattern == "erratic" and r.introduced_nodes > 0)
+    erratic_aug = sum(1 for r in records if r.pattern == "erratic" and r.negative_order_count > 0)
     print(f"erratic instances needing repair: {erratic_aug}")
 
-    slowest = max(records, key=lambda r: r.t_prep + r.t_shortest_path + r.t_augment)
+    slowest = max(records, key=lambda r: r.t_matrix + r.t_relaxed + r.t_reoptimise)
     print(
-        f"slowest instance {slowest.instance_id}: matrix {slowest.t_prep:.2f}s, "
-        f"search {slowest.t_shortest_path:.4f}s, repair {slowest.t_augment:.2f}s"
+        f"slowest instance {slowest.instance_id}: matrix {slowest.t_matrix:.2f}s, "
+        f"relaxed path {slowest.t_relaxed:.4f}s, re-optimising {slowest.t_reoptimise:.2f}s"
     )
 
 

@@ -5,8 +5,10 @@ coefficient of variation, a fixed order cost of 50, holding cost 1 and
 penalty cost 19. Its relaxed plan wants to order in period 3 up to a level
 *below* the stock that period 2's order leaves behind, i.e. it relies on a
 negative replenishment. The script shows the cycle-cost matrix, the relaxed
-shortest path, the detected violation, the node split that repairs it, and a
-Monte Carlo check of the final policy.
+shortest path, the detected violation, the node split with which the paper's
+split-and-re-solve loop repairs it, the policy ``solve_instance`` returns (its
+re-optimising stage finds the loop's plan here), and a Monte Carlo check of
+that policy.
 
 Run with:
   $ python3 demos/worked_example.py
@@ -100,7 +102,7 @@ def main():
     show_path("repaired shortest path", repaired)
 
     sol = solve_instance(INSTANCE)
-    print("final policy:")
+    print(f"final policy (solve_instance, cost {sol.expected_cost:.4f}):")
     for review, level in zip(sol.policy.reviews, sol.policy.levels):
         what = "no order, review only" if level is None else f"order up to {level:.2f}"
         print(f"    period {review}: {what}")

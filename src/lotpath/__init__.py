@@ -1,9 +1,11 @@
 """Review/order-up-to policies for non-stationary stochastic lot sizing.
 
 Pipeline: price every replenishment cycle (connection matrix), take the
-shortest path through the cycle graph (relaxed optimum), then repair any
-pairings that would need negative orders by splitting nodes and re-solving,
-and re-optimise the repaired plan over all review schedules and levels.
+cheapest path over the matrix (relaxed optimum), and when that path would
+need a negative order, re-optimise over all review schedules and levels
+under the no-negative-order constraint. The paper's split-and-re-solve loop
+on the cycle graph (``build_graph``, ``repetitive_augment``) stays available
+as its stage-2 algorithm, off the solve path.
 """
 
 from .augment import (
@@ -12,6 +14,7 @@ from .augment import (
     FeasibilityViolation,
     check_feasibility,
     effective_cycles,
+    relaxed_path,
     reoptimise,
     repetitive_augment,
 )
@@ -79,6 +82,7 @@ __all__ = [
     "loss",
     "optimize_order_up_to",
     "policy_from_path",
+    "relaxed_path",
     "reoptimise",
     "repetitive_augment",
     "save_instance",

@@ -1,9 +1,16 @@
-"""Feasibility repair of a relaxed shortest-path schedule.
+"""Relaxed optimum, feasibility check and the two repair stages.
 
-The relaxed solution may pair two consecutive cycles so that the expected
+:func:`relaxed_path` is the relaxed optimum: the cheapest schedule over the
+connection matrix when order quantities are unrestricted in sign, found by
+one pass over the matrix arrays in period order (the Wagner-Whitin
+recursion). It may pair two consecutive cycles so that the expected
 inventory entering a review exceeds that review's order-up-to level, which
-would require a negative order quantity. Repair splits the offending node i
-into a virtual copy i':
+would require a negative order quantity; :func:`check_feasibility` lists
+those pairings.
+
+Stage 2 of the paper, the split-and-re-solve loop (:func:`repetitive_augment`
+on a :class:`~lotpath.graph.ReplenishmentGraph`), repairs such a path by
+splitting the offending node i into a virtual copy i':
 
 * redirect: the violating inbound arc (m, i) is re-targeted to (m, i'),
   payload unchanged; node i is cascade-deleted once nothing points at it;
@@ -20,8 +27,11 @@ the loop ends when the cheapest path is violation-free.
 The loop has only two moves: keep a cycle at its matrix level, or merge it
 into a longer cycle that still pays K. It never raises a level to absorb
 carried stock or lowers an upstream one, so its plan can cost more than the
-cheapest feasible plan. :func:`reoptimise` is the third stage: an exact
-dynamic program over all review schedules and levels,
+cheapest feasible plan. The loop stays callable as the paper's algorithm
+(the worked example, ``lotpath export-graph --augmented``), but the solve
+does not run it. :func:`reoptimise` is stage 3 and gives the solve's answer
+whenever the relaxed path violates: an exact dynamic program over all review
+schedules and levels,
 
     V(i, L) = min over j >= i, y >= L of  c(i, j; y) + V(j + 1, y - mu(i..j)),
 
@@ -48,6 +58,7 @@ from .graph import Arc, CycleInfo, NodeId, PathSolution, ReplenishmentGraph, sho
 __all__ = [
     "EffectiveCycle",
     "FeasibilityViolation",
+    "relaxed_path",
     "AugmentationStep",
     "AugmentationTrace",
     "effective_cycles",
@@ -58,8 +69,9 @@ __all__ = [
 ]
 
 FEAS_TOL = 1e-9
-#: the re-optimised plan replaces the loop's only when cheaper by this share
-REOPT_TOL = 1e-9
+#: relative slack of the re-optimising stage's span bound: covers rounding in
+#: the relaxed sums, so the spans of a plan costing exactly the bound stay in
+BOUND_TOL = 1e-9
 #: the re-optimising stage's level grid: spacing mean period demand / 25,
 #: widened where needed to keep it at most MAX_GRID points (long horizons)
 GRID_PER_MEAN = 25.0
@@ -97,6 +109,54 @@ def effective_cycles(path: PathSolution) -> List[EffectiveCycle]:
         else:
             out.append(EffectiveCycle(cycle=arc.cycle, arcs=(arc,)))
     return out
+
+
+def _relaxed_distances(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relaxed shortest distances over the matrix, with 0-based nodes:
+    ``prefix[s]`` from node 0 to node s, ``suffix[s]`` from node s to the
+    sink T, and ``pred[e]``, the node before e on the cheapest path to it.
+
+    ``np.argmin`` keeps the first of equal distances, so the smallest
+    predecessor wins, as in :func:`lotpath.graph.shortest_path`.
+    """
+    T = cost.shape[0]
+    prefix = np.full(T + 1, np.inf)
+    prefix[0] = 0.0
+    pred = np.zeros(T + 1, dtype=int)
+    for e in range(T):
+        dist = prefix[: e + 1] + cost[: e + 1, e]
+        pred[e + 1] = np.argmin(dist)
+        prefix[e + 1] = dist[pred[e + 1]]
+    suffix = np.full(T + 1, np.inf)
+    suffix[T] = 0.0
+    for s in range(T - 1, -1, -1):
+        suffix[s] = np.min(cost[s, s:] + suffix[s + 1 :])
+    return prefix, suffix, pred
+
+
+def relaxed_path(matrix: ConnectionMatrix) -> PathSolution:
+    """The relaxed optimum as a path of ``"normal"`` arcs carrying the
+    matrix cycles; the same path, arcs and cost as
+    ``shortest_path(build_graph(matrix))``, without building the graph."""
+    T = matrix.horizon
+    prefix, _, pred = _relaxed_distances(matrix.cost)
+    arcs = []
+    e = T
+    while e > 0:
+        s = int(pred[e])
+        info = CycleInfo(
+            start=s + 1,
+            end=e,
+            order_up_to=float(matrix.level[s, e - 1]),
+            closing=float(matrix.closing[s, e - 1]),
+            cost=float(matrix.cost[s, e - 1]),
+        )
+        arcs.append(Arc(NodeId(s + 1), NodeId(e + 1), "normal", info))
+        e = s
+    arcs.reverse()
+    return PathSolution(
+        nodes=[NodeId(1)] + [a.v for a in arcs], arcs=arcs, total_cost=float(prefix[T])
+    )
 
 
 @dataclass(frozen=True)
@@ -158,7 +218,6 @@ class AugmentationStep:
 class AugmentationTrace:
     steps: List[AugmentationStep]
     searches: int
-    reoptimised: bool = False  # stage 3 replaced the loop's plan
 
     @property
     def introduced_nodes(self) -> int:
@@ -263,8 +322,9 @@ def repetitive_augment(
     here, one more than the splits. Raises :class:`NonTerminationError` after
     ``max_iterations`` splits (default 10 * horizon).
 
-    This is stage 2 of the repair. Its plan is feasible but not always the
-    cheapest feasible one; :func:`reoptimise` (stage 3) re-optimises it.
+    This is stage 2 of the repair, the paper's algorithm. Its plan is
+    feasible but not always the cheapest feasible one; the solve takes its
+    answer from :func:`reoptimise` (stage 3) instead.
     """
     cap = max_iterations if max_iterations is not None else 10 * graph.horizon
     steps: List[AugmentationStep] = []
@@ -313,21 +373,6 @@ class _Spans:
         return float(self.mus[s][e - s])
 
 
-def _relaxed_distances(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Relaxed shortest distances over the matrix: ``prefix[s]`` from node 0
-    to node s, ``suffix[s]`` from node s to the sink."""
-    T = cost.shape[0]
-    prefix = np.full(T + 1, np.inf)
-    prefix[0] = 0.0
-    for e in range(T):
-        prefix[e + 1] = np.min(prefix[: e + 1] + cost[: e + 1, e])
-    suffix = np.full(T + 1, np.inf)
-    suffix[T] = 0.0
-    for s in range(T - 1, -1, -1):
-        suffix[s] = np.min(cost[s, s:] + suffix[s + 1 :])
-    return prefix, suffix
-
-
 def _admissible_spans(cost: np.ndarray, bound: float) -> np.ndarray:
     """Spans that can lie on a feasible plan costing at most ``bound``.
 
@@ -335,9 +380,9 @@ def _admissible_spans(cost: np.ndarray, bound: float) -> np.ndarray:
     below its matrix optimum, so a plan through span (s, e) costs at least
     prefix[s] + cost[s, e] + suffix[e + 1].
     """
-    prefix, suffix = _relaxed_distances(cost)
+    prefix, suffix, _ = _relaxed_distances(cost)
     with np.errstate(invalid="ignore"):  # NaN below the diagonal compares False
-        return prefix[:-1, None] + cost + suffix[None, 1:] <= bound
+        return prefix[:-1, None] + cost + suffix[None, 1:] <= bound + BOUND_TOL * abs(bound)
 
 
 def _grid_schedule(
@@ -464,28 +509,25 @@ def _plan(spans: _Spans, schedule: List[Tuple[int, int]]) -> PathSolution:
 def reoptimise(
     matrix: ConnectionMatrix,
     demands: Sequence[PeriodDemand],
-    incumbent: PathSolution,
     relaxed: PathSolution,
-) -> Optional[PathSolution]:
+) -> PathSolution:
     """Stage 3 of the repair: the cheapest feasible plan over all schedules.
 
-    ``incumbent`` is the split loop's feasible plan and ``relaxed`` the
-    relaxed optimum. The relaxed schedule at its constrained levels gives a
-    second feasible plan; the cheaper of the two bounds the spans the grid
-    dynamic program visits (see :func:`_admissible_spans`). The level grid
-    (see ``GRID_PER_MEAN``) covers 0 and the matrix optima of those spans:
-    an optimal constrained level lies between the lowest and highest
-    stand-alone optimum of its plan. The recovered schedule then gets its
-    exact constrained levels. Returns the cheapest plan found if it beats ``incumbent`` by
-    more than ``REOPT_TOL`` (relative), else None. With ``method="grid"``
-    matrices the span bound is as approximate as the matrix optima.
+    ``relaxed`` is the relaxed optimum (:func:`relaxed_path`). Its schedule
+    at its exact constrained levels is a feasible plan, and that plan's cost
+    bounds the spans the grid dynamic program visits (see
+    :func:`_admissible_spans`). The level grid (see ``GRID_PER_MEAN``)
+    covers 0 and the matrix optima of those spans: an optimal constrained
+    level lies between the lowest and highest stand-alone optimum of its
+    plan. The recovered schedule then gets its exact constrained levels.
+    Returns the cheaper of the two plans. With ``method="grid"`` matrices
+    the span bound is as approximate as the matrix optima.
     """
     spans = _Spans(demands, matrix)
     T = matrix.horizon
     relaxed_schedule = [(c.cycle.start - 1, c.cycle.end - 1) for c in effective_cycles(relaxed)]
     plans = [_plan(spans, relaxed_schedule)]
-    bound = min(incumbent.total_cost, plans[0].total_cost)
-    keep = _admissible_spans(matrix.cost, bound + REOPT_TOL * abs(bound))
+    keep = _admissible_spans(matrix.cost, plans[0].total_cost)
 
     levels = matrix.level[keep]
     lo = min(0.0, float(levels.min()))
@@ -496,7 +538,4 @@ def reoptimise(
     if schedule != relaxed_schedule:
         plans.append(_plan(spans, schedule))
 
-    best = min(plans, key=lambda plan: plan.total_cost)
-    if best.total_cost < incumbent.total_cost - REOPT_TOL * abs(incumbent.total_cost):
-        return best
-    return None
+    return min(plans, key=lambda plan: plan.total_cost)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve, simulate, bench, export-graph, gen. Exit codes:
-0 success, 1 internal failure, 2 invalid input, 3 feasibility repair did not
-terminate, 4 file I/O error.
+0 success, 1 internal failure, 2 invalid input, 3 the split loop of
+``export-graph --augmented`` did not terminate, 4 file I/O error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
+from .augment import repetitive_augment
 from .bench import DESK_GRID, FULL_GRID, bench_to_csv, run_benchmark, summarize
 from .cycles import build_connection_matrix
 from .errors import InputError, LotpathError, NonTerminationError
@@ -35,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("--method", choices=("bisection", "grid"), default="bisection")
     p.add_argument("--grid-step", type=float, default=1.0, help="level grid step (grid method)")
-    p.add_argument("--max-iterations", type=int, default=None, help="repair split cap")
     p.add_argument("-o", "--output", help="write the solution JSON here instead of stdout")
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of a policy's cost")
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--augmented",
         action="store_true",
-        help="dump the graph after feasibility repair instead of the initial one",
+        help="dump the graph after the paper's split-and-re-solve loop instead of the initial one",
     )
     p.add_argument("-o", "--output", help="write the CSV here instead of stdout")
 
@@ -116,12 +116,7 @@ def _load_policy(path: str) -> Policy:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    sol = solve_instance(
-        inst,
-        method=args.method,
-        grid_step=args.grid_step,
-        max_iterations=args.max_iterations,
-    )
+    sol = solve_instance(inst, method=args.method, grid_step=args.grid_step)
     _emit(json.dumps(sol.to_dict(), indent=2), args.output)
     return 0
 
@@ -183,17 +178,16 @@ def _cmd_bench(args) -> int:
         for row in summarize(records):
             sys.stdout.write(
                 "{pattern} rho={rho:g} b={b:g} K={K:g}: n={n} augmented={n_augmented} "
-                "nodes={mean_introduced_nodes:.2f} pct={mean_pct_increase:.2f}\n".format(**row)
+                "violations={mean_negative_orders:.2f} pct={mean_pct_increase:.2f}\n".format(**row)
             )
     return 0
 
 
 def _cmd_export_graph(args) -> int:
     inst = load_instance(args.instance)
+    graph = build_graph(build_connection_matrix(inst))
     if args.augmented:
-        graph = solve_instance(inst).graph
-    else:
-        graph = build_graph(build_connection_matrix(inst))
+        repetitive_augment(graph)
     _emit(graph_dump(graph), args.output)
     return 0
 

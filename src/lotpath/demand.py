@@ -12,21 +12,13 @@ forms in terms of the standard Normal pdf/cdf (u = (x - mu) / sigma):
 
     loss            = sigma * (phi(u) - (1 - Phi(u)) * u)
     complementary   = sigma * (phi(u) + Phi(u) * u)
-
-Any other distribution goes through adaptive quadrature against a supplied
-density (``numeric_loss``), which also serves as an independent cross-check
-of the closed forms in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
-
-from scipy import integrate
-
-from .errors import NumericalError
+from typing import Sequence
 
 __all__ = [
     "PeriodDemand",
@@ -34,13 +26,7 @@ __all__ = [
     "cumulative",
     "loss",
     "complementary_loss",
-    "numeric_loss",
-    "numeric_complementary_loss",
-    "QUAD_TOL",
 ]
-
-#: default absolute tolerance for the quadrature fallback
-QUAD_TOL = 1e-8
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -56,37 +42,22 @@ def _Phi(u: float) -> float:
 
 @dataclass(frozen=True)
 class PeriodDemand:
-    """Demand of a single period.
+    """Normal demand of a single period.
 
     Parameters
     ----------
     mean, std_dev:
         First two moments. ``std_dev`` may be zero (deterministic demand).
-    kind:
-        ``"normal"`` (default) or ``"generic"``. A generic demand must carry
-        a ``density`` callable and a ``support`` interval; it is evaluated by
-        quadrature instead of the closed forms.
     """
 
     mean: float
     std_dev: float
-    kind: str = "normal"
-    density: Optional[Callable[[float], float]] = None
-    support: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
         if not math.isfinite(self.mean):
             raise ValueError("demand mean must be finite")
         if not (math.isfinite(self.std_dev) and self.std_dev >= 0.0):
             raise ValueError(f"std_dev must be a finite non-negative number, got {self.std_dev}")
-        if self.kind not in ("normal", "generic"):
-            raise ValueError(f"unknown demand kind {self.kind!r}")
-        if self.kind == "generic":
-            if self.density is None or self.support is None:
-                raise ValueError("generic demand requires both a density and a support interval")
-            lo, hi = self.support
-            if not lo <= hi:
-                raise ValueError(f"empty support interval ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -102,14 +73,11 @@ class HorizonDemand:
     mean: float
     std_dev: float
 
-    kind = "normal"
-
 
 def cumulative(demands: Sequence[PeriodDemand], first: int, last: int) -> HorizonDemand:
     """Aggregate demand of periods ``first..last`` (1-indexed, inclusive).
 
-    Raises ``ValueError`` for an empty or out-of-range window or if any
-    period in the window is not Normal.
+    Raises ``ValueError`` for an empty or out-of-range window.
     """
     if not 1 <= first <= last <= len(demands):
         raise ValueError(
@@ -118,8 +86,6 @@ def cumulative(demands: Sequence[PeriodDemand], first: int, last: int) -> Horizo
     mean = 0.0
     var = 0.0
     for d in demands[first - 1 : last]:
-        if d.kind != "normal":
-            raise ValueError("cumulative demand is only defined for normal periods")
         mean += d.mean
         var += d.std_dev * d.std_dev
     return HorizonDemand(first, last, mean, math.sqrt(var))
@@ -131,8 +97,6 @@ def loss(x: float, demand) -> float:
     ``demand`` is a :class:`PeriodDemand` or :class:`HorizonDemand`. Normal
     demand with zero variance degenerates to ``max(mean - x, 0)``.
     """
-    if getattr(demand, "kind", "normal") == "generic":
-        return numeric_loss(x, demand.density, demand.support)
     mu, sigma = demand.mean, demand.std_dev
     if sigma == 0.0:
         return max(mu - x, 0.0)
@@ -145,72 +109,9 @@ def complementary_loss(x: float, demand) -> float:
 
     Satisfies the identity ``complementary_loss - loss == x - mean`` exactly.
     """
-    if getattr(demand, "kind", "normal") == "generic":
-        return numeric_complementary_loss(x, demand.density, demand.support)
     mu, sigma = demand.mean, demand.std_dev
     if sigma == 0.0:
         return max(x - mu, 0.0)
     u = (x - mu) / sigma
     return sigma * (_phi(u) + _Phi(u) * u)
 
-
-# ---------------------------------------------------------------------------
-# quadrature path
-# ---------------------------------------------------------------------------
-
-
-def _quad(f, a, b, tol):
-    out = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)
-    if len(out) > 3:
-        # scipy appends an explanation string when the integrator gives up
-        raise NumericalError(
-            f"quadrature did not converge on [{a}, {b}]: {out[3].strip()} "
-            f"(estimate {out[0]:.6g}, abserr {out[1]:.2e}, tol {tol:.1e})"
-        )
-    value, abserr = out[0], out[1]
-    if abserr > 100.0 * max(tol, tol * abs(value)):
-        raise NumericalError(
-            f"quadrature error estimate {abserr:.2e} exceeds tolerance {tol:.1e} "
-            f"on [{a}, {b}] (estimate {value:.6g})"
-        )
-    return value
-
-
-def numeric_loss(
-    x: float,
-    density: Optional[Callable[[float], float]],
-    support: Tuple[float, float],
-    tol: float = QUAD_TOL,
-) -> float:
-    """E[(D - x)^+] by adaptive quadrature of ``(t - x) * density(t)``.
-
-    ``support`` bounds the integration (either end may be infinite). A
-    zero-width support is treated as a point mass at that value, in which
-    case ``density`` is ignored and may be None. Raises
-    :class:`NumericalError` when the integrator cannot reach ``tol``.
-    """
-    lo, hi = support
-    if lo == hi:
-        return max(lo - x, 0.0)
-    a = max(x, lo)
-    if a >= hi:
-        return 0.0
-    value = _quad(lambda t: (t - x) * density(t), a, hi, tol)
-    return max(value, 0.0)
-
-
-def numeric_complementary_loss(
-    x: float,
-    density: Optional[Callable[[float], float]],
-    support: Tuple[float, float],
-    tol: float = QUAD_TOL,
-) -> float:
-    """E[(x - D)^+] by adaptive quadrature, mirroring :func:`numeric_loss`."""
-    lo, hi = support
-    if lo == hi:
-        return max(x - lo, 0.0)
-    b = min(x, hi)
-    if b <= lo:
-        return 0.0
-    value = _quad(lambda t: (x - t) * density(t), lo, b, tol)
-    return max(value, 0.0)

@@ -7,9 +7,14 @@ one pass over the nodes in period order (the Wagner-Whitin recursion) finds
 the minimum total expected cost schedule when order quantities are
 unrestricted in sign.
 
-Feasibility repair (see :mod:`lotpath.augment`) later adds virtual copies of
-nodes. A virtual node always has exactly one inbound arc. Arcs come in three
-kinds:
+The graph is the structure of the paper's split-and-re-solve loop
+(:func:`lotpath.augment.repetitive_augment`), which the solve does not run.
+The solve builds no graph: :func:`lotpath.augment.relaxed_path` finds the
+same relaxed path over the matrix arrays, and the tests keep
+:func:`shortest_path` on the complete graph as its reference.
+
+The split loop adds virtual copies of nodes. A virtual node always has
+exactly one inbound arc. Arcs come in three kinds:
 
 * ``normal``: a cycle from the connection matrix (includes inbound arcs that
   were re-targeted to a virtual node, payload unchanged);
@@ -20,9 +25,10 @@ kinds:
   must not be charged again: the traversal weight of a recomputed arc is
   ``cost`` minus the cost of its origin's single inbound arc.
 
-The re-optimising stage of the repair returns its plan as a path of a fourth
-kind, ``reoptimised``: plain cycles whose levels may sit off their matrix
-values. Those arcs belong to no graph.
+The re-optimising stage returns its plan as a path of a fourth kind,
+``reoptimised``: plain cycles whose levels may sit off their matrix values.
+Those arcs, and the ``normal`` arcs of :func:`lotpath.augment.relaxed_path`,
+belong to no graph.
 
 The graph stores each arc's traversal weight when the arc is added. A
 recomputed arc's weight depends on its origin's single inbound arc, which is

@@ -1,7 +1,10 @@
-"""End-to-end solve: connection matrix, shortest path, feasibility repair.
+"""End-to-end solve: connection matrix, relaxed path, re-optimising repair.
 
-The repair has the split-and-re-solve loop of :mod:`lotpath.augment` and,
-after it, the exact re-optimising stage :func:`lotpath.augment.reoptimise`.
+The relaxed path comes straight from the matrix arrays
+(:func:`lotpath.augment.relaxed_path`). When it expects a negative order,
+the exact re-optimising stage :func:`lotpath.augment.reoptimise` gives the
+answer. The paper's split-and-re-solve loop on the cycle graph
+(:func:`lotpath.augment.repetitive_augment`) is not on this path.
 """
 
 from __future__ import annotations
@@ -10,15 +13,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .augment import (
-    AugmentationTrace,
-    check_feasibility,
-    effective_cycles,
-    reoptimise,
-    repetitive_augment,
-)
+from .augment import check_feasibility, effective_cycles, relaxed_path, reoptimise
 from .cycles import ConnectionMatrix, build_connection_matrix
-from .graph import PathSolution, ReplenishmentGraph, build_graph, shortest_path
+from .graph import PathSolution
 from .instances import InstanceSpec
 from .simulate import Policy
 
@@ -55,15 +52,9 @@ class Solution:
     relaxed_cost: float
     path: PathSolution
     relaxed_path: PathSolution
-    trace: AugmentationTrace
-    graph: ReplenishmentGraph
     matrix: ConnectionMatrix
     relaxed_violations: int
     timings: Dict[str, float]
-
-    @property
-    def introduced_nodes(self) -> int:
-        return self.trace.introduced_nodes
 
     def to_dict(self) -> dict:
         return {
@@ -72,13 +63,8 @@ class Solution:
             "expected_cost": self.expected_cost,
             "relaxed_cost": self.relaxed_cost,
             "relaxed_violations": self.relaxed_violations,
-            "introduced_nodes": self.introduced_nodes,
             "path": list(self.path.node_labels),
             "relaxed_path": list(self.relaxed_path.node_labels),
-            "reoptimised": self.trace.reoptimised,
-            "splits": len(self.trace.steps),
-            "searches": self.trace.searches,
-            "arcs_relaxed": self.graph.arcs_relaxed,
             "timings": dict(self.timings),
         }
 
@@ -88,36 +74,24 @@ def solve_instance(
     method: str = "bisection",
     y_tol: float = 1e-6,
     grid_step: float = 1.0,
-    max_iterations: Optional[int] = None,
 ) -> Solution:
     """Compute the best feasible review schedule for ``instance``.
 
     ``method`` selects how each cycle level is optimised: ``"bisection"`` on
     the stationarity condition or ``"grid"`` sweep with ``grid_step``. The
-    graph is built once and holds every span; the relaxed search and the
-    repair both run on it, and the repair's first search reuses the relaxed
-    search's labels (see :func:`lotpath.graph.shortest_path`). Path costs
-    below include the unit-cost credit for initial inventory, so they are
-    true expected policy costs.
-
-    When the relaxed path needs a repair, the split loop runs first and the
-    re-optimising stage then replaces its plan if it finds a cheaper
-    feasible one; ``path``, ``policy`` and ``expected_cost`` describe the
-    plan kept. Both stages count towards ``t_augment``.
+    relaxed optimum is the cheapest path over the matrix; when it expects a
+    negative order, the re-optimising stage's plan is the answer, else the
+    relaxed path itself. ``path``, ``policy`` and ``expected_cost`` describe
+    that plan. Path costs below include the unit-cost credit for initial
+    inventory, so they are true expected policy costs.
     """
     t0 = time.perf_counter()
     matrix = build_connection_matrix(instance, method=method, y_tol=y_tol, grid_step=grid_step)
-    graph = build_graph(matrix)
     t1 = time.perf_counter()
-    relaxed = shortest_path(graph)
-    t2 = time.perf_counter()
+    relaxed = relaxed_path(matrix)
     relaxed_violations = len(check_feasibility(relaxed))
-    path, trace = repetitive_augment(graph, max_iterations=max_iterations)
-    if relaxed_violations:
-        better = reoptimise(matrix, instance.demands, path, relaxed)
-        if better is not None:
-            path = better
-            trace.reoptimised = True
+    t2 = time.perf_counter()
+    path = reoptimise(matrix, instance.demands, relaxed) if relaxed_violations else relaxed
     t3 = time.perf_counter()
 
     offset = instance.params.z * instance.initial_inventory
@@ -128,13 +102,11 @@ def solve_instance(
         relaxed_cost=relaxed.total_cost - offset,
         path=path,
         relaxed_path=relaxed,
-        trace=trace,
-        graph=graph,
         matrix=matrix,
         relaxed_violations=relaxed_violations,
         timings={
-            "t_prep": t1 - t0,
-            "t_shortest_path": t2 - t1,
-            "t_augment": t3 - t2,
+            "t_matrix": t1 - t0,
+            "t_relaxed": t2 - t1,
+            "t_reoptimise": t3 - t2,
         },
     )

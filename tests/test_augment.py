@@ -17,6 +17,7 @@ from lotpath import (
     cycle_cost_at,
     expected_trace,
     policy_from_path,
+    relaxed_path,
     reoptimise,
     repetitive_augment,
     shortest_path,
@@ -167,15 +168,66 @@ class TestSingleSplit:
         assert policy.levels[1] == pytest.approx(203.3191, abs=1e-3)
 
 
+class TestRelaxedPath:
+    """The relaxed path over the matrix arrays against the graph search."""
+
+    @staticmethod
+    def assert_same_path(matrix):
+        want = shortest_path(build_graph(matrix))
+        got = relaxed_path(matrix)
+        assert got.node_labels == want.node_labels
+        assert [a.cycle for a in got.arcs] == [a.cycle for a in want.arcs]
+        assert [a.kind for a in got.arcs] == [a.kind for a in want.arcs]
+        assert got.total_cost == want.total_cost
+
+    def test_golden(self, golden_matrix):
+        self.assert_same_path(golden_matrix)
+
+    @pytest.mark.parametrize(
+        "horizon, count", [(8, 5), (30, 1)], ids=["lumpy-T8", "lumpy-T30"]
+    )
+    def test_lumpy(self, horizon, count):
+        for inst in generate_instances(
+            pattern="lumpy", horizon=horizon, rho=0.3, K=225.0, b=10.0, count=count, seed=7
+        ):
+            self.assert_same_path(build_connection_matrix(inst))
+
+    def test_zero_mean_periods(self):
+        inst = InstanceSpec(
+            horizon=4, means=(0.0, 0.0, 50.0, 0.0), cv=0.3, K=50.0, z=0.0, h=1.0, b=19.0
+        )
+        self.assert_same_path(build_connection_matrix(inst))
+
+    def test_cost_tie_takes_the_smallest_predecessor(self, golden):
+        # integer costs add exactly; the sink is then reached from node 3 at
+        # exactly the distance of the relaxed path's node 4, and both
+        # searches must keep the smaller node 3
+        matrix = build_connection_matrix(golden)
+        matrix.cost[:] = np.round(matrix.cost)
+        T = matrix.horizon
+        prefix = [0.0]
+        for e in range(T):
+            prefix.append(min(prefix[s] + matrix.cost[s, e] for s in range(e + 1)))
+        assert relaxed_path(matrix).node_labels[-2] == "4"
+        matrix.cost[2, T - 1] = prefix[T] - prefix[2]
+        assert prefix[2] + matrix.cost[2, T - 1] == prefix[3] + matrix.cost[3, T - 1]
+        self.assert_same_path(matrix)
+        assert relaxed_path(matrix).node_labels[-2] == "3"
+
+
 class TestSolveInstance:
-    def test_golden_paths_and_costs(self, golden_solution):
+    def test_golden_paths_and_costs(self, golden_matrix, golden_solution):
         sol = golden_solution
         assert sol.relaxed_path.node_labels == ("1", "2", "3", "4", "6")
-        assert sol.path.node_labels == ("1", "2", "3'", "5", "6")
         assert sol.relaxed_cost == pytest.approx(437.3540, abs=1e-3)
         assert sol.expected_cost == pytest.approx(447.4670, abs=1e-3)
+        assert sol.policy.reviews == (1, 2, 3, 5)
         assert sol.relaxed_violations == 1
-        assert sol.introduced_nodes == 1
+        # the paper's split loop repairs the same relaxed path with one split
+        loop, trace = repetitive_augment(build_graph(golden_matrix))
+        assert loop.node_labels == ("1", "2", "3'", "5", "6")
+        assert loop.total_cost == pytest.approx(447.4670, abs=1e-3)
+        assert trace.introduced_nodes == 1
 
     def test_golden_policy(self, golden_solution):
         policy = golden_solution.policy
@@ -186,15 +238,16 @@ class TestSolveInstance:
 
     def test_timings_recorded(self, golden_solution):
         t = golden_solution.timings
-        assert set(t) == {"t_prep", "t_shortest_path", "t_augment"}
+        assert set(t) == {"t_matrix", "t_relaxed", "t_reoptimise"}
         assert all(v >= 0.0 for v in t.values())
 
-    def test_search_counters(self, golden_solution):
-        d = golden_solution.to_dict()
-        # one split, two loop searches: the first reuses the relaxed search's
-        # full pass over the 15 arcs, the second re-computes nodes 3, 3', 4,
-        # 5 and 6 from their 1 + 1 + 4 + 5 + 6 inbound arcs
-        assert (d["splits"], d["searches"], d["arcs_relaxed"]) == (1, 2, 15 + 17)
+    def test_search_counters(self, golden_matrix):
+        graph = build_graph(golden_matrix)
+        _, trace = repetitive_augment(graph)
+        # one split, two loop searches: the first is a full pass over the 15
+        # arcs, the second re-computes nodes 3, 3', 4, 5 and 6 from their
+        # 1 + 1 + 4 + 5 + 6 inbound arcs
+        assert (len(trace.steps), trace.searches, graph.arcs_relaxed) == (1, 2, 15 + 17)
 
     def test_resumed_searches_relax_fewer_arcs(self, monkeypatch):
         (inst,) = generate_instances(
@@ -207,10 +260,11 @@ class TestSolveInstance:
             return shortest_path(graph)
 
         monkeypatch.setattr(augment, "shortest_path", counting)
-        d = solve_instance(inst).to_dict()
-        assert d["searches"] == len(arcs_at_search) == d["splits"] + 1
-        assert d["splits"] > 0
-        assert d["arcs_relaxed"] < sum(arcs_at_search)
+        graph = build_graph(build_connection_matrix(inst))
+        _, trace = repetitive_augment(graph)
+        assert trace.searches == len(arcs_at_search) == len(trace.steps) + 1
+        assert len(trace.steps) > 0
+        assert graph.arcs_relaxed < sum(arcs_at_search)
 
     def test_initial_inventory_offsets_cost(self):
         # with z > 0, stock on hand is worth z per unit against the plan cost
@@ -238,7 +292,9 @@ class TestTermination:
         ):
             sol = solve_instance(inst)
             assert check_feasibility(sol.path) == []
-            assert sol.introduced_nodes <= 50
+            loop, trace = repetitive_augment(build_graph(sol.matrix))
+            assert check_feasibility(loop) == []
+            assert trace.introduced_nodes <= 50
 
 
 class TestRepairQuality:
@@ -262,7 +318,9 @@ class TestRepairQuality:
             ):
                 sol = solve_instance(inst)
                 dp = plain_chain_optimum(sol.matrix, T)
-                loop, _ = repetitive_augment(build_graph(sol.matrix))
+                loop, trace = repetitive_augment(build_graph(sol.matrix))
+                # the loop splits exactly when the relaxed path violates
+                assert bool(trace.steps) == (sol.relaxed_violations > 0), inst.name
                 assert loop.total_cost >= dp - 1e-9, inst.name
                 assert sol.expected_cost <= loop.total_cost + 1e-9, inst.name
 
@@ -285,13 +343,18 @@ class TestReoptimise:
         graph = build_graph(golden_matrix)
         relaxed = shortest_path(graph)
         loop, _ = repetitive_augment(graph)
-        assert reoptimise(golden_matrix, golden.demands, loop, relaxed) is None
+        plan = reoptimise(golden_matrix, golden.demands, relaxed)
+        want = policy_from_path(loop, golden.horizon)
+        got = policy_from_path(plan, golden.horizon)
+        assert got.reviews == want.reviews
+        assert got.levels == pytest.approx(want.levels, rel=1e-12)
+        assert plan.total_cost == pytest.approx(loop.total_cost, rel=1e-12)
 
     def test_replaces_a_costlier_loop_plan(self, lumpy_solution):
         sol = lumpy_solution
         loop, _ = repetitive_augment(build_graph(sol.matrix))
-        assert sol.trace.reoptimised
-        assert sol.to_dict()["reoptimised"] is True
+        assert sol.relaxed_violations > 0
+        assert {a.kind for a in sol.path.arcs} == {"reoptimised"}
         assert loop.total_cost == pytest.approx(1425.41, abs=0.01)
         assert sol.expected_cost == pytest.approx(1258.11, abs=0.01)
 
@@ -336,19 +399,15 @@ class TestReoptimise:
             pattern="lumpy", horizon=20, rho=0.3, K=225.0, b=10.0, count=3, seed=7
         ):
             matrix = build_connection_matrix(inst)
-            graph = build_graph(matrix)
-            relaxed = shortest_path(graph)
-            loop, _ = repetitive_augment(graph)
-            pruned = reoptimise(matrix, inst.demands, loop, relaxed)
+            relaxed = relaxed_path(matrix)
+            pruned = reoptimise(matrix, inst.demands, relaxed)
             with monkeypatch.context() as m:
                 m.setattr(
                     augment, "_admissible_spans",
                     lambda cost, bound: np.triu(np.ones(cost.shape, dtype=bool)),
                 )
-                full = reoptimise(matrix, inst.demands, loop, relaxed)
-            assert (pruned is None) == (full is None), inst.name
-            if full is not None:
-                assert pruned.total_cost == pytest.approx(full.total_cost, abs=1e-9)
+                full = reoptimise(matrix, inst.demands, relaxed)
+            assert pruned.total_cost == pytest.approx(full.total_cost, abs=1e-9), inst.name
 
     def test_zero_mean_periods(self):
         inst = InstanceSpec(
@@ -357,7 +416,7 @@ class TestReoptimise:
         )
         sol = solve_instance(inst)
         assert sol.relaxed_violations == 2
-        assert sol.trace.reoptimised
+        assert {a.kind for a in sol.path.arcs} == {"reoptimised"}
         assert check_feasibility(sol.path) == []
         assert expected_trace(inst, sol.policy).total_cost == pytest.approx(
             sol.expected_cost, rel=1e-12

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from lotpath import (
     PeriodDemand,
@@ -13,7 +13,6 @@ from lotpath import (
     cumulative,
     loss,
 )
-from lotpath.demand import numeric_complementary_loss, numeric_loss
 
 
 def normal_period(mean, cv):
@@ -26,12 +25,18 @@ class TestClosedForm:
         mean, sd = 80.0, 24.0
         d = PeriodDemand(mean=mean, std_dev=sd)
         pdf = stats.norm(mean, sd).pdf
-        support = (mean - 12 * sd, mean + 12 * sd)
+        lo, hi = mean - 12 * sd, mean + 12 * sd
+
+        def quad(f, a, b):
+            value, abserr = integrate.quad(f, a, b, epsabs=1e-8, epsrel=1e-8, limit=200)
+            assert abserr < 1e-6
+            return value
+
         for x in (0.0, 40.0, mean, 110.0, 200.0):
-            assert loss(x, d) == pytest.approx(numeric_loss(x, pdf, support), abs=1e-6)
-            assert complementary_loss(x, d) == pytest.approx(
-                numeric_complementary_loss(x, pdf, support), abs=1e-6
-            )
+            shortage = quad(lambda t: (t - x) * pdf(t), max(x, lo), hi)
+            surplus = quad(lambda t: (x - t) * pdf(t), lo, min(x, hi))
+            assert loss(x, d) == pytest.approx(shortage, abs=1e-6)
+            assert complementary_loss(x, d) == pytest.approx(surplus, abs=1e-6)
 
     def test_degenerate_std_dev(self):
         # zero variance collapses to plain positive parts
@@ -73,52 +78,11 @@ class TestClosedForm:
             # E[(D-x)+] >= E[D] - x
             assert val >= 100.0 - x - 1e-9
 
-    def test_generic_demand_dispatch(self):
-        # loss() routes generic kinds through the quadrature path
-        uni = PeriodDemand(
-            mean=5.0, std_dev=math.sqrt(100.0 / 12.0), kind="generic",
-            density=lambda v: 0.1 if 0.0 <= v <= 10.0 else 0.0,
-            support=(0.0, 10.0),
-        )
-        assert loss(5.0, uni) == pytest.approx(1.25, abs=1e-6)
-
-
-class TestNumericFallback:
-    def test_uniform_loss(self):
-        # uniform on [0, 10] at x=5: integral of (d-5)/10 over [5,10] = 1.25
-        pdf = lambda d: 0.1 if 0.0 <= d <= 10.0 else 0.0
-        assert numeric_loss(5.0, pdf, (0.0, 10.0)) == pytest.approx(1.25, abs=1e-6)
-        assert numeric_complementary_loss(5.0, pdf, (0.0, 10.0)) == pytest.approx(
-            1.25, abs=1e-6
-        )
-
-    def test_point_mass_support(self):
-        # degenerate support short-circuits the quadrature
-        pdf = lambda d: 1.0
-        assert numeric_loss(3.0, pdf, (7.0, 7.0)) == 4.0
-        assert numeric_complementary_loss(3.0, pdf, (7.0, 7.0)) == 0.0
-        assert numeric_complementary_loss(11.0, pdf, (7.0, 7.0)) == 4.0
-
 
 class TestPeriodDemand:
     def test_rejects_negative_std_dev(self):
         with pytest.raises(ValueError, match="std_dev"):
             PeriodDemand(mean=10.0, std_dev=-1.0)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            PeriodDemand(mean=10.0, std_dev=1.0, kind="poisson")
-
-    def test_generic_needs_density_and_support(self):
-        with pytest.raises(ValueError, match="density"):
-            PeriodDemand(mean=5.0, std_dev=1.0, kind="generic")
-
-    def test_rejects_empty_support(self):
-        with pytest.raises(ValueError, match="support"):
-            PeriodDemand(
-                mean=5.0, std_dev=1.0, kind="generic",
-                density=lambda d: 1.0, support=(4.0, 2.0),
-            )
 
 
 class TestCumulative:
@@ -143,14 +107,6 @@ class TestCumulative:
             cumulative(demands, 0, 2)
         with pytest.raises(ValueError):
             cumulative(demands, 1, 4)
-
-    def test_rejects_generic_members(self):
-        generic = PeriodDemand(
-            mean=5.0, std_dev=0.0, kind="generic",
-            density=lambda d: 1.0, support=(5.0, 5.0),
-        )
-        with pytest.raises(ValueError, match="normal"):
-            cumulative([normal_period(10, 0.1), generic], 1, 2)
 
     @given(
         means=st.lists(st.floats(1, 200), min_size=2, max_size=8),
