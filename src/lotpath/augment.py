@@ -39,7 +39,10 @@ with V(T + 1, .) = 0 and L the lowest admissible level (the stock carried
 into period i). It runs on a level grid, keeps only the spans that a relaxed
 bound admits below a feasible plan's cost, recovers a schedule forward with
 the exact carried stock, and then sets that schedule's levels to their exact
-constrained optimum off the grid.
+constrained optimum off the grid. The stage prices every span from the
+matrix's moment table (``ConnectionMatrix.mus``/``sds``) and finds pooled
+levels with the matrix's own fractile kernel, so the two share one Normal
+CDF sum.
 """
 
 from __future__ import annotations
@@ -48,9 +51,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
-from .cycles import ConnectionMatrix, _bisect_roots, _loss_pair, _moments, cycle_cost_at
+from .cycles import ConnectionMatrix, _bisect_levels, _loss_pair, cycle_cost_at
 from .demand import PeriodDemand
 from .errors import LotpathError, NonTerminationError
 from .graph import Arc, CycleInfo, NodeId, PathSolution, ReplenishmentGraph, shortest_path
@@ -357,22 +359,6 @@ def repetitive_augment(
 # leads from node s to node e + 1 (node T is the sink).
 
 
-class _Spans:
-    """Cumulative demand moments of every span, by start period."""
-
-    def __init__(self, demands: Sequence[PeriodDemand], matrix: ConnectionMatrix):
-        means, var = _moments(demands)
-        self.demands = demands
-        self.params = matrix.params
-        self.horizon = matrix.horizon
-        self.free = matrix.level
-        self.mus = [np.cumsum(means[s:]) for s in range(self.horizon)]
-        self.sds = [np.sqrt(np.cumsum(var[s:])) for s in range(self.horizon)]
-
-    def mean(self, s: int, e: int) -> float:
-        return float(self.mus[s][e - s])
-
-
 def _admissible_spans(cost: np.ndarray, bound: float) -> np.ndarray:
     """Spans that can lie on a feasible plan costing at most ``bound``.
 
@@ -386,19 +372,19 @@ def _admissible_spans(cost: np.ndarray, bound: float) -> np.ndarray:
 
 
 def _grid_schedule(
-    spans: _Spans, keep: np.ndarray, ys: np.ndarray
+    matrix: ConnectionMatrix, keep: np.ndarray, ys: np.ndarray
 ) -> List[Tuple[int, int]]:
     """Cheapest feasible schedule with every level on the grid ``ys``.
 
     Backward pass: ``value[s][g]`` is V(s, ys[g]), the cheapest plan of
     periods s.. whose first level is at least ys[g]; the carried stock
     y - mu falls between grid points and is interpolated. Each start's cost
-    columns are one running sum over its ends, as in the matrix grid kernel.
-    The schedule is recovered forward with the exact carried stock, so its
-    grid levels are feasible.
+    columns are one running sum over its ends, priced from the matrix's
+    moment rows. The schedule is recovered forward with the exact carried
+    stock, so its grid levels are feasible.
     """
-    p = spans.params
-    T = spans.horizon
+    p = matrix.params
+    T = matrix.horizon
     value: List[Optional[np.ndarray]] = [None] * T + [np.zeros_like(ys)]
     best: List[Optional[np.ndarray]] = [None] * T
     best_end: List[Optional[np.ndarray]] = [None] * T
@@ -407,12 +393,12 @@ def _grid_schedule(
         if not ends:
             continue
         n = ends[-1] - s + 1
-        short, on_hand = _loss_pair(ys[None, :], spans.mus[s][:n, None], spans.sds[s][:n, None])
+        short, on_hand = _loss_pair(ys[None, :], matrix.mus[s, :n, None], matrix.sds[s, :n, None])
         running = np.cumsum(p.h * on_hand + p.b * short, axis=0)
         total = np.full_like(ys, np.inf)
         arg = np.zeros(ys.shape, dtype=int)
         for e in ends:
-            mu = spans.mean(s, e)
+            mu = matrix.mus[s, e - s]
             if e == T - 1:
                 w = running[e - s] + (p.K + p.z * ys)
             else:
@@ -429,46 +415,42 @@ def _grid_schedule(
         g = g0 + int(np.argmin(best[s][g0:]))
         e = int(best_end[s][g])
         schedule.append((s, e))
-        g0 = int(np.searchsorted(ys, ys[g] - spans.mean(s, e), side="left"))
+        g0 = int(np.searchsorted(ys, ys[g] - matrix.mus[s, e - s], side="left"))
         s = e + 1
     return schedule
 
 
-def _schedule_levels(spans: _Spans, schedule: List[Tuple[int, int]]) -> List[float]:
+def _schedule_levels(matrix: ConnectionMatrix, schedule: List[Tuple[int, int]]) -> List[float]:
     """Exact cheapest levels of one schedule under the hand-off constraints.
 
     With x_k = y_k + (mean demand before cycle k), the constraint that cycle
     k + 1 absorbs the stock cycle k carries, y_{k+1} >= y_k - mu_k, reads
     x_{k+1} >= x_k. The cycle costs are convex, so pooling adjacent violators
     solves this isotonic problem exactly: a pooled block shares one x, the
-    root of its summed cost derivatives. Singleton blocks keep their matrix
-    level. The first cycle starts unconstrained.
+    root of its summed cost derivatives, found by the matrix's own fractile
+    kernel on the block's moment rows as one cycle. Singleton blocks keep
+    their matrix level. The first cycle starts unconstrained.
     """
-    p = spans.params
-    T = spans.horizon
-    offsets = np.concatenate(([0.0], np.cumsum([spans.mean(s, e) for s, e in schedule])))
+    T = matrix.horizon
+    means = [float(matrix.mus[s, e - s]) for s, e in schedule]
+    offsets = np.concatenate(([0.0], np.cumsum(means)))
 
     def pooled_root(first: int, last: int, lo: float, hi: float) -> float:
         members = schedule[first : last + 1]
         mus = np.concatenate(
-            [spans.mus[s][: e - s + 1] + offsets[first + k] for k, (s, e) in enumerate(members)]
+            [matrix.mus[s, : e - s + 1] + offsets[first + k] for k, (s, e) in enumerate(members)]
         )
-        sds = np.concatenate([spans.sds[s][: e - s + 1] for s, e in members])
-        target = (len(mus) * p.b - (p.z if members[-1][1] == T - 1 else 0.0)) / (p.b + p.h)
-        pos = sds > 0.0
-        scale = np.where(pos, sds, 1.0)
-
-        def g(x, rows):
-            u = (x[:, None] - mus) / scale
-            cdf = np.where(pos, ndtr(u), x[:, None] >= mus)
-            return cdf.sum(axis=1) - target
-
+        sds = np.concatenate([matrix.sds[s, : e - s + 1] for s, e in members])
+        terminal = np.array([members[-1][1] == T - 1])
         tol = LEVEL_TOL * max(1.0, abs(lo), abs(hi))
-        return float(_bisect_roots(g, [lo - 1.0], [hi + 1.0], tol)[0])
+        x = _bisect_levels(
+            mus[None, :], sds[None, :], matrix.params, terminal, [lo - 1.0], [hi + 1.0], tol
+        )
+        return float(x[0])
 
     blocks: List[List[float]] = []  # [first, last, x, lowest member x, highest member x]
     for k, (s, e) in enumerate(schedule):
-        x = float(spans.free[s, e]) + offsets[k]
+        x = float(matrix.level[s, e]) + offsets[k]
         blocks.append([k, k, x, x, x])
         while len(blocks) > 1 and blocks[-2][2] > blocks[-1][2]:
             right = blocks.pop()
@@ -481,22 +463,24 @@ def _schedule_levels(spans: _Spans, schedule: List[Tuple[int, int]]) -> List[flo
         levels += [float(x - offsets[k]) for k in range(first, last + 1)]
     # the carried stock as the plan computes it; closes rounding gaps only
     for k in range(1, len(levels)):
-        levels[k] = max(levels[k], levels[k - 1] - spans.mean(*schedule[k - 1]))
+        levels[k] = max(levels[k], levels[k - 1] - means[k - 1])
     return levels
 
 
-def _plan(spans: _Spans, schedule: List[Tuple[int, int]]) -> PathSolution:
+def _plan(
+    matrix: ConnectionMatrix, demands: Sequence[PeriodDemand], schedule: List[Tuple[int, int]]
+) -> PathSolution:
     """The schedule at its exact constrained levels, as a path of
     ``"reoptimised"`` arcs priced by the closed form of :func:`cycle_cost_at`."""
-    T = spans.horizon
+    T = matrix.horizon
     arcs = []
-    for (s, e), y in zip(schedule, _schedule_levels(spans, schedule)):
+    for (s, e), y in zip(schedule, _schedule_levels(matrix, schedule)):
         info = CycleInfo(
             start=s + 1,
             end=e + 1,
             order_up_to=y,
-            closing=y - spans.mean(s, e),
-            cost=cycle_cost_at(y, s + 1, e + 1, spans.demands, spans.params, terminal=e == T - 1),
+            closing=y - float(matrix.mus[s, e - s]),
+            cost=cycle_cost_at(y, s + 1, e + 1, demands, matrix.params, terminal=e == T - 1),
         )
         arcs.append(Arc(NodeId(s + 1), NodeId(e + 2), "reoptimised", info))
     return PathSolution(
@@ -520,13 +504,12 @@ def reoptimise(
     covers 0 and the matrix optima of those spans: an optimal constrained
     level lies between the lowest and highest stand-alone optimum of its
     plan. The recovered schedule then gets its exact constrained levels.
-    Returns the cheaper of the two plans. With ``method="grid"`` matrices
-    the span bound is as approximate as the matrix optima.
+    Returns the cheaper of the two plans. Both price their spans from the
+    matrix's moment table (``matrix.mus``/``matrix.sds``).
     """
-    spans = _Spans(demands, matrix)
     T = matrix.horizon
     relaxed_schedule = [(c.cycle.start - 1, c.cycle.end - 1) for c in effective_cycles(relaxed)]
-    plans = [_plan(spans, relaxed_schedule)]
+    plans = [_plan(matrix, demands, relaxed_schedule)]
     keep = _admissible_spans(matrix.cost, plans[0].total_cost)
 
     levels = matrix.level[keep]
@@ -534,8 +517,8 @@ def reoptimise(
     hi = float(levels.max())
     step = max(matrix.total_mean / T / GRID_PER_MEAN, (hi - lo) / MAX_GRID, 1e-12)
     ys = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
-    schedule = _grid_schedule(spans, keep, ys)
+    schedule = _grid_schedule(matrix, keep, ys)
     if schedule != relaxed_schedule:
-        plans.append(_plan(spans, schedule))
+        plans.append(_plan(matrix, demands, schedule))
 
     return min(plans, key=lambda plan: plan.total_cost)

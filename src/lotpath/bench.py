@@ -66,7 +66,6 @@ def run_benchmark(
     seed: int = 7,
     holding: float = 1.0,
     unit_cost: float = 0.0,
-    method: str = "bisection",
     progress: Optional[Callable[[BenchRecord], None]] = None,
 ) -> List[BenchRecord]:
     """Solve the full factorial design and return one record per instance."""
@@ -88,7 +87,7 @@ def run_benchmark(
                             seed=seed,
                         )
                         for inst in instances:
-                            sol = solve_instance(inst, method=method)
+                            sol = solve_instance(inst)
                             rel = sol.relaxed_cost
                             aug = sol.expected_cost
                             rec = BenchRecord(

@@ -34,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the best feasible review schedule")
     p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--method", choices=("bisection", "grid"), default="bisection")
-    p.add_argument("--grid-step", type=float, default=1.0, help="level grid step (grid method)")
     p.add_argument("-o", "--output", help="write the solution JSON here instead of stdout")
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of a policy's cost")
@@ -116,7 +114,7 @@ def _load_policy(path: str) -> Policy:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    sol = solve_instance(inst, method=args.method, grid_step=args.grid_step)
+    sol = solve_instance(inst)
     _emit(json.dumps(sol.to_dict(), indent=2), args.output)
     return 0
 

@@ -14,7 +14,7 @@ summand k prices the end-of-period-k inventory.
 The cost is convex in y and its minimiser solves the multi-period
 newsvendor condition
 
-    sum over k = i..k of Phi[i..k](y) = (j - i + 1) * b / (b + h)
+    sum over k = i..j of Phi[i..k](y) = (j - i + 1) * b / (b + h)
 
 (with a -z correction on the numerator for the horizon-final cycle). For a
 single period this is the classical critical fractile mu + sigma *
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -45,12 +45,13 @@ __all__ = [
     "CycleOptimum",
     "ConnectionMatrix",
     "cycle_cost_at",
-    "cycle_losses",
     "optimize_order_up_to",
     "build_connection_matrix",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: absolute tolerance of the bisection that sets each matrix level
+Y_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,7 @@ class CycleOptimum:
     """Optimal order-up-to level and expected cost of one cycle.
 
     ``expected_closing`` is the expected inventory at the end of the cycle
-    and equals ``order_up_to - cumulative mean`` exactly. The per-period
-    expected on-hand and shortage quantities behind ``expected_cost`` are
-    recomputed on demand by :func:`cycle_losses`.
+    and equals ``order_up_to - cumulative mean`` exactly.
     """
 
     first_period: int
@@ -192,12 +191,23 @@ def _bisect_roots(
 
 
 def _bisect_levels(
-    mus: np.ndarray, sds: np.ndarray, params: CostParams, terminal: np.ndarray, y_tol: float
+    mus: np.ndarray,
+    sds: np.ndarray,
+    params: CostParams,
+    terminal: np.ndarray,
+    lo,
+    hi,
+    tol: float,
 ) -> np.ndarray:
-    """Levels solving the newsvendor condition for each row of a block.
+    """Levels solving the summed-fractile condition, one per row of a block.
 
-    The cold bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1 holds
-    the root of every row; each CDF with zero sd steps at its mean.
+    Row r's level y makes the Normal CDFs of its cumulative demands
+    ``(mus[r], sds[r])`` sum to the newsvendor target n * b / (b + h), less
+    z / (b + h) where ``terminal[r]`` marks a horizon-final cycle; a CDF with
+    zero sd steps at its mean. This is the only solver of that condition: the
+    matrix passes one row per cycle, the re-optimising stage one row per
+    pooled block of cycles. The caller's bracket ``lo``..``hi`` is expanded
+    until it holds the root, which is then bisected to ``tol``.
     """
     n = mus.shape[1]
     target = (n * params.b - np.where(terminal, params.z, 0.0)) / (params.b + params.h)
@@ -213,28 +223,19 @@ def _bisect_levels(
             vals = np.where(pos[rows], vals, yy >= m)
         return vals.sum(axis=1) - target[rows]
 
+    return _bisect_roots(g, lo, hi, tol)
+
+
+def _cycle_levels(
+    mus: np.ndarray, sds: np.ndarray, params: CostParams, terminal: np.ndarray
+) -> np.ndarray:
+    """Optimal level of each row's cycle, bisected to ``Y_TOL`` from the cold
+    bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1, which holds
+    the root of every row."""
     smax = sds.max(axis=1)
     lo = mus.min(axis=1) - 12.0 * smax - 1.0
     hi = mus.max(axis=1) + 12.0 * smax + 1.0
-    return _bisect_roots(g, lo, hi, y_tol)
-
-
-def _grid_levels(
-    mus: np.ndarray, sds: np.ndarray, params: CostParams, ys: np.ndarray, terminal: bool
-) -> np.ndarray:
-    """Grid minimiser of every cycle sharing one start period.
-
-    ``mus``/``sds`` are the cumulative demands from the start; the cost of
-    the cycle ending at period k is a running sum over the periods up to k,
-    so one pass over the grid prices all ends. ``terminal`` marks the last
-    end as the horizon.
-    """
-    lo, hi = _loss_pair(ys[None, :], mus[:, None], sds[:, None])
-    # K and an interior cycle's unit-cost share are constant in y
-    costs = np.cumsum(params.h * hi + params.b * lo, axis=0)
-    if terminal:
-        costs[-1] += params.z * ys
-    return ys[np.argmin(costs, axis=1)]
+    return _bisect_levels(mus, sds, params, terminal, lo, hi, Y_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -264,51 +265,24 @@ def cycle_cost_at(
     return total
 
 
-def cycle_losses(
-    y: float, first: int, last: int, demands: Sequence[PeriodDemand]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Expected on-hand and shortage quantities of cycle ``first..last`` at level ``y``.
-
-    One entry per covered period, each against the demand accumulated since
-    the order. ``K + sum(h * on_hand + b * short)`` plus the unit-cost share
-    is the cycle cost.
-    """
-    means, var = _moments(demands[first - 1 : last])
-    short, on_hand = _loss_pair(y, np.cumsum(means), np.sqrt(np.cumsum(var)))
-    return on_hand, short
-
-
 def optimize_order_up_to(
     first: int,
     last: int,
     demands: Sequence[PeriodDemand],
     params: CostParams,
-    method: str = "bisection",
     terminal: bool = False,
-    y_tol: float = 1e-6,
-    grid_step: float = 1.0,
-    grid_range: Optional[Tuple[float, float]] = None,
 ) -> CycleOptimum:
     """Minimise the expected cost of cycle ``first..last`` over y.
 
-    ``method="bisection"`` solves the newsvendor fractile condition on the
-    (monotone) cost derivative to ``y_tol``. ``method="grid"`` scans a fixed
-    line ``grid_range`` with spacing ``grid_step``; the default range is
-    [0, 4 * total horizon mean], mirroring a plain line-search setup. Runs
-    the kernels of :func:`build_connection_matrix` on this one cycle.
+    Solves the newsvendor fractile condition on the (monotone) cost
+    derivative by bisection to ``Y_TOL``: the kernels of
+    :func:`build_connection_matrix`, run on this one cycle.
     """
     means, var = _moments(demands)
     mus = np.cumsum(means[first - 1 : last])[None, :]
     sds = np.sqrt(np.cumsum(var[first - 1 : last]))[None, :]
     flags = np.array([terminal])
-    if method == "bisection":
-        y = _bisect_levels(mus, sds, params, flags, y_tol)
-    elif method == "grid":
-        lo, hi = grid_range if grid_range is not None else (0.0, 4.0 * float(means.sum()))
-        ys = np.arange(lo, hi + grid_step, grid_step)
-        y = _grid_levels(mus[0], sds[0], params, ys, terminal)[-1:]
-    else:
-        raise ValueError(f"unknown optimisation method {method!r}")
+    y = _cycle_levels(mus, sds, params, flags)
     cost = _block_costs(y, mus, sds, params, flags)
     return CycleOptimum(
         first_period=first,
@@ -321,7 +295,7 @@ def optimize_order_up_to(
 
 
 class ConnectionMatrix:
-    """Optimised cycles of one instance as three (horizon x horizon) arrays.
+    """Optimised cycles of one instance as (horizon x horizon) arrays.
 
     ``level[i - 1, j - 1]``, ``cost[i - 1, j - 1]`` and ``closing[i - 1, j - 1]``
     hold the order-up-to level, expected cost and expected closing inventory
@@ -329,6 +303,11 @@ class ConnectionMatrix:
     below the diagonal are NaN. ``entry(i, j)`` wraps one cycle as a
     :class:`CycleOptimum`. Cycles ending at the horizon are terminal and
     include the unit-cost term that depends on the level.
+
+    ``mus`` and ``sds`` are the moment table the cycles were priced from:
+    ``mus[i - 1, n - 1]`` and ``sds[i - 1, n - 1]`` are the mean and standard
+    deviation of the demand over periods i..i+n-1, accumulated from period i
+    (NaN past the horizon). The re-optimising stage prices from the same rows.
     """
 
     def __init__(
@@ -338,16 +317,18 @@ class ConnectionMatrix:
         level: np.ndarray,
         cost: np.ndarray,
         closing: np.ndarray,
+        mus: np.ndarray,
+        sds: np.ndarray,
         total_mean: float,
-        method: str,
     ):
         self.horizon = horizon
         self.params = params
         self.level = level
         self.cost = cost
         self.closing = closing
+        self.mus = mus
+        self.sds = sds
         self.total_mean = total_mean
-        self.method = method
 
     def entry(self, first: int, last: int) -> CycleOptimum:
         if not 1 <= first <= last <= self.horizon:
@@ -371,25 +352,16 @@ class ConnectionMatrix:
         return [((i, j), self.entry(i, j)) for i in range(1, T + 1) for j in range(i, T + 1)]
 
 
-def build_connection_matrix(
-    instance,
-    method: str = "bisection",
-    y_tol: float = 1e-6,
-    grid_step: float = 1.0,
-) -> ConnectionMatrix:
+def build_connection_matrix(instance) -> ConnectionMatrix:
     """Optimise every feasible cycle of ``instance``.
 
     ``instance`` needs ``horizon``, ``demands`` and ``params`` attributes.
-    Produces horizon * (horizon + 1) / 2 entries. Cycles are priced in
-    batches: one block per cycle length for the bisection and the costs,
-    one running sum per start period for the grid.
+    Produces horizon * (horizon + 1) / 2 entries, priced in one batch per
+    cycle length: one bisection for the levels, one pass for the costs.
     """
-    if method not in ("bisection", "grid"):
-        raise ValueError(f"unknown optimisation method {method!r}")
     params = instance.params
     T = instance.horizon
     means, var = _moments(instance.demands)
-    total_mean = float(means.sum())
 
     # row i: cumulative demand from period i + 1, accumulated the way a
     # single cycle starting there accumulates it
@@ -402,18 +374,13 @@ def build_connection_matrix(
     level = np.full((T, T), np.nan)
     cost = np.full((T, T), np.nan)
     closing = np.full((T, T), np.nan)
-    if method == "grid":
-        ys = np.arange(0.0, 4.0 * total_mean + grid_step, grid_step)
-        for i in range(T):
-            level[i, i:] = _grid_levels(mus[i, : T - i], sds[i, : T - i], params, ys, True)
     for n in range(1, T + 1):
         starts = np.arange(T - n + 1)
         ends = starts + n - 1
         block_mus, block_sds = mus[: T - n + 1, :n], sds[: T - n + 1, :n]
         terminal = ends == T - 1
-        if method == "bisection":
-            level[starts, ends] = _bisect_levels(block_mus, block_sds, params, terminal, y_tol)
-        y = level[starts, ends]
+        y = _cycle_levels(block_mus, block_sds, params, terminal)
+        level[starts, ends] = y
         cost[starts, ends] = _block_costs(y, block_mus, block_sds, params, terminal)
         closing[starts, ends] = y - block_mus[:, -1]
-    return ConnectionMatrix(T, params, level, cost, closing, total_mean, method)
+    return ConnectionMatrix(T, params, level, cost, closing, mus, sds, float(means.sum()))

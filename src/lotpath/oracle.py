@@ -10,8 +10,12 @@ Two modes:
   cost must equal the relaxed shortest-path objective.
 * constrained: levels must additionally absorb the stock carried between
   cycles (expected closing of a cycle never exceeds the next level), i.e. no
-  expected negative orders. Solved by a suffix-minimum grid DP over a shared
-  level grid, then sharpened by a few coordinate-descent sweeps.
+  expected negative orders. A suffix-minimum grid DP over a shared level
+  grid gives a start; SLSQP then solves the levels exactly, with every
+  hand-off as a linear constraint.
+
+The oracle keeps its own Normal loss and CDF kernels and its own level
+solve, on purpose: it shares no code with the solver it checks.
 
 Costs are priced the same way as cycle costs elsewhere: fixed K per review,
 unit cost on the cycle mean (on the level itself for the terminal cycle),
@@ -26,7 +30,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import ndtr
 
 from .errors import InputError
@@ -86,6 +90,21 @@ class _CycleTable:
         unit = p.z * (np.asarray(y, dtype=float) if last == self.T else mu_acc)
         return p.K + unit + total
 
+    def slope(self, first: int, last: int, y: float) -> float:
+        """Derivative of ``cost`` in y: (h + b) Phi - b summed over the
+        covered periods, plus z for the horizon-final cycle."""
+        p = self.params
+        mu_acc = 0.0
+        var_acc = 0.0
+        total = p.z if last == self.T else 0.0
+        for k in range(first, last + 1):
+            mu_acc += self.means[k - 1]
+            var_acc += self.vars_[k - 1]
+            sigma = math.sqrt(var_acc)
+            cdf = float(y >= mu_acc) if sigma == 0.0 else float(ndtr((y - mu_acc) / sigma))
+            total += (p.h + p.b) * cdf - p.b
+        return total
+
     def grid_cost(self, first: int, last: int) -> np.ndarray:
         key = (first, last)
         if key not in self._grid_cache:
@@ -119,9 +138,15 @@ def _cycles_of(schedule: Tuple[int, ...], T: int) -> List[Tuple[int, int]]:
 
 
 def _constrained_schedule(
-    table: _CycleTable, cycles: List[Tuple[int, int]], sweeps: int = 3
+    table: _CycleTable, cycles: List[Tuple[int, int]]
 ) -> Tuple[float, List[float]]:
-    """Best levels for one schedule with carried stock absorbed at each review."""
+    """Best levels for one schedule with carried stock absorbed at each review.
+
+    The grid DP's levels start SLSQP on the convex problem: minimise the
+    summed cycle costs subject to y[k+1] - y[k] + mu[k] >= 0 and 0 <= y <=
+    the grid's top. Its answer is projected onto the hand-offs before it is
+    priced; the cheaper of start and answer is returned.
+    """
     grid = table.grid
     n = len(cycles)
     mus = [sum(table.means[a - 1: b]) for a, b in cycles]
@@ -146,25 +171,32 @@ def _constrained_schedule(
         levels.append(float(grid[j]))
         lowest = levels[-1] - mus[i]
 
-    # coordinate sweeps off the grid; bounds keep both neighbours feasible
-    ymax = float(grid[-1])
-    for _ in range(sweeps):
-        for i in range(n):
-            lo = max(0.0, levels[i - 1] - mus[i - 1]) if i > 0 else 0.0
-            hi = min(ymax, levels[i + 1] + mus[i]) if i < n - 1 else ymax
-            if hi <= lo:
-                levels[i] = lo
-                continue
-            a, b = cycles[i]
-            res = minimize_scalar(
-                lambda y: float(table.cost(a, b, y)),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-9},
-            )
-            levels[i] = float(res.x)
-    cost = sum(float(table.cost(a, b, levels[i])) for i, (a, b) in enumerate(cycles))
-    return cost, levels
+    def total(y) -> float:
+        return sum(float(table.cost(a, b, y[i])) for i, (a, b) in enumerate(cycles))
+
+    def gradient(y) -> np.ndarray:
+        return np.array([table.slope(a, b, y[i]) for i, (a, b) in enumerate(cycles)])
+
+    # hand-off k: y[k+1] - y[k] + mu[k] >= 0
+    handoffs = np.eye(n, k=1)[: n - 1] - np.eye(n)[: n - 1]
+    carried = np.array(mus[: n - 1])
+    res = minimize(
+        total,
+        np.array(levels),
+        jac=gradient,
+        method="SLSQP",
+        bounds=[(0.0, float(grid[-1]))] * n,
+        constraints=[{
+            "type": "ineq",
+            "fun": lambda y: handoffs @ y + carried,
+            "jac": lambda y: handoffs,
+        }] if n > 1 else [],
+        options={"ftol": 1e-12, "maxiter": 200},
+    )
+    exact = [float(y) for y in res.x]
+    for k in range(1, n):
+        exact[k] = max(exact[k], exact[k - 1] - mus[k - 1])
+    return min((total(exact), exact), (total(levels), levels), key=lambda c: c[0])
 
 
 def schedule_enumeration_oracle(

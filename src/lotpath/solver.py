@@ -1,6 +1,7 @@
 """End-to-end solve: connection matrix, relaxed path, re-optimising repair.
 
-The relaxed path comes straight from the matrix arrays
+The matrix prices every cycle at the bisected root of its newsvendor
+fractile condition; there is no other level method. The relaxed path comes straight from the matrix arrays
 (:func:`lotpath.augment.relaxed_path`). When it expects a negative order,
 the exact re-optimising stage :func:`lotpath.augment.reoptimise` gives the
 answer. The paper's split-and-re-solve loop on the cycle graph
@@ -69,24 +70,19 @@ class Solution:
         }
 
 
-def solve_instance(
-    instance: InstanceSpec,
-    method: str = "bisection",
-    y_tol: float = 1e-6,
-    grid_step: float = 1.0,
-) -> Solution:
+def solve_instance(instance: InstanceSpec) -> Solution:
     """Compute the best feasible review schedule for ``instance``.
 
-    ``method`` selects how each cycle level is optimised: ``"bisection"`` on
-    the stationarity condition or ``"grid"`` sweep with ``grid_step``. The
-    relaxed optimum is the cheapest path over the matrix; when it expects a
-    negative order, the re-optimising stage's plan is the answer, else the
-    relaxed path itself. ``path``, ``policy`` and ``expected_cost`` describe
-    that plan. Path costs below include the unit-cost credit for initial
-    inventory, so they are true expected policy costs.
+    Every cycle level is the root of its newsvendor fractile condition,
+    bisected to ``lotpath.cycles.Y_TOL`` (:func:`build_connection_matrix`).
+    The relaxed optimum is the cheapest path over the matrix; when it
+    expects a negative order, the re-optimising stage's plan is the answer,
+    else the relaxed path itself. ``path``, ``policy`` and ``expected_cost``
+    describe that plan. Path costs below include the unit-cost credit for
+    initial inventory, so they are true expected policy costs.
     """
     t0 = time.perf_counter()
-    matrix = build_connection_matrix(instance, method=method, y_tol=y_tol, grid_step=grid_step)
+    matrix = build_connection_matrix(instance)
     t1 = time.perf_counter()
     relaxed = relaxed_path(matrix)
     relaxed_violations = len(check_feasibility(relaxed))

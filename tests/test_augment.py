@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from lotpath import (
     InstanceSpec,
@@ -421,3 +422,47 @@ class TestReoptimise:
         assert expected_trace(inst, sol.policy).total_cost == pytest.approx(
             sol.expected_cost, rel=1e-12
         )
+
+    def test_pooled_blocks_meet_their_fractile(self):
+        # a block of cycles whose hand-offs bind shares one root: the Normal
+        # CDFs of all its covered periods, each at its cycle's level, sum to
+        # the block's newsvendor target. The exact root lies within the
+        # bisection tolerance of the plan's levels.
+        blocks_checked = 0
+        for inst in generate_instances(
+            pattern="lumpy", horizon=30, rho=0.3, K=225.0, b=10.0, count=10, seed=7
+        ):
+            sol = solve_instance(inst)
+            if sol.relaxed_violations == 0:
+                continue
+            cycles = [a.cycle for a in sol.path.arcs]
+            blocks = [[cycles[0]]]
+            for prev, cur in zip(cycles, cycles[1:]):
+                if abs(cur.order_up_to - prev.closing) <= 1e-9 * max(1.0, abs(cur.order_up_to)):
+                    blocks[-1].append(cur)
+                else:
+                    blocks.append([cur])
+            means = np.array(inst.means)
+            var = np.array([d.std_dev**2 for d in inst.demands])
+            p = inst.params
+            for block in (b for b in blocks if len(b) > 1):
+                blocks_checked += 1
+
+                def cdf_sum(shift):
+                    total = 0.0
+                    for c in block:
+                        mu = np.cumsum(means[c.start - 1 : c.end])
+                        sd = np.sqrt(np.cumsum(var[c.start - 1 : c.end]))
+                        y = c.order_up_to + shift
+                        cdf = stats.norm.cdf(y, mu, np.where(sd > 0, sd, 1.0))
+                        total += np.where(sd > 0, cdf, y >= mu).sum()
+                    return total
+
+                n = sum(c.end - c.start + 1 for c in block)
+                terminal = block[-1].end == inst.horizon
+                target = (n * p.b - (p.z if terminal else 0.0)) / (p.b + p.h)
+                # x, the shared root, is a level plus the mean demand before it
+                x = max(abs(c.order_up_to + means[: c.start - 1].sum()) for c in block)
+                tol = augment.LEVEL_TOL * max(1.0, x)
+                assert cdf_sum(-tol) <= target <= cdf_sum(tol), (inst.name, block)
+        assert blocks_checked == 22

@@ -5,6 +5,7 @@ import pytest
 from lotpath import (
     InputError,
     InstanceSpec,
+    generate_instances,
     schedule_enumeration_oracle,
     solve_instance,
 )
@@ -93,3 +94,25 @@ class TestEdges:
         assert without.best_cost - with_stock.best_cost == pytest.approx(
             15.0, abs=1e-9
         )
+
+
+def test_constrained_levels_are_exact_on_repaired_schedules():
+    # criterion 10's 16 repaired instances: for the schedule the solve picked,
+    # the oracle's own level solve must reach the solve's cost. A level solve
+    # that stalls on a binding hand-off reports more (1258.160 against
+    # 1258.1125 on lumpy-T8-rho0.3-b10-K225-r7, schedule (1, 2, 3, 8)).
+    checked = 0
+    for rho in (0.2, 0.3):
+        for b in (5.0, 10.0):
+            for inst in generate_instances(
+                pattern="lumpy", horizon=8, rho=rho, K=225.0, b=b, count=12, seed=7
+            ):
+                sol = solve_instance(inst)
+                if sol.relaxed_violations == 0:
+                    continue
+                checked += 1
+                con = schedule_enumeration_oracle(inst)
+                cost = con.schedule_costs[sol.policy.reviews]
+                slack = 1e-9 * abs(sol.expected_cost)
+                assert cost <= sol.expected_cost + slack, (inst.name, cost, sol.expected_cost)
+    assert checked == 16
