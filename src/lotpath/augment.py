@@ -42,7 +42,9 @@ the exact carried stock, and then sets that schedule's levels to their exact
 constrained optimum off the grid. The stage prices every span from the
 matrix's moment table (``ConnectionMatrix.mus``/``sds``) and finds pooled
 levels with the matrix's own fractile kernel, so the two share one Normal
-CDF sum.
+CDF sum. The relaxed distances and the constrained-level solve live in
+:mod:`lotpath.cycles`, because the pruned matrix build uses them to bound the
+spans it prices; the stage's feasible plan is the one that set that bound.
 """
 
 from __future__ import annotations
@@ -52,7 +54,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cycles import ConnectionMatrix, _bisect_levels, _loss_pair, cycle_cost_at
+from .cycles import (
+    BOUND_TOL,
+    ConnectionMatrix,
+    ConstrainedPlan,
+    _constrained_plan,
+    _loss_pair,
+    _relaxed_spans,
+)
 from .demand import PeriodDemand
 from .errors import LotpathError, NonTerminationError
 from .graph import Arc, CycleInfo, NodeId, PathSolution, ReplenishmentGraph, shortest_path
@@ -71,15 +80,10 @@ __all__ = [
 ]
 
 FEAS_TOL = 1e-9
-#: relative slack of the re-optimising stage's span bound: covers rounding in
-#: the relaxed sums, so the spans of a plan costing exactly the bound stay in
-BOUND_TOL = 1e-9
 #: the re-optimising stage's level grid: spacing mean period demand / 25,
 #: widened where needed to keep it at most MAX_GRID points (long horizons)
 GRID_PER_MEAN = 25.0
 MAX_GRID = 8192
-#: relative tolerance of the stage's exact constrained levels
-LEVEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,51 +117,23 @@ def effective_cycles(path: PathSolution) -> List[EffectiveCycle]:
     return out
 
 
-def _relaxed_distances(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Relaxed shortest distances over the matrix, with 0-based nodes:
-    ``prefix[s]`` from node 0 to node s, ``suffix[s]`` from node s to the
-    sink T, and ``pred[e]``, the node before e on the cheapest path to it.
-
-    ``np.argmin`` keeps the first of equal distances, so the smallest
-    predecessor wins, as in :func:`lotpath.graph.shortest_path`.
-    """
-    T = cost.shape[0]
-    prefix = np.full(T + 1, np.inf)
-    prefix[0] = 0.0
-    pred = np.zeros(T + 1, dtype=int)
-    for e in range(T):
-        dist = prefix[: e + 1] + cost[: e + 1, e]
-        pred[e + 1] = np.argmin(dist)
-        prefix[e + 1] = dist[pred[e + 1]]
-    suffix = np.full(T + 1, np.inf)
-    suffix[T] = 0.0
-    for s in range(T - 1, -1, -1):
-        suffix[s] = np.min(cost[s, s:] + suffix[s + 1 :])
-    return prefix, suffix, pred
-
-
 def relaxed_path(matrix: ConnectionMatrix) -> PathSolution:
     """The relaxed optimum as a path of ``"normal"`` arcs carrying the
     matrix cycles; the same path, arcs and cost as
     ``shortest_path(build_graph(matrix))``, without building the graph."""
-    T = matrix.horizon
-    prefix, _, pred = _relaxed_distances(matrix.cost)
+    prefix, _, pred = matrix.relaxed_distances()
     arcs = []
-    e = T
-    while e > 0:
-        s = int(pred[e])
+    for s, e in _relaxed_spans(pred):
         info = CycleInfo(
             start=s + 1,
-            end=e,
-            order_up_to=float(matrix.level[s, e - 1]),
-            closing=float(matrix.closing[s, e - 1]),
-            cost=float(matrix.cost[s, e - 1]),
+            end=e + 1,
+            order_up_to=float(matrix.level[s, e]),
+            closing=float(matrix.closing[s, e]),
+            cost=float(matrix.cost[s, e]),
         )
-        arcs.append(Arc(NodeId(s + 1), NodeId(e + 1), "normal", info))
-        e = s
-    arcs.reverse()
+        arcs.append(Arc(NodeId(s + 1), NodeId(e + 2), "normal", info))
     return PathSolution(
-        nodes=[NodeId(1)] + [a.v for a in arcs], arcs=arcs, total_cost=float(prefix[T])
+        nodes=[NodeId(1)] + [a.v for a in arcs], arcs=arcs, total_cost=float(prefix[-1])
     )
 
 
@@ -359,14 +335,16 @@ def repetitive_augment(
 # leads from node s to node e + 1 (node T is the sink).
 
 
-def _admissible_spans(cost: np.ndarray, bound: float) -> np.ndarray:
+def _admissible_spans(
+    cost: np.ndarray, bound: float, prefix: np.ndarray, suffix: np.ndarray
+) -> np.ndarray:
     """Spans that can lie on a feasible plan costing at most ``bound``.
 
     Every feasible plan is also a relaxed plan and no level prices a span
     below its matrix optimum, so a plan through span (s, e) costs at least
-    prefix[s] + cost[s, e] + suffix[e + 1].
+    prefix[s] + cost[s, e] + suffix[e + 1], with ``prefix`` and ``suffix``
+    the relaxed distances over ``cost``.
     """
-    prefix, suffix, _ = _relaxed_distances(cost)
     with np.errstate(invalid="ignore"):  # NaN below the diagonal compares False
         return prefix[:-1, None] + cost + suffix[None, 1:] <= bound + BOUND_TOL * abs(bound)
 
@@ -420,73 +398,20 @@ def _grid_schedule(
     return schedule
 
 
-def _schedule_levels(matrix: ConnectionMatrix, schedule: List[Tuple[int, int]]) -> List[float]:
-    """Exact cheapest levels of one schedule under the hand-off constraints.
-
-    With x_k = y_k + (mean demand before cycle k), the constraint that cycle
-    k + 1 absorbs the stock cycle k carries, y_{k+1} >= y_k - mu_k, reads
-    x_{k+1} >= x_k. The cycle costs are convex, so pooling adjacent violators
-    solves this isotonic problem exactly: a pooled block shares one x, the
-    root of its summed cost derivatives, found by the matrix's own fractile
-    kernel on the block's moment rows as one cycle. Singleton blocks keep
-    their matrix level. The first cycle starts unconstrained.
-    """
-    T = matrix.horizon
-    means = [float(matrix.mus[s, e - s]) for s, e in schedule]
-    offsets = np.concatenate(([0.0], np.cumsum(means)))
-
-    def pooled_root(first: int, last: int, lo: float, hi: float) -> float:
-        members = schedule[first : last + 1]
-        mus = np.concatenate(
-            [matrix.mus[s, : e - s + 1] + offsets[first + k] for k, (s, e) in enumerate(members)]
-        )
-        sds = np.concatenate([matrix.sds[s, : e - s + 1] for s, e in members])
-        terminal = np.array([members[-1][1] == T - 1])
-        tol = LEVEL_TOL * max(1.0, abs(lo), abs(hi))
-        x = _bisect_levels(
-            mus[None, :], sds[None, :], matrix.params, terminal, [lo - 1.0], [hi + 1.0], tol
-        )
-        return float(x[0])
-
-    blocks: List[List[float]] = []  # [first, last, x, lowest member x, highest member x]
-    for k, (s, e) in enumerate(schedule):
-        x = float(matrix.level[s, e]) + offsets[k]
-        blocks.append([k, k, x, x, x])
-        while len(blocks) > 1 and blocks[-2][2] > blocks[-1][2]:
-            right = blocks.pop()
-            left = blocks.pop()
-            lo, hi = min(left[3], right[3]), max(left[4], right[4])
-            blocks.append([left[0], right[1], pooled_root(left[0], right[1], lo, hi), lo, hi])
-
-    levels: List[float] = []
-    for first, last, x, _, _ in blocks:
-        levels += [float(x - offsets[k]) for k in range(first, last + 1)]
-    # the carried stock as the plan computes it; closes rounding gaps only
-    for k in range(1, len(levels)):
-        levels[k] = max(levels[k], levels[k - 1] - means[k - 1])
-    return levels
-
-
-def _plan(
-    matrix: ConnectionMatrix, demands: Sequence[PeriodDemand], schedule: List[Tuple[int, int]]
-) -> PathSolution:
-    """The schedule at its exact constrained levels, as a path of
-    ``"reoptimised"`` arcs priced by the closed form of :func:`cycle_cost_at`."""
-    T = matrix.horizon
+def _plan(matrix: ConnectionMatrix, plan: ConstrainedPlan) -> PathSolution:
+    """``plan`` as a path of ``"reoptimised"`` arcs."""
     arcs = []
-    for (s, e), y in zip(schedule, _schedule_levels(matrix, schedule)):
+    for (s, e), y, cost in zip(plan.spans, plan.levels, plan.costs):
         info = CycleInfo(
             start=s + 1,
             end=e + 1,
             order_up_to=y,
             closing=y - float(matrix.mus[s, e - s]),
-            cost=cycle_cost_at(y, s + 1, e + 1, demands, matrix.params, terminal=e == T - 1),
+            cost=cost,
         )
         arcs.append(Arc(NodeId(s + 1), NodeId(e + 2), "reoptimised", info))
     return PathSolution(
-        nodes=[NodeId(1)] + [a.v for a in arcs],
-        arcs=arcs,
-        total_cost=sum(a.cycle.cost for a in arcs),
+        nodes=[NodeId(1)] + [a.v for a in arcs], arcs=arcs, total_cost=plan.cost
     )
 
 
@@ -500,17 +425,24 @@ def reoptimise(
     ``relaxed`` is the relaxed optimum (:func:`relaxed_path`). Its schedule
     at its exact constrained levels is a feasible plan, and that plan's cost
     bounds the spans the grid dynamic program visits (see
-    :func:`_admissible_spans`). The level grid (see ``GRID_PER_MEAN``)
-    covers 0 and the matrix optima of those spans: an optimal constrained
-    level lies between the lowest and highest stand-alone optimum of its
-    plan. The recovered schedule then gets its exact constrained levels.
-    Returns the cheaper of the two plans. Both price their spans from the
-    matrix's moment table (``matrix.mus``/``matrix.sds``).
+    :func:`_admissible_spans`); a pruned matrix carries that plan as
+    ``matrix.bound_plan`` and its relaxed distances, so neither is computed
+    again. The level grid (see ``GRID_PER_MEAN``) covers 0 and the matrix
+    optima of those spans: an optimal constrained level lies between the
+    lowest and highest stand-alone optimum of its plan. The recovered
+    schedule then gets its exact constrained levels. Returns the cheaper of
+    the two plans. Both price their spans from the matrix's moment table
+    (``matrix.mus``/``matrix.sds``).
     """
     T = matrix.horizon
-    relaxed_schedule = [(c.cycle.start - 1, c.cycle.end - 1) for c in effective_cycles(relaxed)]
-    plans = [_plan(matrix, demands, relaxed_schedule)]
-    keep = _admissible_spans(matrix.cost, plans[0].total_cost)
+    relaxed_schedule = tuple(
+        (c.cycle.start - 1, c.cycle.end - 1) for c in effective_cycles(relaxed)
+    )
+    bound = matrix.bound_plan
+    if bound is None or bound.spans != relaxed_schedule:
+        bound = _constrained_plan(matrix, demands, relaxed_schedule)
+    prefix, suffix, _ = matrix.relaxed_distances()
+    keep = _admissible_spans(matrix.cost, bound.cost, prefix, suffix)
 
     levels = matrix.level[keep]
     lo = min(0.0, float(levels.min()))
@@ -518,7 +450,8 @@ def reoptimise(
     step = max(matrix.total_mean / T / GRID_PER_MEAN, (hi - lo) / MAX_GRID, 1e-12)
     ys = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
     schedule = _grid_schedule(matrix, keep, ys)
-    if schedule != relaxed_schedule:
-        plans.append(_plan(matrix, demands, schedule))
+    plans = [_plan(matrix, bound)]
+    if tuple(schedule) != relaxed_schedule:
+        plans.append(_plan(matrix, _constrained_plan(matrix, demands, schedule)))
 
     return min(plans, key=lambda plan: plan.total_cost)

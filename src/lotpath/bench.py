@@ -54,6 +54,7 @@ class BenchRecord:
     t_matrix: float
     t_relaxed: float
     t_reoptimise: float
+    spans_priced: int
 
 
 def run_benchmark(
@@ -102,6 +103,7 @@ def run_benchmark(
                                 augmented_cost=aug,
                                 pct_increase=100.0 * (aug - rel) / rel if rel else 0.0,
                                 **sol.timings,
+                                spans_priced=len(sol.matrix),
                             )
                             records.append(rec)
                             if progress is not None:
@@ -151,6 +153,7 @@ def summarize(
             ),
             mean_relaxed_cost=sum(r.relaxed_cost for r in cell) / n,
             mean_augmented_cost=sum(r.augmented_cost for r in cell) / n,
+            mean_spans_priced=sum(r.spans_priced for r in cell) / n,
         )
         rows.append(row)
     return rows

@@ -176,7 +176,8 @@ def _cmd_bench(args) -> int:
         for row in summarize(records):
             sys.stdout.write(
                 "{pattern} rho={rho:g} b={b:g} K={K:g}: n={n} augmented={n_augmented} "
-                "violations={mean_negative_orders:.2f} pct={mean_pct_increase:.2f}\n".format(**row)
+                "violations={mean_negative_orders:.2f} pct={mean_pct_increase:.2f} "
+                "spans={mean_spans_priced:.0f}\n".format(**row)
             )
     return 0
 

@@ -26,13 +26,46 @@ review schedule, z * order quantities equals z * (total mean demand +
 closing inventory - initial inventory). Interior cycles therefore carry the
 constant share z * (cycle mean demand) and the final cycle carries z * y,
 which is the only part that depends on a decision variable.
+
+Pricing only the spans that can matter. Write v(i, j) = c(i, j) - K for the
+optimised cost less the review cost. v is superadditive: for i <= m < j,
+
+    c(i, j) >= c(i, m) + c(m + 1, j) - K,
+
+and the same holds when j is the horizon (the right part is then terminal).
+At the level y optimising (i, j), the periods i..m price exactly the cycle
+(i, m) at y, and each later period prices E[L(y - D[i..m] - D[m+1..k])] for
+the convex period loss L; Jensen's inequality over D[i..m], independent of
+the later demand, bounds it below by the cycle (m + 1, j) at y - mu(i..m).
+The z terms telescope.
+
+:func:`build_connection_matrix` with ``prune=True`` prices spans length by
+length and stops extending a start period once no plan within a bound can
+use its longer spans. It keeps a lower-bound graph: the priced spans, with
+the longest priced span (i, i + n - 1) of every start period that still has
+unpriced spans charged c - K. By the lemma, c - K plus the lower-bound
+distance from i + n to j + 1 bounds every unpriced span (i, j) from below,
+so the graph's relaxed distances LBprefix and LBsuffix bound every plan. A
+start period is dropped once
+
+    LBprefix(i) + c(i, i + n - 1) - K + LBsuffix(i + n) > U * (1 + BOUND_TOL) + e,
+
+where e = (b T + z) Y_TOL covers the bisection error of the priced costs.
+
+U is the bound of the re-optimising stage: the relaxed schedule at its exact
+constrained levels. It is known once the relaxed optimum over the priced
+spans is certified, i.e. every path through a reduced span costs more than
+that optimum, which is checked at power-of-two lengths. The relaxed path,
+the stage's admissible spans and hence the plan are those of the complete
+matrix, bit for bit: every span either is priced exactly as the complete
+matrix prices it or lies on no plan within the bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -44,6 +77,7 @@ __all__ = [
     "CostParams",
     "CycleOptimum",
     "ConnectionMatrix",
+    "ConstrainedPlan",
     "cycle_cost_at",
     "optimize_order_up_to",
     "build_connection_matrix",
@@ -52,6 +86,12 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: absolute tolerance of the bisection that sets each matrix level
 Y_TOL = 1e-6
+#: relative slack of the span bounds (pruning, certification and the
+#: re-optimising stage's admissible spans): covers rounding in the relaxed
+#: sums, so the spans of a plan costing exactly the bound stay in
+BOUND_TOL = 1e-9
+#: relative tolerance of the exact constrained levels of a schedule
+LEVEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -300,14 +340,23 @@ class ConnectionMatrix:
     ``level[i - 1, j - 1]``, ``cost[i - 1, j - 1]`` and ``closing[i - 1, j - 1]``
     hold the order-up-to level, expected cost and expected closing inventory
     of the cycle covering periods i..j (1 <= i <= j <= horizon); entries
-    below the diagonal are NaN. ``entry(i, j)`` wraps one cycle as a
-    :class:`CycleOptimum`. Cycles ending at the horizon are terminal and
-    include the unit-cost term that depends on the level.
+    below the diagonal are NaN. A span that a pruned build left unpriced
+    holds cost +inf, so no search or ``np.argmin`` takes it, and NaN level
+    and closing. ``len()`` counts the priced spans; ``entry(i, j)`` wraps one
+    priced cycle as a :class:`CycleOptimum` and ``items()`` lists them all.
+    Cycles ending at the horizon are terminal and include the unit-cost term
+    that depends on the level.
 
     ``mus`` and ``sds`` are the moment table the cycles were priced from:
     ``mus[i - 1, n - 1]`` and ``sds[i - 1, n - 1]`` are the mean and standard
     deviation of the demand over periods i..i+n-1, accumulated from period i
-    (NaN past the horizon). The re-optimising stage prices from the same rows.
+    (NaN past the horizon). The table is complete in every build. The
+    re-optimising stage prices from the same rows.
+
+    ``bound_plan`` is the :class:`ConstrainedPlan` whose cost bounded a pruned
+    build: the relaxed schedule at its exact constrained levels. It is None
+    when the build priced every span. A pruned build also keeps its final
+    relaxed distances (:meth:`relaxed_distances`).
     """
 
     def __init__(
@@ -329,9 +378,16 @@ class ConnectionMatrix:
         self.mus = mus
         self.sds = sds
         self.total_mean = total_mean
+        self.bound_plan: Optional[ConstrainedPlan] = None
+        self._distances: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def relaxed_distances(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Relaxed distances over ``cost`` (see :func:`_relaxed_distances`);
+        a pruned build keeps the ones it computed last instead of recomputing."""
+        return self._distances if self._distances is not None else _relaxed_distances(self.cost)
 
     def entry(self, first: int, last: int) -> CycleOptimum:
-        if not 1 <= first <= last <= self.horizon:
+        if not 1 <= first <= last <= self.horizon or math.isinf(self.cost[first - 1, last - 1]):
             raise KeyError((first, last))
         i, j = first - 1, last - 1
         return CycleOptimum(
@@ -344,20 +400,176 @@ class ConnectionMatrix:
         )
 
     def __len__(self):
-        return self.horizon * (self.horizon + 1) // 2
+        return int(np.isfinite(self.cost).sum())
 
     def items(self) -> List[Tuple[Tuple[int, int], CycleOptimum]]:
-        """All cycles as ``((i, j), entry)`` pairs, by start then end period."""
+        """All priced cycles as ``((i, j), entry)`` pairs, by start then end period."""
         T = self.horizon
-        return [((i, j), self.entry(i, j)) for i in range(1, T + 1) for j in range(i, T + 1)]
+        return [
+            ((i, j), self.entry(i, j))
+            for i in range(1, T + 1)
+            for j in range(i, T + 1)
+            if not math.isinf(self.cost[i - 1, j - 1])
+        ]
 
 
-def build_connection_matrix(instance) -> ConnectionMatrix:
-    """Optimise every feasible cycle of ``instance``.
+# ---------------------------------------------------------------------------
+# schedules over the matrix
+#
+# Periods are 0-based below: span (s, e) covers periods s + 1 .. e + 1 and
+# leads from node s to node e + 1 (node T is the sink).
+
+
+def _relaxed_distances(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relaxed shortest distances over the span costs ``cost``, with 0-based
+    nodes: ``prefix[s]`` from node 0 to node s, ``suffix[s]`` from node s to
+    the sink T, and ``pred[e]``, the node before e on the cheapest path to it.
+
+    ``np.argmin`` keeps the first of equal distances, so the smallest
+    predecessor wins, as in :func:`lotpath.graph.shortest_path`. An unpriced
+    span (+inf) is never taken.
+    """
+    T = cost.shape[0]
+    prefix = np.full(T + 1, np.inf)
+    prefix[0] = 0.0
+    pred = np.zeros(T + 1, dtype=int)
+    for e in range(T):
+        dist = prefix[: e + 1] + cost[: e + 1, e]
+        pred[e + 1] = dist.argmin()
+        prefix[e + 1] = dist[pred[e + 1]]
+    suffix = np.full(T + 1, np.inf)
+    suffix[T] = 0.0
+    for s in range(T - 1, -1, -1):
+        suffix[s] = (cost[s, s:] + suffix[s + 1 :]).min()
+    return prefix, suffix, pred
+
+
+def _relaxed_spans(pred: np.ndarray) -> List[Tuple[int, int]]:
+    """The relaxed schedule as spans, read back from the sink along ``pred``."""
+    spans = []
+    e = len(pred) - 1
+    while e > 0:
+        s = int(pred[e])
+        spans.append((s, e - 1))
+        e = s
+    return spans[::-1]
+
+
+def _schedule_levels(matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]]) -> List[float]:
+    """Exact cheapest levels of one schedule under the hand-off constraints.
+
+    With x_k = y_k + (mean demand before cycle k), the constraint that cycle
+    k + 1 absorbs the stock cycle k carries, y_{k+1} >= y_k - mu_k, reads
+    x_{k+1} >= x_k. The cycle costs are convex, so pooling adjacent violators
+    solves this isotonic problem exactly: a pooled block shares one x, the
+    root of its summed cost derivatives, found by the matrix's own fractile
+    kernel on the block's moment rows as one cycle. Singleton blocks keep
+    their matrix level. The first cycle starts unconstrained.
+    """
+    T = matrix.horizon
+    means = [float(matrix.mus[s, e - s]) for s, e in schedule]
+    offsets = np.concatenate(([0.0], np.cumsum(means)))
+
+    def pooled_root(first: int, last: int, lo: float, hi: float) -> float:
+        members = schedule[first : last + 1]
+        mus = np.concatenate(
+            [matrix.mus[s, : e - s + 1] + offsets[first + k] for k, (s, e) in enumerate(members)]
+        )
+        sds = np.concatenate([matrix.sds[s, : e - s + 1] for s, e in members])
+        terminal = np.array([members[-1][1] == T - 1])
+        tol = LEVEL_TOL * max(1.0, abs(lo), abs(hi))
+        x = _bisect_levels(
+            mus[None, :], sds[None, :], matrix.params, terminal, [lo - 1.0], [hi + 1.0], tol
+        )
+        return float(x[0])
+
+    blocks: List[List[float]] = []  # [first, last, x, lowest member x, highest member x]
+    for k, (s, e) in enumerate(schedule):
+        x = float(matrix.level[s, e]) + offsets[k]
+        blocks.append([k, k, x, x, x])
+        while len(blocks) > 1 and blocks[-2][2] > blocks[-1][2]:
+            right = blocks.pop()
+            left = blocks.pop()
+            lo, hi = min(left[3], right[3]), max(left[4], right[4])
+            blocks.append([left[0], right[1], pooled_root(left[0], right[1], lo, hi), lo, hi])
+
+    levels: List[float] = []
+    for first, last, x, _, _ in blocks:
+        levels += [float(x - offsets[k]) for k in range(first, last + 1)]
+    # the carried stock as the plan computes it; closes rounding gaps only
+    for k in range(1, len(levels)):
+        levels[k] = max(levels[k], levels[k - 1] - means[k - 1])
+    return levels
+
+
+@dataclass(frozen=True)
+class ConstrainedPlan:
+    """A review schedule at its exact constrained levels.
+
+    ``spans`` are its cycles as 0-based (first, last) periods, ``levels``
+    their levels by :func:`_schedule_levels` and ``costs`` their expected
+    costs by the closed form of :func:`cycle_cost_at`.
+    """
+
+    spans: Tuple[Tuple[int, int], ...]
+    levels: Tuple[float, ...]
+    costs: Tuple[float, ...]
+
+    @property
+    def cost(self) -> float:
+        return sum(self.costs)
+
+
+def _constrained_plan(
+    matrix: ConnectionMatrix,
+    demands: Sequence[PeriodDemand],
+    schedule: Sequence[Tuple[int, int]],
+) -> ConstrainedPlan:
+    """``schedule`` at its exact constrained levels, priced cycle by cycle."""
+    T = matrix.horizon
+    levels = _schedule_levels(matrix, schedule)
+    costs = [
+        cycle_cost_at(y, s + 1, e + 1, demands, matrix.params, terminal=e == T - 1)
+        for (s, e), y in zip(schedule, levels)
+    ]
+    return ConstrainedPlan(tuple(schedule), tuple(levels), tuple(costs))
+
+
+def _lower_bounds(
+    matrix: ConnectionMatrix, lengths: np.ndarray
+) -> Tuple[np.ndarray, float, np.ndarray]:
+    """Relaxed bounds over the lower-bound graph of a partly priced matrix.
+
+    ``lengths[s]`` spans are priced from start s. In the lower-bound graph
+    the longest of them costs c - K wherever s has unpriced spans (a reduced
+    span). Returns ``through``, the cheapest path through each start's
+    reduced span (+inf where it has none), a lower bound on every plan
+    through its unpriced spans; the graph's optimum; and its predecessors
+    (see :func:`_relaxed_distances`).
+    """
+    T = matrix.horizon
+    open_rows = np.flatnonzero(np.arange(T) + lengths < T)
+    last = open_rows + lengths[open_rows] - 1
+    lb = matrix.cost.copy()
+    lb[open_rows, last] -= matrix.params.K
+    prefix, suffix, pred = _relaxed_distances(lb)
+    through = np.full(T, np.inf)
+    through[open_rows] = prefix[open_rows] + lb[open_rows, last] + suffix[last + 1]
+    return through, prefix[T], pred
+
+
+def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
+    """Optimise the cycles of ``instance``.
 
     ``instance`` needs ``horizon``, ``demands`` and ``params`` attributes.
-    Produces horizon * (horizon + 1) / 2 entries, priced in one batch per
-    cycle length: one bisection for the levels, one pass for the costs.
+    Spans are priced in one batch per cycle length: one bisection for the
+    levels, one pass for the costs. By default all horizon * (horizon + 1) / 2
+    spans are priced; the split loop, ``export-graph`` and the worked example
+    need them all. With ``prune=True`` a start period stops growing once no
+    plan within the re-optimising stage's bound can use its longer spans (see
+    the module docstring): the solve's relaxed path and plan are those of the
+    complete matrix, and ``bound_plan`` holds the plan that set the bound.
+    Every priced span equals its entry in the complete matrix bit for bit.
     """
     params = instance.params
     T = instance.horizon
@@ -373,14 +585,44 @@ def build_connection_matrix(instance) -> ConnectionMatrix:
 
     level = np.full((T, T), np.nan)
     cost = np.full((T, T), np.nan)
+    cost[np.triu_indices(T)] = np.inf
     closing = np.full((T, T), np.nan)
+    matrix = ConnectionMatrix(T, params, level, cost, closing, mus, sds, float(means.sum()))
+
+    # a level lies within Y_TOL / 2 of its exact optimum, so a priced span of
+    # n periods costs at most (b n + z) Y_TOL / 2 above its exact minimum,
+    # where the lemma holds; the spans of one plan, (b T + z) Y_TOL / 2. The
+    # bounds below allow twice that on top of their relative rounding slack.
+    slack = (params.b * T + params.z) * Y_TOL
+    lengths = np.zeros(T, dtype=int)  # spans priced per start period
+    rows = np.arange(T)  # start periods still growing
     for n in range(1, T + 1):
-        starts = np.arange(T - n + 1)
-        ends = starts + n - 1
-        block_mus, block_sds = mus[: T - n + 1, :n], sds[: T - n + 1, :n]
+        rows = rows[rows <= T - n]
+        if not rows.size:
+            break
+        ends = rows + n - 1
+        block_mus, block_sds = mus[rows, :n], sds[rows, :n]
         terminal = ends == T - 1
         y = _cycle_levels(block_mus, block_sds, params, terminal)
-        level[starts, ends] = y
-        cost[starts, ends] = _block_costs(y, block_mus, block_sds, params, terminal)
-        closing[starts, ends] = y - block_mus[:, -1]
-    return ConnectionMatrix(T, params, level, cost, closing, mus, sds, float(means.sum()))
+        level[rows, ends] = y
+        cost[rows, ends] = _block_costs(y, block_mus, block_sds, params, terminal)
+        closing[rows, ends] = y - block_mus[:, -1]
+        lengths[rows] = n
+        if not prune or n == T:
+            continue
+        certify = matrix.bound_plan is None
+        if certify and n & (n - 1):
+            continue  # certify at power-of-two lengths only
+        through, optimum, pred = _lower_bounds(matrix, lengths)
+        if certify:
+            # certified once every path through a reduced span costs more
+            # than the graph's optimum: that optimum then takes priced spans
+            # only and is the relaxed optimum of the complete matrix
+            if through.min() - slack <= optimum + BOUND_TOL * abs(optimum):
+                continue
+            matrix.bound_plan = _constrained_plan(matrix, instance.demands, _relaxed_spans(pred))
+        bound = matrix.bound_plan.cost
+        rows = rows[through[rows] - slack <= bound + BOUND_TOL * abs(bound)]
+    if prune:
+        matrix._distances = _relaxed_distances(cost)
+    return matrix

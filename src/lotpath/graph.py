@@ -306,8 +306,17 @@ class ReplenishmentGraph:
 
 
 def build_graph(matrix: ConnectionMatrix) -> ReplenishmentGraph:
-    """Complete cycle graph: one arc (i, j+1) per matrix entry (i, j)."""
+    """Complete cycle graph: one arc (i, j+1) per matrix entry (i, j).
+
+    Raises ``LotpathError`` when ``matrix`` has unpriced spans (a pruned
+    build), which would otherwise become arcs of infinite cost.
+    """
     T = matrix.horizon
+    if len(matrix) < T * (T + 1) // 2:
+        raise LotpathError(
+            f"connection matrix prices {len(matrix)} of {T * (T + 1) // 2} spans; "
+            "the cycle graph needs the complete matrix (build_connection_matrix(instance))"
+        )
     g = ReplenishmentGraph(T, matrix)
     level, closing, cost = matrix.level.tolist(), matrix.closing.tolist(), matrix.cost.tolist()
     for i in range(1, T + 1):

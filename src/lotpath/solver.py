@@ -1,10 +1,17 @@
 """End-to-end solve: connection matrix, relaxed path, re-optimising repair.
 
-The matrix prices every cycle at the bisected root of its newsvendor
-fractile condition; there is no other level method. The relaxed path comes straight from the matrix arrays
+The matrix prices each cycle at the bisected root of its newsvendor
+fractile condition; there is no other level method. The solve prices only
+the spans that can matter: span lengths grow one at a time, and a start
+period stops growing once a lower bound shows that none of its longer spans
+lies on a plan within the re-optimising stage's bound
+(:func:`lotpath.cycles.build_connection_matrix` with ``prune=True``). The
+relaxed path comes straight from the matrix arrays
 (:func:`lotpath.augment.relaxed_path`). When it expects a negative order,
 the exact re-optimising stage :func:`lotpath.augment.reoptimise` gives the
-answer. The paper's split-and-re-solve loop on the cycle graph
+answer; it reuses the relaxed distances and the bound plan the pruned
+matrix carries. Both are those of the complete matrix, bit for bit. The paper's
+split-and-re-solve loop on the cycle graph
 (:func:`lotpath.augment.repetitive_augment`) is not on this path.
 """
 
@@ -64,6 +71,7 @@ class Solution:
             "expected_cost": self.expected_cost,
             "relaxed_cost": self.relaxed_cost,
             "relaxed_violations": self.relaxed_violations,
+            "spans_priced": len(self.matrix),
             "path": list(self.path.node_labels),
             "relaxed_path": list(self.relaxed_path.node_labels),
             "timings": dict(self.timings),
@@ -74,7 +82,10 @@ def solve_instance(instance: InstanceSpec) -> Solution:
     """Compute the best feasible review schedule for ``instance``.
 
     Every cycle level is the root of its newsvendor fractile condition,
-    bisected to ``lotpath.cycles.Y_TOL`` (:func:`build_connection_matrix`).
+    bisected to ``lotpath.cycles.Y_TOL``. The matrix prices only the spans
+    that a plan within the re-optimising bound can use, so ``matrix`` holds
+    +inf for the others (``len(matrix)`` counts the priced ones); build the
+    complete matrix with :func:`build_connection_matrix` for the cycle graph.
     The relaxed optimum is the cheapest path over the matrix; when it
     expects a negative order, the re-optimising stage's plan is the answer,
     else the relaxed path itself. ``path``, ``policy`` and ``expected_cost``
@@ -82,7 +93,7 @@ def solve_instance(instance: InstanceSpec) -> Solution:
     initial inventory, so they are true expected policy costs.
     """
     t0 = time.perf_counter()
-    matrix = build_connection_matrix(instance)
+    matrix = build_connection_matrix(instance, prune=True)
     t1 = time.perf_counter()
     relaxed = relaxed_path(matrix)
     relaxed_violations = len(check_feasibility(relaxed))

@@ -16,6 +16,7 @@ from conftest import golden_spec
 from lotpath import (
     CostParams,
     PeriodDemand,
+    build_connection_matrix,
     build_graph,
     check_feasibility,
     generate_instances,
@@ -37,7 +38,7 @@ from lotpath.graph import NodeId
 def test_worked_example_paths(criterion):
     t0 = time.perf_counter()
     sol = solve_instance(golden_spec())
-    loop, _ = repetitive_augment(build_graph(sol.matrix))
+    loop, _ = repetitive_augment(build_graph(build_connection_matrix(golden_spec())))
     elapsed = time.perf_counter() - t0
     relaxed_ok = sol.relaxed_path.node_labels == ("1", "2", "3", "4", "6")
     repaired_ok = (

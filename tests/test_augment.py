@@ -25,6 +25,7 @@ from lotpath import (
     solve_instance,
 )
 from lotpath import augment
+from lotpath.cycles import LEVEL_TOL
 from lotpath.graph import NodeId
 
 
@@ -293,7 +294,7 @@ class TestTermination:
         ):
             sol = solve_instance(inst)
             assert check_feasibility(sol.path) == []
-            loop, trace = repetitive_augment(build_graph(sol.matrix))
+            loop, trace = repetitive_augment(build_graph(build_connection_matrix(inst)))
             assert check_feasibility(loop) == []
             assert trace.introduced_nodes <= 50
 
@@ -318,8 +319,9 @@ class TestRepairQuality:
                 pattern=pattern, horizon=T, rho=rho, K=K, b=b, count=5, seed=seed
             ):
                 sol = solve_instance(inst)
-                dp = plain_chain_optimum(sol.matrix, T)
-                loop, trace = repetitive_augment(build_graph(sol.matrix))
+                matrix = build_connection_matrix(inst)
+                dp = plain_chain_optimum(matrix, T)
+                loop, trace = repetitive_augment(build_graph(matrix))
                 # the loop splits exactly when the relaxed path violates
                 assert bool(trace.steps) == (sol.relaxed_violations > 0), inst.name
                 assert loop.total_cost >= dp - 1e-9, inst.name
@@ -351,9 +353,9 @@ class TestReoptimise:
         assert got.levels == pytest.approx(want.levels, rel=1e-12)
         assert plan.total_cost == pytest.approx(loop.total_cost, rel=1e-12)
 
-    def test_replaces_a_costlier_loop_plan(self, lumpy_solution):
+    def test_replaces_a_costlier_loop_plan(self, lumpy, lumpy_solution):
         sol = lumpy_solution
-        loop, _ = repetitive_augment(build_graph(sol.matrix))
+        loop, _ = repetitive_augment(build_graph(build_connection_matrix(lumpy)))
         assert sol.relaxed_violations > 0
         assert {a.kind for a in sol.path.arcs} == {"reoptimised"}
         assert loop.total_cost == pytest.approx(1425.41, abs=0.01)
@@ -405,7 +407,7 @@ class TestReoptimise:
             with monkeypatch.context() as m:
                 m.setattr(
                     augment, "_admissible_spans",
-                    lambda cost, bound: np.triu(np.ones(cost.shape, dtype=bool)),
+                    lambda cost, *_: np.triu(np.ones(cost.shape, dtype=bool)),
                 )
                 full = reoptimise(matrix, inst.demands, relaxed)
             assert pruned.total_cost == pytest.approx(full.total_cost, abs=1e-9), inst.name
@@ -463,6 +465,6 @@ class TestReoptimise:
                 target = (n * p.b - (p.z if terminal else 0.0)) / (p.b + p.h)
                 # x, the shared root, is a level plus the mean demand before it
                 x = max(abs(c.order_up_to + means[: c.start - 1].sum()) for c in block)
-                tol = augment.LEVEL_TOL * max(1.0, x)
+                tol = LEVEL_TOL * max(1.0, x)
                 assert cdf_sum(-tol) <= target <= cdf_sum(tol), (inst.name, block)
         assert blocks_checked == 22

@@ -13,7 +13,8 @@ from lotpath.bench import (
 
 EXPECTED_COLUMNS = (
     "instance_id,pattern,T,rho,b,K,negative_order_count,"
-    "relaxed_cost,augmented_cost,pct_increase,t_matrix,t_relaxed,t_reoptimise"
+    "relaxed_cost,augmented_cost,pct_increase,t_matrix,t_relaxed,t_reoptimise,"
+    "spans_priced"
 )
 
 

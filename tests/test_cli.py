@@ -25,6 +25,7 @@ class TestSolve:
         assert payload["relaxed_path"] == ["1", "2", "3", "4", "6"]
         assert payload["expected_cost"] == pytest.approx(447.4670, abs=1e-3)
         assert payload["relaxed_violations"] == 1
+        assert payload["spans_priced"] == 14  # of 15: span (1, 5) is pruned
         assert payload["policy"]["reviews"] == [1, 2, 3, 5]
         assert set(payload["timings"]) == {"t_matrix", "t_relaxed", "t_reoptimise"}
 
@@ -114,6 +115,7 @@ class TestBench:
         assert rc == 0
         out = capsys.readouterr().out
         assert "lumpy rho=0.3 b=10 K=225: n=2" in out
+        assert "spans=" in out
 
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -28,6 +28,8 @@ from lotpath import (
     generate_instances,
     loss,
     optimize_order_up_to,
+    relaxed_path,
+    reoptimise,
     solve_instance,
 )
 from lotpath.cycles import _bisect_roots
@@ -226,3 +228,76 @@ def test_only_cycles_and_oracle_import_scipy_special():
     src = Path(lotpath.__file__).parent
     users = sorted(p.name for p in src.glob("*.py") if imports.search(p.read_text()))
     assert users == ["cycles.py", "oracle.py"]
+
+
+# ---------------------------------------------------------------------------
+# the pruned build: the lemma it rests on, and the same answers as the
+# complete matrix
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        golden_spec(),
+        generate_instances("lumpy", 30, 0.3, 225.0, 10.0, count=1, seed=3)[0],
+        golden_spec(z=2.0),
+        InstanceSpec(**ZERO_MEAN),
+    ],
+    ids=["golden", "lumpy-30", "unit-cost", "zero-mean"],
+)
+def test_span_costs_are_superadditive(instance):
+    # c(i, j) >= c(i, m) + c(m + 1, j) - K for every split i <= m < j, the
+    # right part terminal where j is the horizon; the slack is the bisection
+    # error the pruned build allows for, (b n + z) Y_TOL
+    cost = build_connection_matrix(instance).cost
+    p = instance.params
+    T = instance.horizon
+    for i in range(T):
+        for j in range(i + 1, T):
+            parts = cost[i, i:j] + cost[i + 1 : j + 1, j] - p.K
+            slack = (p.b * (j - i + 1) + p.z) * lotpath.cycles.Y_TOL
+            assert (cost[i, j] >= parts - slack).all(), (i, j)
+
+
+PRUNE_CASES = [
+    golden_spec(),
+    golden_spec(z=2.0, name="golden-z2"),
+    golden_spec(K=0.0, name="golden-K0"),
+    golden_spec(cv=1.0, name="golden-cv1"),
+    InstanceSpec(**ZERO_MEAN, name="zero-mean"),
+    InstanceSpec(
+        horizon=8, means=(200.0, 0.0, 0.0, 10.0, 150.0, 0.0, 5.0, 0.0), cv=0.3,
+        K=50.0, z=1.0, h=1.0, b=19.0, name="zero-mean-z1",
+    ),
+    *generate_instances("lumpy", 30, 0.3, 225.0, 10.0, count=4, seed=7),
+    *generate_instances("erratic", 40, 0.2, 900.0, 5.0, count=2, seed=5),
+]
+
+
+@pytest.mark.parametrize("instance", PRUNE_CASES, ids=lambda inst: inst.name)
+def test_pruned_matrix_gives_the_complete_matrix_answer(instance):
+    sol = solve_instance(instance)
+    dense = build_connection_matrix(instance)
+    pruned = sol.matrix
+    priced = np.isfinite(pruned.cost)
+    assert len(pruned) == priced.sum() <= len(dense)
+    for name in ("level", "cost", "closing"):
+        assert np.array_equal(getattr(pruned, name)[priced], getattr(dense, name)[priced])
+    assert np.isnan(pruned.level[np.isinf(pruned.cost)]).all()
+
+    relaxed = relaxed_path(dense)
+    assert sol.relaxed_path.node_labels == relaxed.node_labels
+    assert [a.cycle for a in sol.relaxed_path.arcs] == [a.cycle for a in relaxed.arcs]
+    assert sol.relaxed_path.total_cost == relaxed.total_cost
+    plan = reoptimise(dense, instance.demands, relaxed) if sol.relaxed_violations else relaxed
+    assert [a.cycle for a in sol.path.arcs] == [a.cycle for a in plan.arcs]
+    assert sol.path.total_cost == plan.total_cost
+
+
+def test_long_horizon_prices_a_tenth_of_the_spans():
+    # lumpy T=400, seed 7: the complete matrix prices all 80,200 spans
+    # (about 13 s on a 2-vCPU VM) for the plan recorded here
+    inst = generate_instances("lumpy", 400, 0.3, 225.0, 10.0, count=1, seed=7)[0]
+    sol = solve_instance(inst)
+    assert sol.expected_cost == pytest.approx(55577.90329937521, rel=1e-9, abs=0.0)
+    assert sol.to_dict()["spans_priced"] <= 0.10 * 80_200

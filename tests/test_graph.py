@@ -98,6 +98,12 @@ class TestBuildGraph:
         assert g.source == NodeId(1)
         assert g.sink == NodeId(6)
 
+    def test_rejects_a_matrix_with_unpriced_spans(self, golden_solution):
+        # the solve's matrix leaves span (1, 5) unpriced (cost +inf)
+        assert len(golden_solution.matrix) == 14
+        with pytest.raises(LotpathError, match="prices 14 of 15 spans"):
+            build_graph(golden_solution.matrix)
+
     def test_arc_payload_matches_matrix(self, golden_matrix):
         g = build_graph(golden_matrix)
         arc = g.get_arc(NodeId(2), NodeId(4))
