@@ -6,7 +6,15 @@ need a negative order, re-optimise over all review schedules and levels
 under the no-negative-order constraint. The paper's split-and-re-solve loop
 on the cycle graph (``build_graph``, ``repetitive_augment``) stays available
 as its stage-2 algorithm, off the solve path.
+
+The schedule-enumeration oracle (``lotpath.oracle``, built on
+``scipy.optimize``) is an independent reference, not part of a solve: its
+names load it on first access, so a process that never uses it never
+imports ``scipy.optimize``. Warnings go to the ``lotpath`` logger, which has
+a :class:`logging.NullHandler` until the application configures logging.
 """
+
+import logging
 
 from .augment import (
     AugmentationStep,
@@ -39,11 +47,26 @@ from .graph import (
     shortest_path,
 )
 from .instances import InstanceSpec, generate_instances, load_instance, save_instance
-from .oracle import OracleResult, schedule_enumeration_oracle
 from .simulate import Policy, SimulationReport, expected_trace, simulate_policy
 from .solver import Solution, policy_from_path, solve_instance
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
+_ORACLE_NAMES = ("OracleResult", "schedule_enumeration_oracle")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ORACLE_NAMES))
 
 __all__ = [
     "__version__",

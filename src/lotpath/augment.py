@@ -49,6 +49,7 @@ spans it prices; the stage's feasible plan is the one that set that bound.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -78,6 +79,8 @@ __all__ = [
     "repetitive_augment",
     "reoptimise",
 ]
+
+_log = logging.getLogger(__name__)
 
 FEAS_TOL = 1e-9
 #: the re-optimising stage's level grid: spacing mean period demand / 25,
@@ -447,7 +450,15 @@ def reoptimise(
     levels = matrix.level[keep]
     lo = min(0.0, float(levels.min()))
     hi = float(levels.max())
-    step = max(matrix.total_mean / T / GRID_PER_MEAN, (hi - lo) / MAX_GRID, 1e-12)
+    mean_step = matrix.total_mean / T / GRID_PER_MEAN
+    step = max(mean_step, (hi - lo) / MAX_GRID, 1e-12)
+    if (hi - lo) / MAX_GRID > mean_step:
+        _log.warning(
+            "re-optimising level grid capped at %d points: step %.6g is wider than "
+            "mean period demand / %g = %.6g, so the schedule search may miss the "
+            "cheapest plan",
+            MAX_GRID, step, GRID_PER_MEAN, mean_step,
+        )
     ys = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
     schedule = _grid_schedule(matrix, keep, ys)
     plans = [_plan(matrix, bound)]

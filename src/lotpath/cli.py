@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -227,6 +228,12 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # the package logs only warnings (high cv, a capped level grid); show them
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    handler.setLevel(logging.WARNING)
+    logger = logging.getLogger("lotpath")
+    logger.addHandler(handler)
     try:
         return _COMMANDS[args.command](args)
     except InputError as e:
@@ -243,6 +250,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except LotpathError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -188,17 +188,20 @@ def _bisect_roots(
 ) -> np.ndarray:
     """Roots of non-decreasing functions, one per row, by plain bisection.
 
-    ``g(y, rows)`` evaluates the functions of ``rows`` at the points ``y``.
-    Each bracket expands geometrically until its signs differ; a row that
-    cannot be bracketed raises :class:`NumericalError` describing its
-    interval and function signs. Only rows wider than ``y_tol`` are
-    evaluated, so each row follows exactly the midpoints a scalar bisection
-    of its own function would.
+    ``g(y, rows)`` evaluates the functions of ``rows`` at the points ``y``;
+    ``rows`` is an index array, or ``slice(None)`` for every row, which
+    gathers nothing. Each bracket expands geometrically until its signs
+    differ; a row that cannot be bracketed raises :class:`NumericalError`
+    describing its interval and function signs. Bisection then evaluates
+    every row at each step, but a row whose bracket is no wider than
+    ``y_tol`` keeps it, so each row follows exactly the midpoints a scalar
+    bisection of its own function would.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     rows = np.arange(len(lo))
-    g_lo, g_hi = g(lo, rows), g(hi, rows)
+    every = slice(None)
+    g_lo, g_hi = g(lo, every), g(hi, every)
     width = hi - lo
     expansions = 0
     bad = rows[(g_lo > 0.0) | (g_hi < 0.0)]
@@ -220,13 +223,13 @@ def _bisect_roots(
             g_hi[high] = g(hi[high], high)
         expansions += 1
         bad = bad[(g_lo[bad] > 0.0) | (g_hi[bad] < 0.0)]
-    active = rows[hi - lo > y_tol]
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        below = g(mid, active) < 0.0
-        lo[active[below]] = mid[below]
-        hi[active[~below]] = mid[~below]
-        active = active[hi[active] - lo[active] > y_tol]
+    active = hi - lo > y_tol
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        below = g(mid, every) < 0.0
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active = hi - lo > y_tol
     return 0.5 * (lo + hi)
 
 

@@ -17,6 +17,7 @@ split-and-re-solve loop on the cycle graph
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -28,6 +29,12 @@ from .instances import InstanceSpec
 from .simulate import Policy
 
 __all__ = ["Solution", "solve_instance", "policy_from_path"]
+
+#: above this cv the Normal demand's mass below zero, which the cycle costs
+#: do not truncate, is no longer negligible
+CV_LIMIT = 0.3
+
+_log = logging.getLogger(__name__)
 
 
 def policy_from_path(path: PathSolution, horizon: int) -> Policy:
@@ -90,8 +97,16 @@ def solve_instance(instance: InstanceSpec) -> Solution:
     expects a negative order, the re-optimising stage's plan is the answer,
     else the relaxed path itself. ``path``, ``policy`` and ``expected_cost``
     describe that plan. Path costs below include the unit-cost credit for
-    initial inventory, so they are true expected policy costs.
+    initial inventory, so they are true expected policy costs. A cv above
+    ``CV_LIMIT`` is solved, with a warning on the ``lotpath`` logger.
     """
+    if instance.cv > CV_LIMIT:
+        _log.warning(
+            "%s: cv %g exceeds %g; demand is Normal and its mass below zero is not "
+            "truncated, so the costs and levels are those of a model that allows "
+            "negative demand",
+            instance.name or "instance", instance.cv, CV_LIMIT,
+        )
     t0 = time.perf_counter()
     matrix = build_connection_matrix(instance, prune=True)
     t1 = time.perf_counter()

@@ -52,6 +52,16 @@ class TestSolve:
         bad.write_text(json.dumps(data))
         assert main(["solve", str(bad)]) == 2
 
+    def test_high_cv_warning_on_stderr(self, golden_file, tmp_path, capsys):
+        assert main(["solve", golden_file]) == 0
+        assert capsys.readouterr().err == ""
+        noisy = tmp_path / "noisy.json"
+        save_instance(golden_spec(cv=1.0), noisy)
+        assert main(["solve", str(noisy)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: golden-5: cv 1 exceeds 0.3")
+        assert err.count("\n") == 1  # the handler is removed after each call
+
 
 class TestSimulate:
     def test_solved_policy_report(self, golden_file, capsys):

@@ -32,7 +32,7 @@ from lotpath import (
     reoptimise,
     solve_instance,
 )
-from lotpath.cycles import _bisect_roots
+from lotpath.cycles import _bisect_levels, _bisect_roots
 
 from conftest import golden_spec
 
@@ -125,6 +125,45 @@ class TestOptimizer:
     def test_bracket_failure_raises(self):
         with pytest.raises(NumericalError, match="bracket"):
             _bisect_roots(lambda y, rows: np.ones_like(y), [0.0], [1.0], y_tol=1e-6, max_expand=8)
+
+    def test_converged_rows_keep_their_bracket(self):
+        # a narrow bracket converges in 20 halvings, a 1e6-wide one in 40 and
+        # an expanding one later still; each batched root must be the root
+        # of a single-row bisection of its own function, exactly
+        slopes = np.array([1.0, 3.0, 0.5])
+        roots = np.array([0.3, 12345.678, -7.25])
+        lo = np.array([0.0, -5e5, -7.0])
+        hi = np.array([1.0, 5e5, -6.5])
+
+        def g_for(rows):
+            def g(y, sub):
+                return slopes[rows[sub]] * (y - roots[rows[sub]])
+
+            return g
+
+        every = np.arange(3)
+        batched = _bisect_roots(g_for(every), lo, hi, 1e-6)
+        for r in every:
+            one = np.array([r])
+            single = _bisect_roots(g_for(one), lo[one], hi[one], 1e-6)
+            assert batched[r] == single[0], r
+
+    def test_converged_level_rows_keep_their_bracket(self):
+        # the fractile kernel with a narrow, a 1e6-wide and a step (zero-sd) row
+        params = CostParams(K=50.0, z=2.0, h=1.0, b=19.0)
+        mus = np.array([[100.0, 200.0, 300.0], [1e3, 2e3, 3e3], [10.0, 20.0, 30.0]])
+        sds = np.array([[30.0, 42.0, 52.0], [100.0, 141.0, 173.0], [0.0, 0.0, 0.0]])
+        terminal = np.array([False, True, False])
+        lo = np.array([250.0, -5e5, 0.0])
+        hi = np.array([450.0, 5e5, 64.0])
+        batched = _bisect_levels(mus, sds, params, terminal, lo, hi, 1e-6)
+        assert batched[2] == pytest.approx(30.0, abs=1e-6)  # the step of its last CDF
+        for r in range(3):
+            row = slice(r, r + 1)
+            single = _bisect_levels(
+                mus[row], sds[row], params, terminal[row], lo[row], hi[row], 1e-6
+            )
+            assert batched[r] == single[0], r
 
 
 class TestConnectionMatrix:

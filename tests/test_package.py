@@ -1,0 +1,110 @@
+"""The package surface: what ``import lotpath`` loads, and the ``lotpath`` logger."""
+
+import json
+import logging
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import pytest
+
+import lotpath
+from lotpath import augment, solve_instance
+
+from conftest import golden_spec
+
+SRC = Path(lotpath.__file__).resolve().parent.parent
+
+# run in a fresh interpreter: the test process has long since imported scipy.optimize
+PROBE = """
+import json, sys
+import lotpath
+package = "scipy.optimize" in sys.modules
+import lotpath.cli
+cli = "scipy.optimize" in sys.modules
+spec = lotpath.load_instance(json.loads(sys.argv[1]))
+res = lotpath.schedule_enumeration_oracle(spec, constrained=False)
+print(json.dumps({
+    "package": package,
+    "cli": cli,
+    "after_oracle": "scipy.optimize" in sys.modules,
+    "best_cost": res.best_cost,
+    "best_schedule": res.best_schedule,
+}))
+"""
+
+
+def test_import_leaves_the_oracle_unloaded_until_first_use(golden_solution):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(golden_spec().to_dict())],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    probe = json.loads(out.stdout)
+    assert probe["package"] is False
+    assert probe["cli"] is False
+    assert probe["after_oracle"] is True
+    assert probe["best_schedule"] == [1, 2, 3, 4]
+    assert probe["best_cost"] == pytest.approx(golden_solution.relaxed_cost, abs=1e-9)
+
+
+def test_every_exported_name_resolves():
+    for name in lotpath.__all__:
+        assert getattr(lotpath, name) is not None, name
+    from lotpath.oracle import OracleResult, schedule_enumeration_oracle
+
+    assert lotpath.OracleResult is OracleResult
+    assert lotpath.schedule_enumeration_oracle is schedule_enumeration_oracle
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lotpath.no_such_name
+
+
+def test_dir_lists_the_oracle_names():
+    names = dir(lotpath)
+    assert "OracleResult" in names
+    assert "schedule_enumeration_oracle" in names
+    assert set(lotpath.__all__) <= set(names)
+
+
+# ---------------------------------------------------------------------------
+# warnings go to the lotpath logger
+
+
+def test_logger_has_a_null_handler():
+    handlers = logging.getLogger("lotpath").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+
+def test_high_cv_warns(caplog):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with caplog.at_level(logging.WARNING, logger="lotpath"):
+            sol = solve_instance(golden_spec(cv=1.0))
+    [record] = caplog.records
+    assert record.name == "lotpath.solver"
+    assert record.levelno == logging.WARNING
+    assert "golden-5: cv 1 exceeds 0.3" in record.getMessage()
+    assert sol.relaxed_violations  # the re-optimising stage ran, silently
+
+
+def test_golden_at_the_cv_limit_is_silent(caplog):
+    with caplog.at_level(logging.WARNING, logger="lotpath"):
+        sol = solve_instance(golden_spec(cv=0.3))
+    assert sol.relaxed_violations  # the re-optimising stage ran
+    assert caplog.records == []
+
+
+def test_capped_level_grid_warns(caplog, monkeypatch):
+    # the golden grid needs about 250 points at step mean / 25
+    monkeypatch.setattr(augment, "MAX_GRID", 8)
+    with caplog.at_level(logging.WARNING, logger="lotpath"):
+        solve_instance(golden_spec())
+    [record] = caplog.records
+    assert record.name == "lotpath.augment"
+    assert "capped at 8 points" in record.getMessage()
