@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from .cycles import (
     _loss_pair,
     _relaxed_spans,
 )
-from .demand import PeriodDemand
 from .errors import LotpathError, NonTerminationError
 from .graph import Arc, CycleInfo, NodeId, PathSolution, ReplenishmentGraph, shortest_path
 
@@ -160,14 +159,14 @@ class FeasibilityViolation:
         )
 
 
-def check_feasibility(path: PathSolution, tol: float = FEAS_TOL) -> List[FeasibilityViolation]:
+def check_feasibility(path: PathSolution) -> List[FeasibilityViolation]:
     """All negative-expected-order pairings along the path, in path order."""
     cycles = effective_cycles(path)
     violations = []
     for idx in range(1, len(cycles)):
         prev, cur = cycles[idx - 1], cycles[idx]
         gap = prev.cycle.closing - cur.cycle.order_up_to
-        if gap > tol:
+        if gap > FEAS_TOL:
             violations.append(
                 FeasibilityViolation(
                     node=cur.review_node,
@@ -198,18 +197,13 @@ class AugmentationStep:
 @dataclass
 class AugmentationTrace:
     steps: List[AugmentationStep]
-    searches: int
 
     @property
     def introduced_nodes(self) -> int:
         return len(self.steps)
 
 
-def augment_once(
-    graph: ReplenishmentGraph,
-    violation: FeasibilityViolation,
-    tol: float = FEAS_TOL,
-) -> AugmentationStep:
+def augment_once(graph: ReplenishmentGraph, violation: FeasibilityViolation) -> AugmentationStep:
     """Split ``violation.node`` and rewire its options as described above.
 
     Raises ``LotpathError`` if the violation no longer matches the graph
@@ -235,7 +229,7 @@ def augment_once(
     # violate the same pairing. The matrix row holds every span, including
     # those whose arcs earlier splits removed from node v.
     row = v.period - 1
-    ends = v.period + np.flatnonzero(matrix.level[row, row:] < closing - tol)
+    ends = v.period + np.flatnonzero(matrix.level[row, row:] < closing - FEAS_TOL)
     j = max(violation.effective_end, *ends.tolist())
 
     w = graph.new_virtual(v.period)
@@ -288,19 +282,13 @@ def augment_once(
 
 
 def repetitive_augment(
-    graph: ReplenishmentGraph,
-    max_iterations: Optional[int] = None,
-    tol: float = FEAS_TOL,
+    graph: ReplenishmentGraph, max_iterations: Optional[int] = None
 ) -> Tuple[PathSolution, AugmentationTrace]:
     """Re-solve and repair until the shortest path carries no violations.
 
     Processes the earliest violation of each path and re-runs the shortest
     path search after every split, so an upstream pairing broken by a merge
-    surfaces on the next round. A split changes only arcs into the split
-    period and later ones, so each search resumes there and keeps the labels
-    of earlier nodes; a search on a graph that an earlier search already
-    settled does no work. ``searches`` in the trace counts the searches run
-    here, one more than the splits. Raises :class:`NonTerminationError` after
+    surfaces on the next round. Raises :class:`NonTerminationError` after
     ``max_iterations`` splits (default 10 * horizon).
 
     This is stage 2 of the repair, the paper's algorithm. Its plan is
@@ -309,13 +297,11 @@ def repetitive_augment(
     """
     cap = max_iterations if max_iterations is not None else 10 * graph.horizon
     steps: List[AugmentationStep] = []
-    runs = 0
     while True:
         path = shortest_path(graph)
-        runs += 1
-        violations = check_feasibility(path, tol)
+        violations = check_feasibility(path)
         if not violations:
-            return path, AugmentationTrace(steps=steps, searches=runs)
+            return path, AugmentationTrace(steps=steps)
         if len(steps) >= cap:
             raise NonTerminationError(
                 f"feasibility repair did not terminate within {cap} splits",
@@ -328,7 +314,7 @@ def repetitive_augment(
                     "outstanding_violations": [str(v) for v in violations],
                 },
             )
-        steps.append(augment_once(graph, violations[0], tol))
+        steps.append(augment_once(graph, violations[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +404,7 @@ def _plan(matrix: ConnectionMatrix, plan: ConstrainedPlan) -> PathSolution:
     )
 
 
-def reoptimise(
-    matrix: ConnectionMatrix,
-    demands: Sequence[PeriodDemand],
-    relaxed: PathSolution,
-) -> PathSolution:
+def reoptimise(matrix: ConnectionMatrix, relaxed: PathSolution) -> PathSolution:
     """Stage 3 of the repair: the cheapest feasible plan over all schedules.
 
     ``relaxed`` is the relaxed optimum (:func:`relaxed_path`). Its schedule
@@ -443,7 +425,7 @@ def reoptimise(
     )
     bound = matrix.bound_plan
     if bound is None or bound.spans != relaxed_schedule:
-        bound = _constrained_plan(matrix, demands, relaxed_schedule)
+        bound = _constrained_plan(matrix, relaxed_schedule)
     prefix, suffix, _ = matrix.relaxed_distances()
     keep = _admissible_spans(matrix.cost, bound.cost, prefix, suffix)
 
@@ -463,6 +445,6 @@ def reoptimise(
     schedule = _grid_schedule(matrix, keep, ys)
     plans = [_plan(matrix, bound)]
     if tuple(schedule) != relaxed_schedule:
-        plans.append(_plan(matrix, _constrained_plan(matrix, demands, schedule)))
+        plans.append(_plan(matrix, _constrained_plan(matrix, schedule)))
 
     return min(plans, key=lambda plan: plan.total_cost)

@@ -104,6 +104,9 @@ class CostParams:
     b: float
 
     def __post_init__(self):
+        for name in ("K", "z", "h", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.K < 0:
             raise ValueError(f"fixed order cost K must be >= 0, got {self.K}")
         if self.h <= 0:
@@ -193,9 +196,11 @@ def _bisect_roots(
     gathers nothing. Each bracket expands geometrically until its signs
     differ; a row that cannot be bracketed raises :class:`NumericalError`
     describing its interval and function signs. Bisection then evaluates
-    every row at each step, but a row whose bracket is no wider than
-    ``y_tol`` keeps it, so each row follows exactly the midpoints a scalar
-    bisection of its own function would.
+    every row at each step, but a row whose bracket is no wider than its
+    tolerance keeps it, so each row follows exactly the midpoints a scalar
+    bisection of its own function would. A row's tolerance is ``y_tol``, or
+    two ulps of its bracketed ends where that is wider (beyond 2**32), so a
+    midpoint always lies strictly inside a bracket still being halved.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -223,13 +228,14 @@ def _bisect_roots(
             g_hi[high] = g(hi[high], high)
         expansions += 1
         bad = bad[(g_lo[bad] > 0.0) | (g_hi[bad] < 0.0)]
-    active = hi - lo > y_tol
+    tol = np.maximum(y_tol, 2.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    active = hi - lo > tol
     while active.any():
         mid = 0.5 * (lo + hi)
         below = g(mid, every) < 0.0
         lo = np.where(active & below, mid, lo)
         hi = np.where(active & ~below, mid, hi)
-        active = hi - lo > y_tol
+        active = hi - lo > tol
     return 0.5 * (lo + hi)
 
 
@@ -511,7 +517,7 @@ class ConstrainedPlan:
 
     ``spans`` are its cycles as 0-based (first, last) periods, ``levels``
     their levels by :func:`_schedule_levels` and ``costs`` their expected
-    costs by the closed form of :func:`cycle_cost_at`.
+    costs, priced like the matrix's cycles from its moment rows.
     """
 
     spans: Tuple[Tuple[int, int], ...]
@@ -524,18 +530,22 @@ class ConstrainedPlan:
 
 
 def _constrained_plan(
-    matrix: ConnectionMatrix,
-    demands: Sequence[PeriodDemand],
-    schedule: Sequence[Tuple[int, int]],
+    matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]]
 ) -> ConstrainedPlan:
-    """``schedule`` at its exact constrained levels, priced cycle by cycle."""
-    T = matrix.horizon
+    """``schedule`` at its exact constrained levels, its cycles priced from
+    the matrix's moment rows in one block per cycle length, as the matrix
+    prices its own."""
     levels = _schedule_levels(matrix, schedule)
-    costs = [
-        cycle_cost_at(y, s + 1, e + 1, demands, matrix.params, terminal=e == T - 1)
-        for (s, e), y in zip(schedule, levels)
-    ]
-    return ConstrainedPlan(tuple(schedule), tuple(levels), tuple(costs))
+    starts, ends = np.array(schedule).T
+    lengths = ends - starts + 1
+    ys = np.array(levels)
+    costs = np.empty(len(schedule))
+    for n in np.unique(lengths).tolist():
+        k = np.flatnonzero(lengths == n)
+        rows, terminal = starts[k], ends[k] == matrix.horizon - 1
+        mus, sds = matrix.mus[rows, :n], matrix.sds[rows, :n]
+        costs[k] = _block_costs(ys[k], mus, sds, matrix.params, terminal)
+    return ConstrainedPlan(tuple(schedule), tuple(levels), tuple(costs.tolist()))
 
 
 def _lower_bounds(
@@ -623,7 +633,7 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
             # only and is the relaxed optimum of the complete matrix
             if through.min() - slack <= optimum + BOUND_TOL * abs(optimum):
                 continue
-            matrix.bound_plan = _constrained_plan(matrix, instance.demands, _relaxed_spans(pred))
+            matrix.bound_plan = _constrained_plan(matrix, _relaxed_spans(pred))
         bound = matrix.bound_plan.cost
         rows = rows[through[rows] - slack <= bound + BOUND_TOL * abs(bound)]
     if prune:

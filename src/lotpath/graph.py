@@ -29,24 +29,10 @@ The re-optimising stage returns its plan as a path of a fourth kind,
 ``reoptimised``: plain cycles whose levels may sit off their matrix values.
 Those arcs, and the ``normal`` arcs of :func:`lotpath.augment.relaxed_path`,
 belong to no graph.
-
-The graph stores each arc's traversal weight when the arc is added. A
-recomputed arc's weight depends on its origin's single inbound arc, which is
-added before it and never replaced while the origin lives: splitting the
-origin removes that arc, and :meth:`ReplenishmentGraph.cleanup_isolated` then
-deletes the origin with its outbound arcs.
-
-The graph also keeps the search's labels (distance and predecessor arc of
-each node) and the earliest period whose inbound arcs changed since the last
-search. Labels of earlier nodes depend only on arcs into earlier periods, so
-:func:`shortest_path` resumes at that period: after a split it re-computes
-only the nodes at or after the split node, and on an unchanged graph it does
-no work.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -142,11 +128,7 @@ class ReplenishmentGraph:
         self.sink = NodeId(horizon + 1)
         self._out: Dict[NodeId, Dict[NodeId, Arc]] = {}
         self._in: Dict[NodeId, Dict[NodeId, Arc]] = {}
-        self._weight: Dict[NodeId, Dict[NodeId, float]] = {}  # head -> tail -> weight
         self._copies: Dict[int, int] = {}
-        #: inbound arcs the search has examined, over all its passes
-        self.arcs_relaxed = 0
-        self._forget_labels()
         for p in range(1, horizon + 2):
             self.add_node(NodeId(p))
 
@@ -155,7 +137,6 @@ class ReplenishmentGraph:
     def add_node(self, node: NodeId) -> None:
         self._out.setdefault(node, {})
         self._in.setdefault(node, {})
-        self._weight.setdefault(node, {})
 
     def new_virtual(self, period: int) -> NodeId:
         self._copies[period] = self._copies.get(period, 0) + 1
@@ -173,17 +154,12 @@ class ReplenishmentGraph:
     def add_arc(self, arc: Arc) -> None:
         if arc.u not in self._out or arc.v not in self._out:
             raise LotpathError(f"arc {arc} references a missing node")
-        weight = self.effective_cost(arc)
         self._out[arc.u][arc.v] = arc
         self._in[arc.v][arc.u] = arc
-        self._weight[arc.v][arc.u] = weight
-        self._touch(arc.v.period)
 
     def remove_arc(self, arc: Arc) -> None:
         del self._out[arc.u][arc.v]
         del self._in[arc.v][arc.u]
-        del self._weight[arc.v][arc.u]
-        self._touch(arc.v.period)
 
     def remove_node(self, node: NodeId) -> None:
         for arc in list(self._out[node].values()):
@@ -192,9 +168,6 @@ class ReplenishmentGraph:
             self.remove_arc(arc)
         del self._out[node]
         del self._in[node]
-        del self._weight[node]
-        self._dist.pop(node, None)
-        self._pred.pop(node, None)
 
     def out_arcs(self, node: NodeId) -> List[Arc]:
         return list(self._out[node].values())
@@ -229,63 +202,10 @@ class ReplenishmentGraph:
         return next(iter(arcs.values()))
 
     def effective_cost(self, arc: Arc) -> float:
-        """Traversal weight: recomputed arcs absorb their origin's inbound cycle.
-
-        Computed from the live graph. :meth:`add_arc` stores this value, and
-        the search reads the stored one.
-        """
+        """Traversal weight: recomputed arcs absorb their origin's inbound cycle."""
         if arc.kind == "recomputed":
             return arc.cycle.cost - self.single_inbound(arc.u).cycle.cost
         return arc.cycle.cost
-
-    # -- search labels -------------------------------------------------------
-
-    def _forget_labels(self) -> None:
-        """Drop every label but the source's; the next search is a full pass."""
-        self._dist: Dict[NodeId, float] = {self.source: 0.0}
-        self._pred: Dict[NodeId, Arc] = {}
-        self._dirty: Optional[int] = self.source.period + 1
-
-    def _touch(self, period: int) -> None:
-        """Mark the labels of nodes from ``period`` on as stale."""
-        if self._dirty is None or period < self._dirty:
-            self._dirty = period
-
-    def _relax(self) -> None:
-        """Re-compute the labels of every node at or after the dirty period.
-
-        Nodes are visited in (period, copy) order and every arc raises the
-        period, so each node's inbound tails are final when it is reached. A
-        node takes the cheapest reachable tail's distance plus the arc's
-        weight; among equal distances the smallest tail wins (the strict
-        ``<`` of a push pass scanning tails in node order).
-        """
-        if self._dirty is None:
-            return
-        nodes = self.nodes
-        dist, pred = self._dist, self._pred
-        examined = 0
-        for v in nodes[bisect_left(nodes, (self._dirty,)):]:
-            weights = self._weight[v]
-            examined += len(weights)
-            best = best_u = None
-            for u, w in weights.items():
-                du = dist.get(u)
-                if du is None:
-                    continue
-                if w < -NEGATIVE_WEIGHT_TOL:
-                    raise LotpathError(f"negative traversal weight on {self._in[v][u]}")
-                nd = du + w
-                if best is None or nd < best or (nd == best and u < best_u):
-                    best, best_u = nd, u
-            if best is None:
-                dist.pop(v, None)
-                pred.pop(v, None)
-            else:
-                dist[v] = best
-                pred[v] = self._in[v][best_u]
-        self.arcs_relaxed += examined
-        self._dirty = None
 
     def cleanup_isolated(self) -> List[NodeId]:
         """Cascade-remove nodes that lost all inbound arcs (except the source)."""
@@ -332,35 +252,43 @@ def build_graph(matrix: ConnectionMatrix) -> ReplenishmentGraph:
 
 
 def shortest_path(graph: ReplenishmentGraph) -> PathSolution:
-    """Cheapest source -> sink path over the stored traversal weights.
+    """Cheapest source -> sink path over the traversal weights.
 
     Every arc raises the period, so one pass over the nodes in (period, copy)
-    order is exact (the Wagner-Whitin recursion). The pass resumes at the
-    earliest period whose inbound arcs changed since the previous search on
-    ``graph``, so the search after a split re-computes only the nodes at or
-    after the split period; the first search, and a search resumed at period
-    2, is the full pass. Among equal-cost predecessors the smallest node
-    wins, which keeps reported paths deterministic.
+    order is exact (the Wagner-Whitin recursion): each node's inbound tails
+    are final when it is reached. Among equal-cost predecessors the smallest
+    node wins, which keeps reported paths deterministic.
 
     Raises ``LotpathError`` on a negative traversal weight or an unreachable
-    sink; the graph then keeps no labels, and the next search is a full pass.
+    sink.
     """
-    try:
-        graph._relax()
-        if graph.sink not in graph._dist:
-            raise LotpathError("sink unreachable; graph is corrupt")
-    except LotpathError:
-        graph._forget_labels()
-        raise
+    dist: Dict[NodeId, float] = {graph.source: 0.0}
+    pred: Dict[NodeId, Arc] = {}
+    for v in graph.nodes:
+        best = best_arc = None
+        for u, arc in graph._in[v].items():
+            du = dist.get(u)
+            if du is None:
+                continue
+            w = graph.effective_cost(arc)
+            if w < -NEGATIVE_WEIGHT_TOL:
+                raise LotpathError(f"negative traversal weight on {arc}")
+            nd = du + w
+            if best is None or nd < best or (nd == best and u < best_arc.u):
+                best, best_arc = nd, arc
+        if best_arc is not None:
+            dist[v], pred[v] = best, best_arc
+    if graph.sink not in dist:
+        raise LotpathError("sink unreachable; graph is corrupt")
     arcs: List[Arc] = []
     node = graph.sink
     while node != graph.source:
-        arc = graph._pred[node]
+        arc = pred[node]
         arcs.append(arc)
         node = arc.u
     arcs.reverse()
     nodes = [graph.source] + [a.v for a in arcs]
-    return PathSolution(nodes=nodes, arcs=arcs, total_cost=graph._dist[graph.sink])
+    return PathSolution(nodes=nodes, arcs=arcs, total_cost=dist[graph.sink])
 
 
 def graph_dump(graph: ReplenishmentGraph) -> str:

@@ -50,6 +50,13 @@ class InstanceSpec:
                 raise InputError(f"field 'means': period {t} value {m!r} is not a finite non-negative number")
         if not (0.0 < self.cv <= 1.0):
             raise InputError(f"field 'cv': must lie in (0, 1], got {self.cv}")
+        # products, not powers: a float power raises OverflowError instead of giving inf
+        total_var = sum((self.cv * m) * (self.cv * m) for m in self.means)
+        if not (math.isfinite(sum(self.means)) and math.isfinite(total_var)):
+            raise InputError(
+                "field 'means': the horizon totals of the means and of the variances "
+                "(cv * mean)^2 must be finite"
+            )
         if not math.isfinite(self.initial_inventory):
             raise InputError("field 'initial_inventory': must be finite")
         try:

@@ -113,7 +113,7 @@ def solve_instance(instance: InstanceSpec) -> Solution:
     relaxed = relaxed_path(matrix)
     relaxed_violations = len(check_feasibility(relaxed))
     t2 = time.perf_counter()
-    path = reoptimise(matrix, instance.demands, relaxed) if relaxed_violations else relaxed
+    path = reoptimise(matrix, relaxed) if relaxed_violations else relaxed
     t3 = time.perf_counter()
 
     offset = instance.params.z * instance.initial_inventory

@@ -5,8 +5,13 @@ quadrature implementation before the vectorised one existed; levels are
 quoted to 4 decimals, costs to 4 decimals.
 """
 
+import dataclasses
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -256,6 +261,57 @@ def test_zero_mean_periods_emit_no_warning():
     assert math.isfinite(sol.expected_cost)
 
 
+# run in a fresh interpreter with a time limit: a bisection whose bracket
+# stops shrinking hangs instead of failing
+SOLVE_EACH = """
+import json, sys
+from lotpath import load_instance, solve_instance
+out = []
+for data in json.loads(sys.argv[1]):
+    sol = solve_instance(load_instance(data))
+    out.append([sol.policy.reviews, sol.policy.levels, sol.expected_cost, sol.relaxed_violations])
+print(json.dumps(out))
+"""
+
+
+def test_large_means_solve_like_small_ones():
+    # above 2**32 one ulp of a level exceeds Y_TOL. Scaling the means and K
+    # by c scales every level and cost by c, so each solve is the 1e6 one.
+    flat = InstanceSpec(
+        horizon=4, means=(1.0, 2.0, 0.5, 1.0), cv=0.2, K=100.0, z=0.0, h=1.0, b=10.0
+    )
+    lumpy = generate_instances("lumpy", 30, 0.3, 225.0, 10.0, count=4, seed=7)[3]
+    scales = [1e6, 1e10, 1e14]
+    specs = [
+        dataclasses.replace(inst, means=tuple(c * m for m in inst.means), K=c * inst.K)
+        for inst in (flat, lumpy)
+        for c in scales
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(lotpath.__file__).resolve().parent.parent))
+    out = subprocess.run(
+        [
+            sys.executable, "-W", "error::RuntimeWarning", "-c", SOLVE_EACH,
+            json.dumps([spec.to_dict() for spec in specs]),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    solved = json.loads(out.stdout)
+    assert solved[len(scales)][3] > 0  # the lumpy plan comes from the re-optimising stage
+    for k in range(0, len(solved), len(scales)):
+        reviews, levels, cost, violations = solved[k]
+        for c, got in zip(scales[1:], solved[k + 1 : k + len(scales)]):
+            r = c / scales[0]
+            assert got[0] == reviews and got[3] == violations
+            # a pooled level is bisected to LEVEL_TOL of its block's stock
+            # position, which exceeds the level by the demand before it
+            assert got[1] == pytest.approx([r * y for y in levels], rel=1e-7)
+            assert got[2] == pytest.approx(r * cost, rel=1e-12)
+
+
 def test_only_cycles_and_oracle_import_scipy_special():
     # the solver's Normal loss and CDF kernels live in cycles.py; the oracle
     # keeps its own on purpose. Any other scipy.special user is a new copy.
@@ -328,7 +384,7 @@ def test_pruned_matrix_gives_the_complete_matrix_answer(instance):
     assert sol.relaxed_path.node_labels == relaxed.node_labels
     assert [a.cycle for a in sol.relaxed_path.arcs] == [a.cycle for a in relaxed.arcs]
     assert sol.relaxed_path.total_cost == relaxed.total_cost
-    plan = reoptimise(dense, instance.demands, relaxed) if sol.relaxed_violations else relaxed
+    plan = reoptimise(dense, relaxed) if sol.relaxed_violations else relaxed
     assert [a.cycle for a in sol.path.arcs] == [a.cycle for a in plan.arcs]
     assert sol.path.total_cost == plan.total_cost
 

@@ -40,6 +40,28 @@ class TestValidation:
         with pytest.raises(InputError, match="K/z/h/b"):
             InstanceSpec(**spec_kwargs(b=0.5))  # penalty below holding
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    @pytest.mark.parametrize("field", ["K", "z", "h", "b"])
+    def test_cost_params_finite(self, field, value):
+        with pytest.raises(InputError, match=f"K/z/h/b': {field} must be finite"):
+            InstanceSpec(**spec_kwargs(**{field: value}))
+
+    def test_infinite_fixed_cost_in_json(self, tmp_path):
+        target = tmp_path / "inf.json"
+        target.write_text(json.dumps(spec_kwargs(K=float("inf"))))
+        assert '"K": Infinity' in target.read_text()
+        with pytest.raises(InputError, match="K must be finite"):
+            load_instance(target)
+
+    def test_total_mean_finite(self):
+        with pytest.raises(InputError, match="horizon totals"):
+            InstanceSpec(**spec_kwargs(means=(1e308, 1e308, 1.0)))
+
+    def test_total_variance_finite(self):
+        # each mean is finite, but (cv * mean)^2 overflows
+        with pytest.raises(InputError, match="horizon totals"):
+            InstanceSpec(**spec_kwargs(means=(1e160, 1.0, 1.0)))
+
     def test_initial_inventory_finite(self):
         with pytest.raises(InputError, match="initial_inventory"):
             InstanceSpec(**spec_kwargs(initial_inventory=float("inf")))
