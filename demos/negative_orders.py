@@ -53,13 +53,11 @@ def main():
 
     print(
         "relaxed plan reviews/levels:",
-        [(r, None if s is None else round(s, 2))
-         for r, s in zip(relaxed_policy.reviews, relaxed_policy.levels)],
+        [(r, round(s, 2)) for r, s in zip(relaxed_policy.reviews, relaxed_policy.levels)],
     )
     print(
         "repaired plan reviews/levels:",
-        [(r, None if s is None else round(s, 2))
-         for r, s in zip(sol.policy.reviews, sol.policy.levels)],
+        [(r, round(s, 2)) for r, s in zip(sol.policy.reviews, sol.policy.levels)],
     )
     print()
 

@@ -18,8 +18,8 @@ from lotpath import (
     InstanceSpec,
     build_connection_matrix,
     build_graph,
-    check_feasibility,
     effective_cycles,
+    path_violations,
     repetitive_augment,
     shortest_path,
     simulate_policy,
@@ -75,7 +75,7 @@ def main():
     relaxed = shortest_path(graph)
     show_path("relaxed shortest path", relaxed)
 
-    violations = check_feasibility(relaxed)
+    violations = path_violations(relaxed)
     for v in violations:
         print(
             f"violation at node {v.node}: the previous cycle closes at "
@@ -104,8 +104,7 @@ def main():
     sol = solve_instance(INSTANCE)
     print(f"final policy (solve_instance, cost {sol.expected_cost:.4f}):")
     for review, level in zip(sol.policy.reviews, sol.policy.levels):
-        what = "no order, review only" if level is None else f"order up to {level:.2f}"
-        print(f"    period {review}: {what}")
+        print(f"    period {review}: order up to {level:.2f}")
     print()
 
     rep = simulate_policy(

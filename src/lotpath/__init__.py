@@ -1,51 +1,39 @@
 """Review/order-up-to policies for non-stationary stochastic lot sizing.
 
 Pipeline: price every replenishment cycle (connection matrix), take the
-cheapest path over the matrix (relaxed optimum), and when that path would
+cheapest plan over the matrix (relaxed optimum), and when that plan would
 need a negative order, re-optimise over all review schedules and levels
-under the no-negative-order constraint. The paper's split-and-re-solve loop
-on the cycle graph (``build_graph``, ``repetitive_augment``) stays available
-as its stage-2 algorithm, off the solve path.
+under the no-negative-order constraint. Every plan the solve produces is a
+:class:`Plan`: spans, levels, closing stocks and costs.
 
-The schedule-enumeration oracle (``lotpath.oracle``, built on
-``scipy.optimize``) is an independent reference, not part of a solve: its
-names load it on first access, so a process that never uses it never
-imports ``scipy.optimize``. Warnings go to the ``lotpath`` logger, which has
-a :class:`logging.NullHandler` until the application configures logging.
+Two parts of the package are not on the solve path. Their names load their
+module on first access, so a process that never uses one never imports it:
+
+* the paper's stage 2 (``lotpath.graph``): the cycle graph
+  (``build_graph``, ``shortest_path``) and its split-and-re-solve loop
+  (``repetitive_augment``);
+* the schedule-enumeration oracle (``lotpath.oracle``, built on
+  ``scipy.optimize``), an independent reference.
+
+Warnings go to the ``lotpath`` logger, which has a
+:class:`logging.NullHandler` until the application configures logging.
 """
 
+import importlib
 import logging
 
-from .augment import (
-    AugmentationStep,
-    AugmentationTrace,
-    FeasibilityViolation,
-    check_feasibility,
-    effective_cycles,
-    relaxed_path,
-    reoptimise,
-    repetitive_augment,
-)
+from .augment import check_feasibility, relaxed_path, reoptimise
 from .cycles import (
     ConnectionMatrix,
     CostParams,
     CycleOptimum,
+    Plan,
     build_connection_matrix,
     cycle_cost_at,
     optimize_order_up_to,
 )
 from .demand import PeriodDemand, complementary_loss, cumulative, loss
 from .errors import InputError, LotpathError, NonTerminationError, NumericalError
-from .graph import (
-    Arc,
-    CycleInfo,
-    NodeId,
-    PathSolution,
-    ReplenishmentGraph,
-    build_graph,
-    graph_dump,
-    shortest_path,
-)
 from .instances import InstanceSpec, generate_instances, load_instance, save_instance
 from .simulate import Policy, SimulationReport, expected_trace, simulate_policy
 from .solver import Solution, policy_from_path, solve_instance
@@ -54,19 +42,29 @@ __version__ = "0.1.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-_ORACLE_NAMES = ("OracleResult", "schedule_enumeration_oracle")
+#: names loaded from their module on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(("OracleResult", "schedule_enumeration_oracle"), "oracle"),
+    **dict.fromkeys(
+        (
+            "Arc", "AugmentationStep", "AugmentationTrace", "CycleInfo", "FeasibilityViolation",
+            "NodeId", "PathSolution", "ReplenishmentGraph", "build_graph", "effective_cycles",
+            "graph_dump", "path_violations", "repetitive_augment", "shortest_path",
+        ),
+        "graph",
+    ),
+}
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_ORACLE_NAMES))
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",
@@ -87,6 +85,7 @@ __all__ = [
     "OracleResult",
     "PathSolution",
     "PeriodDemand",
+    "Plan",
     "Policy",
     "ReplenishmentGraph",
     "SimulationReport",
@@ -104,6 +103,7 @@ __all__ = [
     "load_instance",
     "loss",
     "optimize_order_up_to",
+    "path_violations",
     "policy_from_path",
     "relaxed_path",
     "reoptimise",

@@ -1,37 +1,21 @@
-"""Relaxed optimum, feasibility check and the two repair stages.
+"""Relaxed plan, feasibility check and the re-optimising stage.
 
 :func:`relaxed_path` is the relaxed optimum: the cheapest schedule over the
-connection matrix when order quantities are unrestricted in sign, found by
-one pass over the matrix arrays in period order (the Wagner-Whitin
-recursion). It may pair two consecutive cycles so that the expected
-inventory entering a review exceeds that review's order-up-to level, which
-would require a negative order quantity; :func:`check_feasibility` lists
-those pairings.
+connection matrix when order quantities are unrestricted in sign, read from
+the matrix's relaxed distances (the Wagner-Whitin recursion over its
+arrays) as a :class:`~lotpath.cycles.Plan` at the matrix levels. It may
+pair two consecutive cycles so that the expected inventory entering a
+review exceeds that review's order-up-to level, which would require a
+negative order quantity; :func:`check_feasibility` lists those pairings.
 
-Stage 2 of the paper, the split-and-re-solve loop (:func:`repetitive_augment`
-on a :class:`~lotpath.graph.ReplenishmentGraph`), repairs such a path by
-splitting the offending node i into a virtual copy i':
-
-* redirect: the violating inbound arc (m, i) is re-targeted to (m, i'),
-  payload unchanged; node i is cascade-deleted once nothing points at it;
-* recompute: arcs [i', k] for k = i+1 .. j+1 carry the merged cycle that
-  starts where the inbound cycle started and keeps a zero-quantity review
-  (one extra K) at period i, levels taken from the connection matrix;
-* duplicate: arcs (i', x) for x = j+2 .. T+1 copy the matrix cycles starting
-  at period i, so every longer outbound option survives unchanged,
-
-where j+1 is the furthest endpoint among outbound arcs of i that violate
-against the inbound closing inventory. The shortest path is then re-solved;
-the loop ends when the cheapest path is violation-free.
-
-The loop has only two moves: keep a cycle at its matrix level, or merge it
-into a longer cycle that still pays K. It never raises a level to absorb
-carried stock or lowers an upstream one, so its plan can cost more than the
-cheapest feasible plan. The loop stays callable as the paper's algorithm
-(the worked example, ``lotpath export-graph --augmented``), but the solve
-does not run it. :func:`reoptimise` is stage 3 and gives the solve's answer
-whenever the relaxed path violates: an exact dynamic program over all review
-schedules and levels,
+The paper repairs such a plan with its stage 2, the split-and-re-solve loop
+on the cycle graph (:mod:`lotpath.graph`). The loop has only two moves:
+keep a cycle at its matrix level, or merge it into a longer cycle that
+still pays K. It never raises a level to absorb carried stock or lowers an
+upstream one, so its plan can cost more than the cheapest feasible plan.
+The solve does not run it. :func:`reoptimise` is stage 3 and gives the
+solve's answer whenever the relaxed plan violates: an exact dynamic program
+over all review schedules and levels,
 
     V(i, L) = min over j >= i, y >= L of  c(i, j; y) + V(j + 1, y - mu(i..j)),
 
@@ -50,7 +34,6 @@ spans it prices; the stage's feasible plan is the one that set that bound.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -58,26 +41,13 @@ import numpy as np
 from .cycles import (
     BOUND_TOL,
     ConnectionMatrix,
-    ConstrainedPlan,
+    Plan,
     _constrained_plan,
     _loss_pair,
     _relaxed_spans,
 )
-from .errors import LotpathError, NonTerminationError
-from .graph import Arc, CycleInfo, NodeId, PathSolution, ReplenishmentGraph, shortest_path
 
-__all__ = [
-    "EffectiveCycle",
-    "FeasibilityViolation",
-    "relaxed_path",
-    "AugmentationStep",
-    "AugmentationTrace",
-    "effective_cycles",
-    "check_feasibility",
-    "augment_once",
-    "repetitive_augment",
-    "reoptimise",
-]
+__all__ = ["relaxed_path", "check_feasibility", "reoptimise"]
 
 _log = logging.getLogger(__name__)
 
@@ -88,233 +58,28 @@ GRID_PER_MEAN = 25.0
 MAX_GRID = 8192
 
 
-@dataclass(frozen=True)
-class EffectiveCycle:
-    """One replenishment cycle as realised by a path.
-
-    A recomputed arc supersedes the redirect arc feeding its origin node, so
-    a cycle may span several consecutive path arcs; ``cycle`` is always the
-    payload that actually prices the covered periods.
-    """
-
-    cycle: CycleInfo
-    arcs: Tuple[Arc, ...]
-
-    @property
-    def review_node(self) -> NodeId:
-        return self.arcs[0].u
-
-
-def effective_cycles(path: PathSolution) -> List[EffectiveCycle]:
-    """Collapse a path's arc list into its realised cycle sequence."""
-    out: List[EffectiveCycle] = []
-    for arc in path.arcs:
-        if arc.kind == "recomputed":
-            if not out or out[-1].arcs[-1].v != arc.u:
-                raise LotpathError(f"recomputed arc {arc} has no inbound cycle on the path")
-            prev = out[-1]
-            out[-1] = EffectiveCycle(cycle=arc.cycle, arcs=prev.arcs + (arc,))
-        else:
-            out.append(EffectiveCycle(cycle=arc.cycle, arcs=(arc,)))
-    return out
-
-
-def relaxed_path(matrix: ConnectionMatrix) -> PathSolution:
-    """The relaxed optimum as a path of ``"normal"`` arcs carrying the
-    matrix cycles; the same path, arcs and cost as
-    ``shortest_path(build_graph(matrix))``, without building the graph."""
-    prefix, _, pred = matrix.relaxed_distances()
-    arcs = []
-    for s, e in _relaxed_spans(pred):
-        info = CycleInfo(
-            start=s + 1,
-            end=e + 1,
-            order_up_to=float(matrix.level[s, e]),
-            closing=float(matrix.closing[s, e]),
-            cost=float(matrix.cost[s, e]),
-        )
-        arcs.append(Arc(NodeId(s + 1), NodeId(e + 2), "normal", info))
-    return PathSolution(
-        nodes=[NodeId(1)] + [a.v for a in arcs], arcs=arcs, total_cost=float(prefix[-1])
+def relaxed_path(matrix: ConnectionMatrix) -> Plan:
+    """The relaxed optimum at the matrix levels: the same schedule, levels
+    and cost as ``shortest_path(build_graph(matrix))``, without building the
+    graph."""
+    _, _, pred = matrix.relaxed_distances()
+    spans = _relaxed_spans(pred)
+    s, e = np.array(spans).T
+    return Plan(
+        tuple(spans),
+        tuple(matrix.level[s, e].tolist()),
+        tuple(matrix.closing[s, e].tolist()),
+        tuple(matrix.cost[s, e].tolist()),
     )
 
 
-@dataclass(frozen=True)
-class FeasibilityViolation:
-    """Expected inventory entering a review exceeds its order-up-to level."""
-
-    node: NodeId            # node whose review cannot absorb the carried stock
-    inbound: Arc            # last arc of the preceding cycle (carries closing)
-    outbound: Arc           # first arc of the violated cycle
-    closing: float
-    order_up_to: float
-    gap: float
-    effective_end: int      # last period of the violated cycle as realised
-    pair_index: int         # position in the effective-cycle sequence
-
-    def __str__(self):
-        return (
-            f"node {self.node}: carried {self.closing:.4f} exceeds "
-            f"order-up-to {self.order_up_to:.4f} (gap {self.gap:.4f})"
-        )
-
-
-def check_feasibility(path: PathSolution) -> List[FeasibilityViolation]:
-    """All negative-expected-order pairings along the path, in path order."""
-    cycles = effective_cycles(path)
-    violations = []
-    for idx in range(1, len(cycles)):
-        prev, cur = cycles[idx - 1], cycles[idx]
-        gap = prev.cycle.closing - cur.cycle.order_up_to
-        if gap > FEAS_TOL:
-            violations.append(
-                FeasibilityViolation(
-                    node=cur.review_node,
-                    inbound=prev.arcs[-1],
-                    outbound=cur.arcs[0],
-                    closing=prev.cycle.closing,
-                    order_up_to=cur.cycle.order_up_to,
-                    gap=gap,
-                    effective_end=cur.cycle.end,
-                    pair_index=idx,
-                )
-            )
-    return violations
-
-
-@dataclass
-class AugmentationStep:
-    """Record of one node split."""
-
-    node: NodeId
-    new_node: NodeId
-    gap: float
-    redirected_from: NodeId
-    recomputed_targets: List[int] = field(default_factory=list)
-    duplicated_targets: List[int] = field(default_factory=list)
-
-
-@dataclass
-class AugmentationTrace:
-    steps: List[AugmentationStep]
-
-    @property
-    def introduced_nodes(self) -> int:
-        return len(self.steps)
-
-
-def augment_once(graph: ReplenishmentGraph, violation: FeasibilityViolation) -> AugmentationStep:
-    """Split ``violation.node`` and rewire its options as described above.
-
-    Raises ``LotpathError`` if the violation no longer matches the graph
-    (both its arcs must still be present).
-    """
-    v = violation.node
-    inbound = violation.inbound
-    if graph.get_arc(inbound.u, inbound.v) is not inbound:
-        raise LotpathError(f"stale violation: inbound arc {inbound} is gone")
-    if graph.get_arc(violation.outbound.u, violation.outbound.v) is not violation.outbound:
-        raise LotpathError(f"stale violation: outbound arc {violation.outbound} is gone")
-    matrix = graph.matrix
-    if matrix is None:
-        raise LotpathError("graph carries no connection matrix; cannot augment")
-
-    start = inbound.cycle.start
-    absorbed = inbound.cycle.absorbed + (v.period,)
-    closing = inbound.cycle.closing
-    K = matrix.params.K
-
-    # furthest span starting here whose level the carried stock still exceeds;
-    # every such span becomes a merged cycle, never a duplicate that would
-    # violate the same pairing. The matrix row holds every span, including
-    # those whose arcs earlier splits removed from node v.
-    row = v.period - 1
-    ends = v.period + np.flatnonzero(matrix.level[row, row:] < closing - FEAS_TOL)
-    j = max(violation.effective_end, *ends.tolist())
-
-    w = graph.new_virtual(v.period)
-    step = AugmentationStep(node=v, new_node=w, gap=violation.gap, redirected_from=inbound.u)
-
-    graph.remove_arc(inbound)
-    graph.add_arc(Arc(inbound.u, w, inbound.kind, inbound.cycle, inbound.anchor))
-
-    # any other inbound carrying the same cycle span from the same start pairs
-    # with this node's options identically but at equal or higher cost; the
-    # fresh copy's arcs supersede it, so drop it rather than split it later
-    for other in graph.in_arcs(v):
-        oc = other.cycle
-        if (
-            oc.start == inbound.cycle.start
-            and oc.end == inbound.cycle.end
-            and oc.cost >= inbound.cycle.cost - 1e-12
-        ):
-            graph.remove_arc(other)
-
-    for k in range(v.period + 1, j + 2):
-        if not graph.has_node(NodeId(k)):
-            continue
-        info = CycleInfo(
-            start=start,
-            end=k - 1,
-            order_up_to=float(matrix.level[start - 1, k - 2]),
-            closing=float(matrix.closing[start - 1, k - 2]),
-            cost=float(matrix.cost[start - 1, k - 2]) + K * len(absorbed),
-            absorbed=absorbed,
-        )
-        graph.add_arc(Arc(w, NodeId(k), "recomputed", info, anchor=inbound.u))
-        step.recomputed_targets.append(k)
-
-    for x in range(j + 2, graph.horizon + 2):
-        if not graph.has_node(NodeId(x)):
-            continue
-        info = CycleInfo(
-            start=v.period,
-            end=x - 1,
-            order_up_to=float(matrix.level[row, x - 2]),
-            closing=float(matrix.closing[row, x - 2]),
-            cost=float(matrix.cost[row, x - 2]),
-        )
-        graph.add_arc(Arc(w, NodeId(x), "duplicated", info))
-        step.duplicated_targets.append(x)
-
-    graph.cleanup_isolated()
-    return step
-
-
-def repetitive_augment(
-    graph: ReplenishmentGraph, max_iterations: Optional[int] = None
-) -> Tuple[PathSolution, AugmentationTrace]:
-    """Re-solve and repair until the shortest path carries no violations.
-
-    Processes the earliest violation of each path and re-runs the shortest
-    path search after every split, so an upstream pairing broken by a merge
-    surfaces on the next round. Raises :class:`NonTerminationError` after
-    ``max_iterations`` splits (default 10 * horizon).
-
-    This is stage 2 of the repair, the paper's algorithm. Its plan is
-    feasible but not always the cheapest feasible one; the solve takes its
-    answer from :func:`reoptimise` (stage 3) instead.
-    """
-    cap = max_iterations if max_iterations is not None else 10 * graph.horizon
-    steps: List[AugmentationStep] = []
-    while True:
-        path = shortest_path(graph)
-        violations = check_feasibility(path)
-        if not violations:
-            return path, AugmentationTrace(steps=steps)
-        if len(steps) >= cap:
-            raise NonTerminationError(
-                f"feasibility repair did not terminate within {cap} splits",
-                diagnostics={
-                    "iterations": len(steps),
-                    "cap": cap,
-                    "introduced_nodes": len(steps),
-                    "node_count": len(graph.nodes),
-                    "arc_count": graph.arc_count,
-                    "outstanding_violations": [str(v) for v in violations],
-                },
-            )
-        steps.append(augment_once(graph, violations[0]))
+def check_feasibility(plan: Plan) -> List[int]:
+    """Indices k of the cycles whose level lies below the stock cycle k - 1
+    is expected to carry in, i.e. that expect a negative order; empty when
+    the plan is feasible."""
+    closings = np.array(plan.closings[:-1])
+    levels = np.array(plan.levels[1:])
+    return (np.flatnonzero(closings > levels + FEAS_TOL) + 1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +152,7 @@ def _grid_schedule(
     return schedule
 
 
-def _plan(matrix: ConnectionMatrix, plan: ConstrainedPlan) -> PathSolution:
-    """``plan`` as a path of ``"reoptimised"`` arcs."""
-    arcs = []
-    for (s, e), y, cost in zip(plan.spans, plan.levels, plan.costs):
-        info = CycleInfo(
-            start=s + 1,
-            end=e + 1,
-            order_up_to=y,
-            closing=y - float(matrix.mus[s, e - s]),
-            cost=cost,
-        )
-        arcs.append(Arc(NodeId(s + 1), NodeId(e + 2), "reoptimised", info))
-    return PathSolution(
-        nodes=[NodeId(1)] + [a.v for a in arcs], arcs=arcs, total_cost=plan.cost
-    )
-
-
-def reoptimise(matrix: ConnectionMatrix, relaxed: PathSolution) -> PathSolution:
+def reoptimise(matrix: ConnectionMatrix, relaxed: Plan) -> Plan:
     """Stage 3 of the repair: the cheapest feasible plan over all schedules.
 
     ``relaxed`` is the relaxed optimum (:func:`relaxed_path`). Its schedule
@@ -420,12 +168,9 @@ def reoptimise(matrix: ConnectionMatrix, relaxed: PathSolution) -> PathSolution:
     (``matrix.mus``/``matrix.sds``).
     """
     T = matrix.horizon
-    relaxed_schedule = tuple(
-        (c.cycle.start - 1, c.cycle.end - 1) for c in effective_cycles(relaxed)
-    )
     bound = matrix.bound_plan
-    if bound is None or bound.spans != relaxed_schedule:
-        bound = _constrained_plan(matrix, relaxed_schedule)
+    if bound is None or bound.spans != relaxed.spans:
+        bound = _constrained_plan(matrix, relaxed.spans)
     prefix, suffix, _ = matrix.relaxed_distances()
     keep = _admissible_spans(matrix.cost, bound.cost, prefix, suffix)
 
@@ -443,8 +188,7 @@ def reoptimise(matrix: ConnectionMatrix, relaxed: PathSolution) -> PathSolution:
         )
     ys = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
     schedule = _grid_schedule(matrix, keep, ys)
-    plans = [_plan(matrix, bound)]
-    if tuple(schedule) != relaxed_schedule:
-        plans.append(_plan(matrix, _constrained_plan(matrix, schedule)))
-
-    return min(plans, key=lambda plan: plan.total_cost)
+    plans = [bound]
+    if tuple(schedule) != relaxed.spans:
+        plans.append(_constrained_plan(matrix, schedule))
+    return min(plans, key=lambda plan: plan.cost)

@@ -15,11 +15,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
-from .augment import repetitive_augment
 from .bench import DESK_GRID, FULL_GRID, bench_to_csv, run_benchmark, summarize
 from .cycles import build_connection_matrix
 from .errors import InputError, LotpathError, NonTerminationError
-from .graph import build_graph, graph_dump
 from .instances import generate_instances, load_instance, save_instance
 from .simulate import Policy, expected_trace, simulate_policy
 from .solver import solve_instance
@@ -127,11 +125,12 @@ def _cmd_simulate(args) -> int:
     else:
         policy = solve_instance(inst).policy
     trace = expected_trace(inst, policy)
+    carried = [inst.initial_inventory] + [row.expected_closing for row in trace.rows]
     clipped_at = [
         row.period
-        for prev, row in zip(trace.rows, trace.rows[1:])
+        for stock, row in zip(carried, trace.rows)
         if row.review and row.order_up_to == row.order_up_to  # not nan
-        and prev.expected_closing > row.order_up_to + 1e-9
+        and stock > row.order_up_to + 1e-9
     ]
     if clipped_at and not args.allow_negative_orders:
         sys.stderr.write(
@@ -184,6 +183,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_export_graph(args) -> int:
+    from .graph import build_graph, graph_dump, repetitive_augment
+
     inst = load_instance(args.instance)
     graph = build_graph(build_connection_matrix(inst))
     if args.augmented:

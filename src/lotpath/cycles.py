@@ -65,6 +65,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,7 +79,7 @@ __all__ = [
     "CostParams",
     "CycleOptimum",
     "ConnectionMatrix",
-    "ConstrainedPlan",
+    "Plan",
     "cycle_cost_at",
     "optimize_order_up_to",
     "build_connection_matrix",
@@ -362,7 +364,7 @@ class ConnectionMatrix:
     (NaN past the horizon). The table is complete in every build. The
     re-optimising stage prices from the same rows.
 
-    ``bound_plan`` is the :class:`ConstrainedPlan` whose cost bounded a pruned
+    ``bound_plan`` is the :class:`Plan` whose cost bounded a pruned
     build: the relaxed schedule at its exact constrained levels. It is None
     when the build priced every span. A pruned build also keeps its final
     relaxed distances (:meth:`relaxed_distances`).
@@ -387,7 +389,7 @@ class ConnectionMatrix:
         self.mus = mus
         self.sds = sds
         self.total_mean = total_mean
-        self.bound_plan: Optional[ConstrainedPlan] = None
+        self.bound_plan: Optional[Plan] = None
         self._distances: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def relaxed_distances(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -512,26 +514,35 @@ def _schedule_levels(matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int
 
 
 @dataclass(frozen=True)
-class ConstrainedPlan:
-    """A review schedule at its exact constrained levels.
+class Plan:
+    """A review schedule with one order-up-to level per cycle.
 
-    ``spans`` are its cycles as 0-based (first, last) periods, ``levels``
-    their levels by :func:`_schedule_levels` and ``costs`` their expected
-    costs, priced like the matrix's cycles from its moment rows.
+    ``spans`` are its cycles as 0-based (first, last) periods; ``levels``,
+    ``closings`` and ``costs`` give each cycle's level, expected closing
+    inventory (the level less the cycle's mean demand) and expected cost.
+    The relaxed plan (:func:`lotpath.augment.relaxed_path`) keeps the matrix
+    levels; a constrained plan (:func:`_constrained_plan`) sets its
+    schedule's exact constrained levels, priced like the matrix's cycles
+    from its moment rows.
     """
 
     spans: Tuple[Tuple[int, int], ...]
     levels: Tuple[float, ...]
+    closings: Tuple[float, ...]
     costs: Tuple[float, ...]
 
     @property
     def cost(self) -> float:
-        return sum(self.costs)
+        """Total expected cost, added in period order as a path search adds it."""
+        return reduce(add, self.costs, 0.0)
+
+    @property
+    def node_labels(self) -> Tuple[str, ...]:
+        """The plan as a path over period nodes: each review period, then the sink."""
+        return tuple(str(s + 1) for s, _ in self.spans) + (str(self.spans[-1][1] + 2),)
 
 
-def _constrained_plan(
-    matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]]
-) -> ConstrainedPlan:
+def _constrained_plan(matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]]) -> Plan:
     """``schedule`` at its exact constrained levels, its cycles priced from
     the matrix's moment rows in one block per cycle length, as the matrix
     prices its own."""
@@ -545,7 +556,8 @@ def _constrained_plan(
         rows, terminal = starts[k], ends[k] == matrix.horizon - 1
         mus, sds = matrix.mus[rows, :n], matrix.sds[rows, :n]
         costs[k] = _block_costs(ys[k], mus, sds, matrix.params, terminal)
-    return ConstrainedPlan(tuple(schedule), tuple(levels), tuple(costs.tolist()))
+    closings = ys - matrix.mus[starts, lengths - 1]
+    return Plan(tuple(schedule), tuple(levels), tuple(closings.tolist()), tuple(costs.tolist()))
 
 
 def _lower_bounds(

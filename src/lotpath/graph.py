@@ -1,4 +1,4 @@
-"""Replenishment-cycle graph: construction, shortest path, CSV dump.
+"""The paper's stage 2: the replenishment-cycle graph and its split loop.
 
 Nodes 1..T+1 mark period starts (node T+1 is the sink). Arc (i, j) carries
 the optimised cycle covering periods i..j-1, so every 1 -> T+1 path is a
@@ -7,14 +7,31 @@ one pass over the nodes in period order (the Wagner-Whitin recursion) finds
 the minimum total expected cost schedule when order quantities are
 unrestricted in sign.
 
-The graph is the structure of the paper's split-and-re-solve loop
-(:func:`lotpath.augment.repetitive_augment`), which the solve does not run.
-The solve builds no graph: :func:`lotpath.augment.relaxed_path` finds the
-same relaxed path over the matrix arrays, and the tests keep
-:func:`shortest_path` on the complete graph as its reference.
+The solve builds no graph and does not run the loop:
+:func:`lotpath.augment.relaxed_path` finds the same relaxed plan over the
+matrix arrays (the tests keep :func:`shortest_path` on the complete graph
+as its reference), and :func:`lotpath.augment.reoptimise` gives the answer.
+The loop stays callable as the paper's algorithm (the worked example,
+``lotpath export-graph --augmented``); ``import lotpath`` loads this module
+on first use of one of its names.
 
-The split loop adds virtual copies of nodes. A virtual node always has
-exactly one inbound arc. Arcs come in three kinds:
+:func:`repetitive_augment` repairs a path that expects a negative order
+(:func:`path_violations`) by splitting the offending node i into a virtual
+copy i':
+
+* redirect: the violating inbound arc (m, i) is re-targeted to (m, i'),
+  payload unchanged; node i is cascade-deleted once nothing points at it;
+* recompute: arcs [i', k] for k = i+1 .. j+1 carry the merged cycle that
+  starts where the inbound cycle started and keeps a zero-quantity review
+  (one extra K) at period i, levels taken from the connection matrix;
+* duplicate: arcs (i', x) for x = j+2 .. T+1 copy the matrix cycles starting
+  at period i, so every longer outbound option survives unchanged,
+
+where j+1 is the furthest endpoint among outbound arcs of i that violate
+against the inbound closing inventory. The shortest path is then re-solved;
+the loop ends when the cheapest path is violation-free.
+
+A virtual node always has exactly one inbound arc. Arcs come in three kinds:
 
 * ``normal``: a cycle from the connection matrix (includes inbound arcs that
   were re-targeted to a virtual node, payload unchanged);
@@ -24,20 +41,18 @@ exactly one inbound arc. Arcs come in three kinds:
   pay n extra K), so when a path traverses it, the inbound arc it replaces
   must not be charged again: the traversal weight of a recomputed arc is
   ``cost`` minus the cost of its origin's single inbound arc.
-
-The re-optimising stage returns its plan as a path of a fourth kind,
-``reoptimised``: plain cycles whose levels may sit off their matrix values.
-Those arcs, and the ``normal`` arcs of :func:`lotpath.augment.relaxed_path`,
-belong to no graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .cycles import ConnectionMatrix
-from .errors import LotpathError
+import numpy as np
+
+from .augment import FEAS_TOL, check_feasibility
+from .cycles import ConnectionMatrix, Plan
+from .errors import LotpathError, NonTerminationError
 
 __all__ = [
     "NodeId",
@@ -48,6 +63,14 @@ __all__ = [
     "build_graph",
     "shortest_path",
     "graph_dump",
+    "EffectiveCycle",
+    "effective_cycles",
+    "FeasibilityViolation",
+    "path_violations",
+    "AugmentationStep",
+    "AugmentationTrace",
+    "augment_once",
+    "repetitive_augment",
 ]
 
 #: most negative traversal weight the search accepts as rounding noise
@@ -91,7 +114,7 @@ class CycleInfo:
 class Arc:
     u: NodeId
     v: NodeId
-    kind: str  # normal | duplicated | recomputed | reoptimised
+    kind: str  # normal | duplicated | recomputed
     cycle: CycleInfo
     anchor: Optional[NodeId] = None  # recomputed arcs: node whose inbound cycle was merged
 
@@ -303,3 +326,220 @@ def graph_dump(graph: ReplenishmentGraph) -> str:
             f"{arc.u},{arc.v},{arc.kind},{c.cost:.6f},{c.order_up_to:.6f},{c.closing:.6f}"
         )
     return "\n".join(lines) + "\n"
+
+# ---------------------------------------------------------------------------
+# stage 2: the split-and-re-solve loop
+
+
+@dataclass(frozen=True)
+class EffectiveCycle:
+    """One replenishment cycle as realised by a path.
+
+    A recomputed arc supersedes the redirect arc feeding its origin node, so
+    a cycle may span several consecutive path arcs; ``cycle`` is always the
+    payload that actually prices the covered periods.
+    """
+
+    cycle: CycleInfo
+    arcs: Tuple[Arc, ...]
+
+    @property
+    def review_node(self) -> NodeId:
+        return self.arcs[0].u
+
+
+def effective_cycles(path: PathSolution) -> List[EffectiveCycle]:
+    """Collapse a path's arc list into its realised cycle sequence."""
+    out: List[EffectiveCycle] = []
+    for arc in path.arcs:
+        if arc.kind == "recomputed":
+            if not out or out[-1].arcs[-1].v != arc.u:
+                raise LotpathError(f"recomputed arc {arc} has no inbound cycle on the path")
+            prev = out[-1]
+            out[-1] = EffectiveCycle(cycle=arc.cycle, arcs=prev.arcs + (arc,))
+        else:
+            out.append(EffectiveCycle(cycle=arc.cycle, arcs=(arc,)))
+    return out
+
+
+@dataclass(frozen=True)
+class FeasibilityViolation:
+    """Expected inventory entering a review exceeds its order-up-to level."""
+
+    node: NodeId            # node whose review cannot absorb the carried stock
+    inbound: Arc            # last arc of the preceding cycle (carries closing)
+    outbound: Arc           # first arc of the violated cycle
+    closing: float
+    order_up_to: float
+    gap: float
+    effective_end: int      # last period of the violated cycle as realised
+    pair_index: int         # position in the effective-cycle sequence
+
+    def __str__(self):
+        return (
+            f"node {self.node}: carried {self.closing:.4f} exceeds "
+            f"order-up-to {self.order_up_to:.4f} (gap {self.gap:.4f})"
+        )
+
+
+def path_violations(path: PathSolution) -> List[FeasibilityViolation]:
+    """All negative-expected-order pairings along the path, in path order:
+    :func:`lotpath.augment.check_feasibility` on its realised cycles."""
+    cycles = effective_cycles(path)
+    plan = Plan(
+        spans=tuple((c.cycle.start - 1, c.cycle.end - 1) for c in cycles),
+        levels=tuple(c.cycle.order_up_to for c in cycles),
+        closings=tuple(c.cycle.closing for c in cycles),
+        costs=tuple(c.cycle.cost for c in cycles),
+    )
+    violations = []
+    for idx in check_feasibility(plan):
+        prev, cur = cycles[idx - 1], cycles[idx]
+        violations.append(
+            FeasibilityViolation(
+                node=cur.review_node,
+                inbound=prev.arcs[-1],
+                outbound=cur.arcs[0],
+                closing=prev.cycle.closing,
+                order_up_to=cur.cycle.order_up_to,
+                gap=prev.cycle.closing - cur.cycle.order_up_to,
+                effective_end=cur.cycle.end,
+                pair_index=idx,
+            )
+        )
+    return violations
+
+
+@dataclass
+class AugmentationStep:
+    """Record of one node split."""
+
+    node: NodeId
+    new_node: NodeId
+    gap: float
+    redirected_from: NodeId
+    recomputed_targets: List[int] = field(default_factory=list)
+    duplicated_targets: List[int] = field(default_factory=list)
+
+
+@dataclass
+class AugmentationTrace:
+    steps: List[AugmentationStep]
+
+    @property
+    def introduced_nodes(self) -> int:
+        return len(self.steps)
+
+
+def augment_once(graph: ReplenishmentGraph, violation: FeasibilityViolation) -> AugmentationStep:
+    """Split ``violation.node`` and rewire its options as described above.
+
+    Raises ``LotpathError`` if the violation no longer matches the graph
+    (both its arcs must still be present).
+    """
+    v = violation.node
+    inbound = violation.inbound
+    if graph.get_arc(inbound.u, inbound.v) is not inbound:
+        raise LotpathError(f"stale violation: inbound arc {inbound} is gone")
+    if graph.get_arc(violation.outbound.u, violation.outbound.v) is not violation.outbound:
+        raise LotpathError(f"stale violation: outbound arc {violation.outbound} is gone")
+    matrix = graph.matrix
+    if matrix is None:
+        raise LotpathError("graph carries no connection matrix; cannot augment")
+
+    start = inbound.cycle.start
+    absorbed = inbound.cycle.absorbed + (v.period,)
+    closing = inbound.cycle.closing
+    K = matrix.params.K
+
+    # furthest span starting here whose level the carried stock still exceeds;
+    # every such span becomes a merged cycle, never a duplicate that would
+    # violate the same pairing. The matrix row holds every span, including
+    # those whose arcs earlier splits removed from node v.
+    row = v.period - 1
+    ends = v.period + np.flatnonzero(matrix.level[row, row:] < closing - FEAS_TOL)
+    j = max(violation.effective_end, *ends.tolist())
+
+    w = graph.new_virtual(v.period)
+    step = AugmentationStep(node=v, new_node=w, gap=violation.gap, redirected_from=inbound.u)
+
+    graph.remove_arc(inbound)
+    graph.add_arc(Arc(inbound.u, w, inbound.kind, inbound.cycle, inbound.anchor))
+
+    # any other inbound carrying the same cycle span from the same start pairs
+    # with this node's options identically but at equal or higher cost; the
+    # fresh copy's arcs supersede it, so drop it rather than split it later
+    for other in graph.in_arcs(v):
+        oc = other.cycle
+        if (
+            oc.start == inbound.cycle.start
+            and oc.end == inbound.cycle.end
+            and oc.cost >= inbound.cycle.cost - 1e-12
+        ):
+            graph.remove_arc(other)
+
+    for k in range(v.period + 1, j + 2):
+        if not graph.has_node(NodeId(k)):
+            continue
+        info = CycleInfo(
+            start=start,
+            end=k - 1,
+            order_up_to=float(matrix.level[start - 1, k - 2]),
+            closing=float(matrix.closing[start - 1, k - 2]),
+            cost=float(matrix.cost[start - 1, k - 2]) + K * len(absorbed),
+            absorbed=absorbed,
+        )
+        graph.add_arc(Arc(w, NodeId(k), "recomputed", info, anchor=inbound.u))
+        step.recomputed_targets.append(k)
+
+    for x in range(j + 2, graph.horizon + 2):
+        if not graph.has_node(NodeId(x)):
+            continue
+        info = CycleInfo(
+            start=v.period,
+            end=x - 1,
+            order_up_to=float(matrix.level[row, x - 2]),
+            closing=float(matrix.closing[row, x - 2]),
+            cost=float(matrix.cost[row, x - 2]),
+        )
+        graph.add_arc(Arc(w, NodeId(x), "duplicated", info))
+        step.duplicated_targets.append(x)
+
+    graph.cleanup_isolated()
+    return step
+
+
+def repetitive_augment(
+    graph: ReplenishmentGraph, max_iterations: Optional[int] = None
+) -> Tuple[PathSolution, AugmentationTrace]:
+    """Re-solve and repair until the shortest path carries no violations.
+
+    Processes the earliest violation of each path and re-runs the shortest
+    path search after every split, so an upstream pairing broken by a merge
+    surfaces on the next round. Raises :class:`NonTerminationError` after
+    ``max_iterations`` splits (default 10 * horizon).
+
+    This is stage 2 of the repair, the paper's algorithm. Its plan is
+    feasible but not always the cheapest feasible one; the solve takes its
+    answer from :func:`lotpath.augment.reoptimise` (stage 3) instead.
+    """
+    cap = max_iterations if max_iterations is not None else 10 * graph.horizon
+    steps: List[AugmentationStep] = []
+    while True:
+        path = shortest_path(graph)
+        violations = path_violations(path)
+        if not violations:
+            return path, AugmentationTrace(steps=steps)
+        if len(steps) >= cap:
+            raise NonTerminationError(
+                f"feasibility repair did not terminate within {cap} splits",
+                diagnostics={
+                    "iterations": len(steps),
+                    "cap": cap,
+                    "introduced_nodes": len(steps),
+                    "node_count": len(graph.nodes),
+                    "arc_count": graph.arc_count,
+                    "outstanding_violations": [str(v) for v in violations],
+                },
+            )
+        steps.append(augment_once(graph, violations[0]))

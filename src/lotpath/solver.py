@@ -1,4 +1,4 @@
-"""End-to-end solve: connection matrix, relaxed path, re-optimising repair.
+"""End-to-end solve: connection matrix, relaxed plan, re-optimising repair.
 
 The matrix prices each cycle at the bisected root of its newsvendor
 fractile condition; there is no other level method. The solve prices only
@@ -6,13 +6,14 @@ the spans that can matter: span lengths grow one at a time, and a start
 period stops growing once a lower bound shows that none of its longer spans
 lies on a plan within the re-optimising stage's bound
 (:func:`lotpath.cycles.build_connection_matrix` with ``prune=True``). The
-relaxed path comes straight from the matrix arrays
+relaxed plan comes straight from the matrix arrays
 (:func:`lotpath.augment.relaxed_path`). When it expects a negative order,
 the exact re-optimising stage :func:`lotpath.augment.reoptimise` gives the
 answer; it reuses the relaxed distances and the bound plan the pruned
-matrix carries. Both are those of the complete matrix, bit for bit. The paper's
-split-and-re-solve loop on the cycle graph
-(:func:`lotpath.augment.repetitive_augment`) is not on this path.
+matrix carries. Both are those of the complete matrix, bit for bit. Every
+plan is a :class:`~lotpath.cycles.Plan`; the solve builds no cycle graph and
+imports nothing from :mod:`lotpath.graph`, where the paper's
+split-and-re-solve loop lives.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
-from .augment import check_feasibility, effective_cycles, relaxed_path, reoptimise
-from .cycles import ConnectionMatrix, build_connection_matrix
-from .graph import PathSolution
+from .augment import check_feasibility, relaxed_path, reoptimise
+from .cycles import ConnectionMatrix, Plan, build_connection_matrix
 from .instances import InstanceSpec
 from .simulate import Policy
 
@@ -37,23 +37,11 @@ CV_LIMIT = 0.3
 _log = logging.getLogger(__name__)
 
 
-def policy_from_path(path: PathSolution, horizon: int) -> Policy:
-    """Translate a feasible path into the review schedule it encodes.
-
-    Each realised cycle contributes a review at its start period with the
-    cycle's order-up-to level; periods absorbed into a merged cycle keep
-    their review slot (it still costs K) but never order.
-    """
-    entries: List[Tuple[int, Optional[float]]] = []
-    for ec in effective_cycles(path):
-        entries.append((ec.cycle.start, ec.cycle.order_up_to))
-        for a in ec.cycle.absorbed:
-            entries.append((a, None))
-    entries.sort()
+def policy_from_path(plan: Plan, horizon: int) -> Policy:
+    """The review schedule ``plan`` encodes: a review at the first period of
+    each cycle, ordering up to the cycle's level."""
     return Policy(
-        horizon=horizon,
-        reviews=tuple(p for p, _ in entries),
-        levels=tuple(s for _, s in entries),
+        horizon=horizon, reviews=tuple(s + 1 for s, _ in plan.spans), levels=plan.levels
     )
 
 
@@ -65,8 +53,8 @@ class Solution:
     policy: Policy
     expected_cost: float
     relaxed_cost: float
-    path: PathSolution
-    relaxed_path: PathSolution
+    path: Plan
+    relaxed_path: Plan
     matrix: ConnectionMatrix
     relaxed_violations: int
     timings: Dict[str, float]
@@ -93,10 +81,10 @@ def solve_instance(instance: InstanceSpec) -> Solution:
     that a plan within the re-optimising bound can use, so ``matrix`` holds
     +inf for the others (``len(matrix)`` counts the priced ones); build the
     complete matrix with :func:`build_connection_matrix` for the cycle graph.
-    The relaxed optimum is the cheapest path over the matrix; when it
+    The relaxed optimum is the cheapest plan over the matrix; when it
     expects a negative order, the re-optimising stage's plan is the answer,
-    else the relaxed path itself. ``path``, ``policy`` and ``expected_cost``
-    describe that plan. Path costs below include the unit-cost credit for
+    else the relaxed plan itself. ``path``, ``policy`` and ``expected_cost``
+    describe that plan. The costs below include the unit-cost credit for
     initial inventory, so they are true expected policy costs. A cv above
     ``CV_LIMIT`` is solved, with a warning on the ``lotpath`` logger.
     """
@@ -120,8 +108,8 @@ def solve_instance(instance: InstanceSpec) -> Solution:
     return Solution(
         instance=instance,
         policy=policy_from_path(path, instance.horizon),
-        expected_cost=path.total_cost - offset,
-        relaxed_cost=relaxed.total_cost - offset,
+        expected_cost=path.cost - offset,
+        relaxed_cost=relaxed.cost - offset,
         path=path,
         relaxed_path=relaxed,
         matrix=matrix,

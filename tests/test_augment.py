@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import golden_spec
 from lotpath import (
     InstanceSpec,
     NonTerminationError,
@@ -18,6 +19,7 @@ from lotpath import (
     generate_instances,
     cycle_cost_at,
     expected_trace,
+    path_violations,
     policy_from_path,
     relaxed_path,
     reoptimise,
@@ -56,10 +58,21 @@ def plain_chain_optimum(matrix, horizon):
     return min(best[(s, horizon)] for s in range(1, horizon + 1))
 
 
+#: relaxed plans that expect negative orders: the golden instance, five
+#: lumpy T=8 instances and lumpy T=30
+LUMPY_T8 = generate_instances("lumpy", 8, 0.3, 225.0, 10.0, count=12, seed=7)
+ONE_RULE_CASES = [
+    golden_spec(),
+    *(LUMPY_T8[k] for k in (1, 3, 5, 7, 8)),
+    *generate_instances("lumpy", 30, 0.3, 225.0, 10.0, count=1, seed=7),
+]
+
+
 class TestCheckFeasibility:
     def test_golden_relaxed_violation(self, golden_matrix):
+        assert check_feasibility(relaxed_path(golden_matrix)) == [2]
         path = shortest_path(build_graph(golden_matrix))
-        violations = check_feasibility(path)
+        violations = path_violations(path)
         assert len(violations) == 1
         v = violations[0]
         assert v.node == NodeId(3)
@@ -71,6 +84,17 @@ class TestCheckFeasibility:
 
     def test_repaired_path_is_clean(self, golden_solution):
         assert check_feasibility(golden_solution.path) == []
+
+    @pytest.mark.parametrize("instance", ONE_RULE_CASES, ids=lambda inst: inst.name)
+    def test_one_rule_for_plans_and_graph_paths(self, instance):
+        # the loop's check on the graph path is the plan check on its cycles
+        sol = solve_instance(instance)
+        final = check_feasibility(sol.path)
+        assert type(final) is list and final == []
+        relaxed = check_feasibility(sol.relaxed_path)
+        assert len(relaxed) == sol.relaxed_violations > 0
+        path = shortest_path(build_graph(build_connection_matrix(instance)))
+        assert relaxed == [v.pair_index for v in path_violations(path)]
 
     def test_rising_demand_never_violates(self):
         inst = InstanceSpec(
@@ -164,23 +188,21 @@ class TestSingleSplit:
         assert cycles[1].review_node == NodeId(2)
         assert len(cycles[1].arcs) == 2
 
-        policy = policy_from_path(path, horizon=5)
-        assert policy.reviews == (1, 2, 3, 4)
-        assert policy.levels[2] is None  # absorbed review still pays K
-        assert policy.levels[1] == pytest.approx(203.3191, abs=1e-3)
-
 
 class TestRelaxedPath:
-    """The relaxed path over the matrix arrays against the graph search."""
+    """The relaxed plan over the matrix arrays against the graph search."""
 
     @staticmethod
     def assert_same_path(matrix):
         want = shortest_path(build_graph(matrix))
         got = relaxed_path(matrix)
+        cycles = [a.cycle for a in want.arcs]
         assert got.node_labels == want.node_labels
-        assert [a.cycle for a in got.arcs] == [a.cycle for a in want.arcs]
-        assert [a.kind for a in got.arcs] == [a.kind for a in want.arcs]
-        assert got.total_cost == want.total_cost
+        assert got.spans == tuple((c.start - 1, c.end - 1) for c in cycles)
+        assert got.levels == tuple(c.order_up_to for c in cycles)
+        assert got.closings == tuple(c.closing for c in cycles)
+        assert got.costs == tuple(c.cost for c in cycles)
+        assert got.cost == want.total_cost
 
     def test_golden(self, golden_matrix):
         self.assert_same_path(golden_matrix)
@@ -264,8 +286,6 @@ class TestSolveInstance:
 
     def test_initial_inventory_offsets_cost(self):
         # with z > 0, stock on hand is worth z per unit against the plan cost
-        from conftest import golden_spec
-
         sol = solve_instance(golden_spec(z=2.0, initial_inventory=10.0))
         ref = solve_instance(golden_spec(z=2.0, initial_inventory=0.0))
         assert sol.expected_cost == pytest.approx(ref.expected_cost - 20.0, abs=1e-6)
@@ -289,7 +309,7 @@ class TestTermination:
             sol = solve_instance(inst)
             assert check_feasibility(sol.path) == []
             loop, trace = repetitive_augment(build_graph(build_connection_matrix(inst)))
-            assert check_feasibility(loop) == []
+            assert path_violations(loop) == []
             assert trace.introduced_nodes <= 50
 
 
@@ -337,30 +357,28 @@ class TestReoptimise:
         return solve_instance(lumpy)
 
     def test_golden_keeps_the_loop_plan(self, golden, golden_matrix):
-        graph = build_graph(golden_matrix)
-        relaxed = shortest_path(graph)
-        loop, _ = repetitive_augment(graph)
-        plan = reoptimise(golden_matrix, relaxed)
-        want = policy_from_path(loop, golden.horizon)
+        loop, _ = repetitive_augment(build_graph(golden_matrix))
+        plan = reoptimise(golden_matrix, relaxed_path(golden_matrix))
+        want = [c.cycle for c in effective_cycles(loop)]
         got = policy_from_path(plan, golden.horizon)
-        assert got.reviews == want.reviews
-        assert got.levels == pytest.approx(want.levels, rel=1e-12)
-        assert plan.total_cost == pytest.approx(loop.total_cost, rel=1e-12)
+        assert got.reviews == tuple(c.start for c in want)
+        assert got.levels == pytest.approx([c.order_up_to for c in want], rel=1e-12)
+        assert plan.cost == pytest.approx(loop.total_cost, rel=1e-12)
 
     def test_replaces_a_costlier_loop_plan(self, lumpy, lumpy_solution):
         sol = lumpy_solution
         loop, _ = repetitive_augment(build_graph(build_connection_matrix(lumpy)))
         assert sol.relaxed_violations > 0
-        assert {a.kind for a in sol.path.arcs} == {"reoptimised"}
+        assert sol.path == reoptimise(sol.matrix, sol.relaxed_path)
         assert loop.total_cost == pytest.approx(1425.41, abs=0.01)
         assert sol.expected_cost == pytest.approx(1258.11, abs=0.01)
 
     def test_path_policy_and_cost_describe_one_plan(self, lumpy, lumpy_solution):
         sol = lumpy_solution
         assert check_feasibility(sol.path) == []
-        assert {a.kind for a in sol.path.arcs} == {"reoptimised"}
-        assert sol.policy.reviews == tuple(a.cycle.start for a in sol.path.arcs)
-        assert sol.policy.levels == tuple(a.cycle.order_up_to for a in sol.path.arcs)
+        assert sol.path == reoptimise(sol.matrix, sol.relaxed_path)
+        assert sol.policy.reviews == tuple(s + 1 for s, _ in sol.path.spans)
+        assert sol.policy.levels == sol.path.levels
         trace = expected_trace(lumpy, sol.policy)
         assert trace.total_cost == pytest.approx(sol.expected_cost, rel=1e-12)
         carried = 0.0
@@ -371,18 +389,18 @@ class TestReoptimise:
 
     def test_levels_are_the_constrained_optimum(self, lumpy, lumpy_solution):
         # no feasible perturbation of the schedule's levels is cheaper
-        cycles = [a.cycle for a in lumpy_solution.path.arcs]
+        plan = lumpy_solution.path
         T = lumpy.horizon
 
         def cost(levels):
             return sum(
-                cycle_cost_at(y, c.start, c.end, lumpy.demands, lumpy.params, c.end == T)
-                for y, c in zip(levels, cycles)
+                cycle_cost_at(y, s + 1, e + 1, lumpy.demands, lumpy.params, e + 1 == T)
+                for y, (s, e) in zip(levels, plan.spans)
             )
 
-        best = [c.order_up_to for c in cycles]
+        best = list(plan.levels)
         base = cost(best)
-        mus = [c.order_up_to - c.closing for c in cycles]
+        mus = [y - c for y, c in zip(plan.levels, plan.closings)]
         rng = np.random.default_rng(3)
         for scale in (1e-3, 1e-1, 5.0):
             for _ in range(100):
@@ -404,7 +422,7 @@ class TestReoptimise:
                     lambda cost, *_: np.triu(np.ones(cost.shape, dtype=bool)),
                 )
                 full = reoptimise(matrix, relaxed)
-            assert pruned.total_cost == pytest.approx(full.total_cost, abs=1e-9), inst.name
+            assert pruned.cost == pytest.approx(full.cost, abs=1e-9), inst.name
 
     def test_zero_mean_periods(self):
         inst = InstanceSpec(
@@ -413,7 +431,7 @@ class TestReoptimise:
         )
         sol = solve_instance(inst)
         assert sol.relaxed_violations == 2
-        assert {a.kind for a in sol.path.arcs} == {"reoptimised"}
+        assert sol.path == reoptimise(sol.matrix, sol.relaxed_path)
         assert check_feasibility(sol.path) == []
         assert expected_trace(inst, sol.policy).total_cost == pytest.approx(
             sol.expected_cost, rel=1e-12
@@ -431,13 +449,15 @@ class TestReoptimise:
             sol = solve_instance(inst)
             if sol.relaxed_violations == 0:
                 continue
-            cycles = [a.cycle for a in sol.path.arcs]
+            plan = sol.path
+            cycles = [(s + 1, e + 1, y) for (s, e), y in zip(plan.spans, plan.levels)]
             blocks = [[cycles[0]]]
-            for prev, cur in zip(cycles, cycles[1:]):
-                if abs(cur.order_up_to - prev.closing) <= 1e-9 * max(1.0, abs(cur.order_up_to)):
-                    blocks[-1].append(cur)
+            for k in range(1, len(cycles)):
+                y = plan.levels[k]
+                if abs(y - plan.closings[k - 1]) <= 1e-9 * max(1.0, abs(y)):
+                    blocks[-1].append(cycles[k])
                 else:
-                    blocks.append([cur])
+                    blocks.append([cycles[k]])
             means = np.array(inst.means)
             var = np.array([d.std_dev**2 for d in inst.demands])
             p = inst.params
@@ -446,19 +466,19 @@ class TestReoptimise:
 
                 def cdf_sum(shift):
                     total = 0.0
-                    for c in block:
-                        mu = np.cumsum(means[c.start - 1 : c.end])
-                        sd = np.sqrt(np.cumsum(var[c.start - 1 : c.end]))
-                        y = c.order_up_to + shift
+                    for start, end, level in block:
+                        mu = np.cumsum(means[start - 1 : end])
+                        sd = np.sqrt(np.cumsum(var[start - 1 : end]))
+                        y = level + shift
                         cdf = stats.norm.cdf(y, mu, np.where(sd > 0, sd, 1.0))
                         total += np.where(sd > 0, cdf, y >= mu).sum()
                     return total
 
-                n = sum(c.end - c.start + 1 for c in block)
-                terminal = block[-1].end == inst.horizon
+                n = sum(end - start + 1 for start, end, _ in block)
+                terminal = block[-1][1] == inst.horizon
                 target = (n * p.b - (p.z if terminal else 0.0)) / (p.b + p.h)
                 # x, the shared root, is a level plus the mean demand before it
-                x = max(abs(c.order_up_to + means[: c.start - 1].sum()) for c in block)
+                x = max(abs(level + means[: start - 1].sum()) for start, _, level in block)
                 tol = LEVEL_TOL * max(1.0, x)
                 assert cdf_sum(-tol) <= target <= cdf_sum(tol), (inst.name, block)
         assert blocks_checked == 22

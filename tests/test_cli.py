@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import golden_spec
-from lotpath import cli, repetitive_augment, save_instance
+from lotpath import graph, repetitive_augment, save_instance
 from lotpath.cli import main
 
 
@@ -81,11 +81,16 @@ class TestSimulate:
         policy.write_text(json.dumps(
             {"horizon": 5, "reviews": [1, 2], "levels": [400.0, 20.0]}
         ))
-        assert main([
-            "simulate", golden_file, "--policy", str(policy), "--reps", "100",
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "negative orders" in err and "period(s) [2]" in err
+        # period 1 carries the initial stock: the solve's S1 = 149.35 sits below 1000
+        stocked = tmp_path / "stocked.json"
+        save_instance(golden_spec(initial_inventory=1000.0), stocked)
+        for args, periods in (
+            ([golden_file, "--policy", str(policy)], "[2]"),
+            ([str(stocked), "--solve"], "[1]"),
+        ):
+            assert main(["simulate", *args, "--reps", "100"]) == 0
+            err = capsys.readouterr().err
+            assert "negative orders" in err and f"period(s) {periods}" in err
 
     def test_no_warning_in_set_point_mode(self, golden_file, tmp_path, capsys):
         policy = tmp_path / "policy.json"
@@ -160,7 +165,7 @@ class TestExportGraph:
 
     def test_exhausted_split_budget_is_exit_3(self, golden_file, capsys, monkeypatch):
         capped = functools.partial(repetitive_augment, max_iterations=0)
-        monkeypatch.setattr(cli, "repetitive_augment", capped)
+        monkeypatch.setattr(graph, "repetitive_augment", capped)
         assert main(["export-graph", golden_file, "--augmented"]) == 3
         err = capsys.readouterr().err
         assert "did not terminate" in err

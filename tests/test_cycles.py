@@ -381,12 +381,9 @@ def test_pruned_matrix_gives_the_complete_matrix_answer(instance):
     assert np.isnan(pruned.level[np.isinf(pruned.cost)]).all()
 
     relaxed = relaxed_path(dense)
-    assert sol.relaxed_path.node_labels == relaxed.node_labels
-    assert [a.cycle for a in sol.relaxed_path.arcs] == [a.cycle for a in relaxed.arcs]
-    assert sol.relaxed_path.total_cost == relaxed.total_cost
+    assert sol.relaxed_path == relaxed
     plan = reoptimise(dense, relaxed) if sol.relaxed_violations else relaxed
-    assert [a.cycle for a in sol.path.arcs] == [a.cycle for a in plan.arcs]
-    assert sol.path.total_cost == plan.total_cost
+    assert sol.path == plan
 
 
 def test_long_horizon_prices_a_tenth_of_the_spans():

@@ -7,14 +7,13 @@ from lotpath import (
     LotpathError,
     build_connection_matrix,
     build_graph,
-    check_feasibility,
     generate_instances,
     graph_dump,
+    path_violations,
     repetitive_augment,
     shortest_path,
 )
-from lotpath.augment import augment_once
-from lotpath.graph import Arc, CycleInfo, NodeId, ReplenishmentGraph
+from lotpath.graph import Arc, CycleInfo, NodeId, ReplenishmentGraph, augment_once
 
 
 def enumerated_optimum(graph):
@@ -226,7 +225,7 @@ class TestResumedSearch:
         g = build_graph(matrix)
         splits = 0
         while True:
-            violations = check_feasibility(assert_search_matches_full_pass(g))
+            violations = path_violations(assert_search_matches_full_pass(g))
             if not violations:
                 break
             augment_once(g, violations[0])

@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 
 import lotpath
-from lotpath import augment, solve_instance
+from lotpath import augment, save_instance, solve_instance
 
 from conftest import golden_spec
 
 SRC = Path(lotpath.__file__).resolve().parent.parent
 
-# run in a fresh interpreter: the test process has long since imported scipy.optimize
+# run in a fresh interpreter: the test process has long since imported
+# scipy.optimize and the paper's stage 2 (lotpath.graph)
 PROBE = """
 import json, sys
 import lotpath
@@ -25,10 +26,19 @@ package = "scipy.optimize" in sys.modules
 import lotpath.cli
 cli = "scipy.optimize" in sys.modules
 spec = lotpath.load_instance(json.loads(sys.argv[1]))
+lotpath.solve_instance(spec)
+lotpath.cli.main(["solve", sys.argv[2], "-o", sys.argv[3]])
+graph_after_solve = "lotpath.graph" in sys.modules
+lotpath.build_graph
+graph = "lotpath.graph" in sys.modules
+listed = {"build_graph", "repetitive_augment", "path_violations"} <= set(dir(lotpath))
 res = lotpath.schedule_enumeration_oracle(spec, constrained=False)
 print(json.dumps({
     "package": package,
     "cli": cli,
+    "graph_after_solve": graph_after_solve,
+    "graph": graph,
+    "dir_lists_graph": listed,
     "after_oracle": "scipy.optimize" in sys.modules,
     "best_cost": res.best_cost,
     "best_schedule": res.best_schedule,
@@ -36,10 +46,17 @@ print(json.dumps({
 """
 
 
-def test_import_leaves_the_oracle_unloaded_until_first_use(golden_solution):
+def test_import_leaves_the_oracle_unloaded_until_first_use(golden_solution, tmp_path):
+    # the same holds for the graph module: neither the import, the CLI nor a
+    # solve loads it, and its first name loads it
+    instance = tmp_path / "golden.json"
+    save_instance(golden_spec(), instance)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(golden_spec().to_dict())],
+        [
+            sys.executable, "-c", PROBE, json.dumps(golden_spec().to_dict()),
+            str(instance), str(tmp_path / "solution.json"),
+        ],
         env=env,
         capture_output=True,
         text=True,
@@ -49,9 +66,14 @@ def test_import_leaves_the_oracle_unloaded_until_first_use(golden_solution):
     probe = json.loads(out.stdout)
     assert probe["package"] is False
     assert probe["cli"] is False
+    assert probe["graph_after_solve"] is False
+    assert probe["graph"] is True
+    assert probe["dir_lists_graph"] is True
     assert probe["after_oracle"] is True
     assert probe["best_schedule"] == [1, 2, 3, 4]
     assert probe["best_cost"] == pytest.approx(golden_solution.relaxed_cost, abs=1e-9)
+    solution = json.loads((tmp_path / "solution.json").read_text())
+    assert solution["path"] == list(golden_solution.path.node_labels)
 
 
 def test_every_exported_name_resolves():
@@ -69,6 +91,7 @@ def test_dir_lists_the_oracle_names():
     names = dir(lotpath)
     assert "OracleResult" in names
     assert "schedule_enumeration_oracle" in names
+    assert "build_graph" in names and "repetitive_augment" in names
     assert set(lotpath.__all__) <= set(names)
 
 
