@@ -49,7 +49,7 @@ def report(label, policy):
 
 def main():
     sol = solve_instance(INSTANCE)
-    relaxed_policy = policy_from_path(sol.relaxed_path, INSTANCE.horizon)
+    relaxed_policy = policy_from_path(sol.relaxed_path)
 
     print(
         "relaxed plan reviews/levels:",

@@ -49,8 +49,8 @@ def show_matrix(matrix):
             if j < i:
                 cells.append(" " * 18)
             else:
-                e = matrix.entry(i, j)
-                cells.append(f"{e.expected_cost:9.2f}/{e.order_up_to:8.2f}")
+                cost, level = matrix.cost[i - 1, j - 1], matrix.level[i - 1, j - 1]
+                cells.append(f"{cost:9.2f}/{level:8.2f}")
         print(f"  {i:>3} " + "".join(cells))
     print()
 

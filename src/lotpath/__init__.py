@@ -26,11 +26,9 @@ from .augment import check_feasibility, relaxed_path, reoptimise
 from .cycles import (
     ConnectionMatrix,
     CostParams,
-    CycleOptimum,
     Plan,
     build_connection_matrix,
     cycle_cost_at,
-    optimize_order_up_to,
 )
 from .demand import PeriodDemand, complementary_loss, cumulative, loss
 from .errors import InputError, LotpathError, NonTerminationError, NumericalError
@@ -74,7 +72,6 @@ __all__ = [
     "ConnectionMatrix",
     "CostParams",
     "CycleInfo",
-    "CycleOptimum",
     "FeasibilityViolation",
     "InputError",
     "InstanceSpec",
@@ -102,7 +99,6 @@ __all__ = [
     "graph_dump",
     "load_instance",
     "loss",
-    "optimize_order_up_to",
     "path_violations",
     "policy_from_path",
     "relaxed_path",

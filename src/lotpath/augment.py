@@ -62,8 +62,7 @@ def relaxed_path(matrix: ConnectionMatrix) -> Plan:
     """The relaxed optimum at the matrix levels: the same schedule, levels
     and cost as ``shortest_path(build_graph(matrix))``, without building the
     graph."""
-    _, _, pred = matrix.relaxed_distances()
-    spans = _relaxed_spans(pred)
+    spans = _relaxed_spans(matrix.pred)
     s, e = np.array(spans).T
     return Plan(
         tuple(spans),
@@ -152,27 +151,25 @@ def _grid_schedule(
     return schedule
 
 
-def reoptimise(matrix: ConnectionMatrix, relaxed: Plan) -> Plan:
+def reoptimise(matrix: ConnectionMatrix) -> Plan:
     """Stage 3 of the repair: the cheapest feasible plan over all schedules.
 
-    ``relaxed`` is the relaxed optimum (:func:`relaxed_path`). Its schedule
-    at its exact constrained levels is a feasible plan, and that plan's cost
-    bounds the spans the grid dynamic program visits (see
-    :func:`_admissible_spans`); a pruned matrix carries that plan as
-    ``matrix.bound_plan`` and its relaxed distances, so neither is computed
-    again. The level grid (see ``GRID_PER_MEAN``) covers 0 and the matrix
-    optima of those spans: an optimal constrained level lies between the
-    lowest and highest stand-alone optimum of its plan. The recovered
-    schedule then gets its exact constrained levels. Returns the cheaper of
-    the two plans. Both price their spans from the matrix's moment table
-    (``matrix.mus``/``matrix.sds``).
+    The relaxed schedule (:func:`relaxed_path`) at its exact constrained
+    levels is a feasible plan, and that plan's cost bounds the spans the
+    grid dynamic program visits (see :func:`_admissible_spans`). A pruned
+    matrix carries that plan as ``matrix.bound_plan``; a matrix that priced
+    every span has none, and the plan is made here. The level grid (see
+    ``GRID_PER_MEAN``) covers 0 and the matrix optima of those spans: an
+    optimal constrained level lies between the lowest and highest
+    stand-alone optimum of its plan. The recovered schedule then gets its
+    exact constrained levels. Returns the cheaper of the two plans. Both
+    price their spans from the matrix's moment table
+    (``matrix.mus``/``matrix.sds``); the span bound reads the matrix's
+    relaxed distances (``matrix.prefix``/``matrix.suffix``).
     """
     T = matrix.horizon
-    bound = matrix.bound_plan
-    if bound is None or bound.spans != relaxed.spans:
-        bound = _constrained_plan(matrix, relaxed.spans)
-    prefix, suffix, _ = matrix.relaxed_distances()
-    keep = _admissible_spans(matrix.cost, bound.cost, prefix, suffix)
+    bound = matrix.bound_plan or _constrained_plan(matrix, _relaxed_spans(matrix.pred))
+    keep = _admissible_spans(matrix.cost, bound.cost, matrix.prefix, matrix.suffix)
 
     levels = matrix.level[keep]
     lo = min(0.0, float(levels.min()))
@@ -189,6 +186,6 @@ def reoptimise(matrix: ConnectionMatrix, relaxed: Plan) -> Plan:
     ys = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
     schedule = _grid_schedule(matrix, keep, ys)
     plans = [bound]
-    if tuple(schedule) != relaxed.spans:
+    if tuple(schedule) != bound.spans:
         plans.append(_constrained_plan(matrix, schedule))
     return min(plans, key=lambda plan: plan.cost)

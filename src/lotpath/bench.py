@@ -65,11 +65,12 @@ def run_benchmark(
     penalties: Sequence[float] = PENALTIES,
     replicates: int = 3,
     seed: int = 7,
-    holding: float = 1.0,
-    unit_cost: float = 0.0,
     progress: Optional[Callable[[BenchRecord], None]] = None,
 ) -> List[BenchRecord]:
-    """Solve the full factorial design and return one record per instance."""
+    """Solve the full factorial design and return one record per instance.
+
+    Every instance has holding cost 1 and no unit cost, the generator's
+    defaults."""
     records: List[BenchRecord] = []
     for pattern in patterns:
         for T in horizons:
@@ -83,8 +84,6 @@ def run_benchmark(
                             K=K,
                             b=b,
                             count=replicates,
-                            h=holding,
-                            z=unit_cost,
                             seed=seed,
                         )
                         for inst in instances:

@@ -100,15 +100,23 @@ def _load_policy(path: str) -> Policy:
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
     try:
-        return Policy(
-            horizon=int(data["horizon"]),
-            reviews=tuple(int(r) for r in data["reviews"]),
-            levels=tuple(None if s is None else float(s) for s in data["levels"]),
-        )
+        horizon, reviews, levels = data["horizon"], data["reviews"], data["levels"]
     except KeyError as e:
         raise InputError(f"{path}: missing policy field {e.args[0]!r}") from e
-    except (TypeError, ValueError) as e:
-        raise InputError(f"{path}: malformed policy: {e}") from e
+    if not (isinstance(reviews, list) and isinstance(levels, list)):
+        raise InputError(f"{path}: policy fields 'reviews' and 'levels' must be arrays")
+    # JSON integers only: int() would truncate 3.7 to 3 and take true for 1
+    bad = [v for v in [horizon, *reviews] if not isinstance(v, int) or isinstance(v, bool)]
+    if bad:
+        raise InputError(f"{path}: policy horizon and reviews must be integers, got {bad[0]!r}")
+    bad = [s for s in levels if not isinstance(s, (int, float)) or isinstance(s, bool)]
+    if bad:
+        raise InputError(f"{path}: policy levels must be numbers, got {bad[0]!r}")
+    try:
+        levels = tuple(float(s) for s in levels)
+    except OverflowError as e:  # an integer beyond the float range
+        raise InputError(f"{path}: policy level out of range: {e}") from e
+    return Policy(horizon=horizon, reviews=tuple(reviews), levels=levels)
 
 
 def _cmd_solve(args) -> int:
@@ -129,8 +137,7 @@ def _cmd_simulate(args) -> int:
     clipped_at = [
         row.period
         for stock, row in zip(carried, trace.rows)
-        if row.review and row.order_up_to == row.order_up_to  # not nan
-        and stock > row.order_up_to + 1e-9
+        if row.review and stock > row.order_up_to + 1e-9
     ]
     if clipped_at and not args.allow_negative_orders:
         sys.stderr.write(
@@ -194,6 +201,8 @@ def _cmd_export_graph(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise InputError(f"--count must be >= 1, got {args.count}")
     instances = generate_instances(
         pattern=args.pattern,
         horizon=args.horizon,

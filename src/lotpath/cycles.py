@@ -77,11 +77,9 @@ from .errors import NumericalError
 
 __all__ = [
     "CostParams",
-    "CycleOptimum",
     "ConnectionMatrix",
     "Plan",
     "cycle_cost_at",
-    "optimize_order_up_to",
     "build_connection_matrix",
 ]
 
@@ -94,6 +92,8 @@ Y_TOL = 1e-6
 BOUND_TOL = 1e-9
 #: relative tolerance of the exact constrained levels of a schedule
 LEVEL_TOL = 1e-9
+#: geometric expansions a bisection bracket gets before it gives up
+MAX_EXPAND = 64
 
 
 @dataclass(frozen=True)
@@ -118,22 +118,6 @@ class CostParams:
             raise ValueError(f"penalty cost b must exceed holding cost h, got b={self.b} h={self.h}")
         if not 0 <= self.z < self.b:
             raise ValueError(f"unit cost z must satisfy 0 <= z < b, got z={self.z} b={self.b}")
-
-
-@dataclass(frozen=True)
-class CycleOptimum:
-    """Optimal order-up-to level and expected cost of one cycle.
-
-    ``expected_closing`` is the expected inventory at the end of the cycle
-    and equals ``order_up_to - cumulative mean`` exactly.
-    """
-
-    first_period: int
-    last_period: int
-    order_up_to: float
-    expected_cost: float
-    expected_closing: float
-    terminal: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +172,18 @@ def _block_costs(
     return base + (params.h * hi + params.b * lo).sum(axis=1)
 
 
-def _bisect_roots(
-    g, lo: np.ndarray, hi: np.ndarray, y_tol: float, max_expand: int = 64
-) -> np.ndarray:
+def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray, y_tol: float) -> np.ndarray:
     """Roots of non-decreasing functions, one per row, by plain bisection.
 
     ``g(y, rows)`` evaluates the functions of ``rows`` at the points ``y``;
     ``rows`` is an index array, or ``slice(None)`` for every row, which
-    gathers nothing. Each bracket expands geometrically until its signs
-    differ; a row that cannot be bracketed raises :class:`NumericalError`
-    describing its interval and function signs. Bisection then evaluates
-    every row at each step, but a row whose bracket is no wider than its
-    tolerance keeps it, so each row follows exactly the midpoints a scalar
-    bisection of its own function would. A row's tolerance is ``y_tol``, or
+    gathers nothing. Each bracket expands geometrically, at most
+    ``MAX_EXPAND`` times, until its signs differ; a row that cannot be
+    bracketed raises :class:`NumericalError` describing its interval and
+    function signs. Bisection then evaluates every row at each step, but a
+    row whose bracket is no wider than its tolerance keeps it, so each row
+    follows exactly the midpoints a scalar bisection of its own function
+    would. A row's tolerance is ``y_tol``, or
     two ulps of its bracketed ends where that is wider (beyond 2**32), so a
     midpoint always lies strictly inside a bracket still being halved.
     """
@@ -213,7 +196,7 @@ def _bisect_roots(
     expansions = 0
     bad = rows[(g_lo > 0.0) | (g_hi < 0.0)]
     while bad.size:
-        if expansions >= max_expand:
+        if expansions >= MAX_EXPAND:
             r = bad[0]
             raise NumericalError(
                 f"could not bracket the optimum: g({lo[r]:.6g})={g_lo[r]:.6g}, "
@@ -316,35 +299,6 @@ def cycle_cost_at(
     return total
 
 
-def optimize_order_up_to(
-    first: int,
-    last: int,
-    demands: Sequence[PeriodDemand],
-    params: CostParams,
-    terminal: bool = False,
-) -> CycleOptimum:
-    """Minimise the expected cost of cycle ``first..last`` over y.
-
-    Solves the newsvendor fractile condition on the (monotone) cost
-    derivative by bisection to ``Y_TOL``: the kernels of
-    :func:`build_connection_matrix`, run on this one cycle.
-    """
-    means, var = _moments(demands)
-    mus = np.cumsum(means[first - 1 : last])[None, :]
-    sds = np.sqrt(np.cumsum(var[first - 1 : last]))[None, :]
-    flags = np.array([terminal])
-    y = _cycle_levels(mus, sds, params, flags)
-    cost = _block_costs(y, mus, sds, params, flags)
-    return CycleOptimum(
-        first_period=first,
-        last_period=last,
-        order_up_to=float(y[0]),
-        expected_cost=float(cost[0]),
-        expected_closing=float(y[0] - mus[0, -1]),
-        terminal=terminal,
-    )
-
-
 class ConnectionMatrix:
     """Optimised cycles of one instance as (horizon x horizon) arrays.
 
@@ -353,10 +307,9 @@ class ConnectionMatrix:
     of the cycle covering periods i..j (1 <= i <= j <= horizon); entries
     below the diagonal are NaN. A span that a pruned build left unpriced
     holds cost +inf, so no search or ``np.argmin`` takes it, and NaN level
-    and closing. ``len()`` counts the priced spans; ``entry(i, j)`` wraps one
-    priced cycle as a :class:`CycleOptimum` and ``items()`` lists them all.
-    Cycles ending at the horizon are terminal and include the unit-cost term
-    that depends on the level.
+    and closing. ``len()`` counts the priced spans. Cycles ending at the
+    horizon are terminal and include the unit-cost term that depends on the
+    level.
 
     ``mus`` and ``sds`` are the moment table the cycles were priced from:
     ``mus[i - 1, n - 1]`` and ``sds[i - 1, n - 1]`` are the mean and standard
@@ -364,11 +317,16 @@ class ConnectionMatrix:
     (NaN past the horizon). The table is complete in every build. The
     re-optimising stage prices from the same rows.
 
-    ``bound_plan`` is the :class:`Plan` whose cost bounded a pruned
+    ``prefix``, ``suffix`` and ``pred`` are the relaxed distances over the
+    finished ``cost`` (see :func:`_relaxed_distances`), set once by every
+    build. ``bound_plan`` is the :class:`Plan` whose cost bounded a pruned
     build: the relaxed schedule at its exact constrained levels. It is None
-    when the build priced every span. A pruned build also keeps its final
-    relaxed distances (:meth:`relaxed_distances`).
+    when the build priced every span.
     """
+
+    prefix: np.ndarray
+    suffix: np.ndarray
+    pred: np.ndarray
 
     def __init__(
         self,
@@ -390,38 +348,9 @@ class ConnectionMatrix:
         self.sds = sds
         self.total_mean = total_mean
         self.bound_plan: Optional[Plan] = None
-        self._distances: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    def relaxed_distances(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Relaxed distances over ``cost`` (see :func:`_relaxed_distances`);
-        a pruned build keeps the ones it computed last instead of recomputing."""
-        return self._distances if self._distances is not None else _relaxed_distances(self.cost)
-
-    def entry(self, first: int, last: int) -> CycleOptimum:
-        if not 1 <= first <= last <= self.horizon or math.isinf(self.cost[first - 1, last - 1]):
-            raise KeyError((first, last))
-        i, j = first - 1, last - 1
-        return CycleOptimum(
-            first_period=first,
-            last_period=last,
-            order_up_to=float(self.level[i, j]),
-            expected_cost=float(self.cost[i, j]),
-            expected_closing=float(self.closing[i, j]),
-            terminal=last == self.horizon,
-        )
 
     def __len__(self):
         return int(np.isfinite(self.cost).sum())
-
-    def items(self) -> List[Tuple[Tuple[int, int], CycleOptimum]]:
-        """All priced cycles as ``((i, j), entry)`` pairs, by start then end period."""
-        T = self.horizon
-        return [
-            ((i, j), self.entry(i, j))
-            for i in range(1, T + 1)
-            for j in range(i, T + 1)
-            if not math.isinf(self.cost[i - 1, j - 1])
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +523,7 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     plan within the re-optimising stage's bound can use its longer spans (see
     the module docstring): the solve's relaxed path and plan are those of the
     complete matrix, and ``bound_plan`` holds the plan that set the bound.
-    Every priced span equals its entry in the complete matrix bit for bit.
+    Every priced span equals the complete matrix's bit for bit.
     """
     params = instance.params
     T = instance.horizon
@@ -648,6 +577,5 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
             matrix.bound_plan = _constrained_plan(matrix, _relaxed_spans(pred))
         bound = matrix.bound_plan.cost
         rows = rows[through[rows] - slack <= bound + BOUND_TOL * abs(bound)]
-    if prune:
-        matrix._distances = _relaxed_distances(cost)
+    matrix.prefix, matrix.suffix, matrix.pred = _relaxed_distances(cost)
     return matrix

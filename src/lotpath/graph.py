@@ -116,7 +116,6 @@ class Arc:
     v: NodeId
     kind: str  # normal | duplicated | recomputed
     cycle: CycleInfo
-    anchor: Optional[NodeId] = None  # recomputed arcs: node whose inbound cycle was merged
 
     @property
     def cost(self) -> float:
@@ -464,7 +463,7 @@ def augment_once(graph: ReplenishmentGraph, violation: FeasibilityViolation) -> 
     step = AugmentationStep(node=v, new_node=w, gap=violation.gap, redirected_from=inbound.u)
 
     graph.remove_arc(inbound)
-    graph.add_arc(Arc(inbound.u, w, inbound.kind, inbound.cycle, inbound.anchor))
+    graph.add_arc(Arc(inbound.u, w, inbound.kind, inbound.cycle))
 
     # any other inbound carrying the same cycle span from the same start pairs
     # with this node's options identically but at equal or higher cost; the
@@ -489,7 +488,7 @@ def augment_once(graph: ReplenishmentGraph, violation: FeasibilityViolation) -> 
             cost=float(matrix.cost[start - 1, k - 2]) + K * len(absorbed),
             absorbed=absorbed,
         )
-        graph.add_arc(Arc(w, NodeId(k), "recomputed", info, anchor=inbound.u))
+        graph.add_arc(Arc(w, NodeId(k), "recomputed", info))
         step.recomputed_targets.append(k)
 
     for x in range(j + 2, graph.horizon + 2):

@@ -106,12 +106,15 @@ def _from_mapping(data: dict, origin: str = "instance") -> InstanceSpec:
         kwargs[k] = data[k]
     for k, default in _OPTIONAL.items():
         kwargs[k] = data.get(k, default)
-    if not isinstance(kwargs["horizon"], int):
+    if not isinstance(kwargs["horizon"], int) or isinstance(kwargs["horizon"], bool):
         raise InputError(f"{origin}: field 'horizon' must be an integer")
     if not isinstance(kwargs["means"], list):
         raise InputError(f"{origin}: field 'means' must be an array")
     if len(kwargs["means"]) == 0:
         raise InputError(f"{origin}: field 'means' must not be empty")
+    for t, m in enumerate(kwargs["means"], start=1):
+        if not isinstance(m, (int, float)) or isinstance(m, bool):
+            raise InputError(f"{origin}: field 'means': period {t} value {m!r} is not a number")
     for fname in ("cv", "K", "z", "h", "b", "initial_inventory"):
         v = kwargs[fname]
         if not isinstance(v, (int, float)) or isinstance(v, bool):

@@ -1,8 +1,9 @@
 """Brute-force reference solver over all review schedules.
 
-Enumerates every schedule with a review in period 1 (2^(T-1) of them) and
-optimises the order-up-to levels per schedule, independently of the graph
-machinery, so it can vouch for the shortest-path result on small horizons.
+Enumerates every schedule with a review in period 1 (2^(T-1) of them, for
+horizons up to ``MAX_ORACLE_HORIZON``) and optimises the order-up-to levels
+per schedule, independently of the solve, so it can vouch for the solve's
+relaxed and repaired plans on small horizons.
 
 Two modes:
 
@@ -11,8 +12,9 @@ Two modes:
 * constrained: levels must additionally absorb the stock carried between
   cycles (expected closing of a cycle never exceeds the next level), i.e. no
   expected negative orders. A suffix-minimum grid DP over a shared level
-  grid gives a start; SLSQP then solves the levels exactly, with every
-  hand-off as a linear constraint.
+  grid, stepping by 1/200 of the average period mean, gives a start; SLSQP
+  then solves the levels exactly, with every hand-off as a linear
+  constraint.
 
 The oracle keeps its own Normal loss and CDF kernels and its own level
 solve, on purpose: it shares no code with the solver it checks.
@@ -199,29 +201,23 @@ def _constrained_schedule(
     return min((total(exact), exact), (total(levels), levels), key=lambda c: c[0])
 
 
-def schedule_enumeration_oracle(
-    instance: InstanceSpec,
-    constrained: bool = True,
-    grid_step: Optional[float] = None,
-    max_horizon: int = MAX_ORACLE_HORIZON,
-) -> OracleResult:
+def schedule_enumeration_oracle(instance: InstanceSpec, constrained: bool = True) -> OracleResult:
     """Exact-by-enumeration benchmark for small instances.
 
-    Raises :class:`InputError` beyond ``max_horizon`` periods; the schedule
-    count doubles per period. ``grid_step`` defaults to 1/200 of the average
-    period mean (constrained mode only).
+    Raises :class:`InputError` beyond ``MAX_ORACLE_HORIZON`` periods; the
+    schedule count doubles per period. The constrained mode's level grid
+    steps by 1/200 of the average period mean.
     """
     T = instance.horizon
-    if T > max_horizon:
+    if T > MAX_ORACLE_HORIZON:
         raise InputError(
-            f"oracle enumerates 2^(T-1) schedules; horizon {T} exceeds cap {max_horizon}"
+            f"oracle enumerates 2^(T-1) schedules; horizon {T} exceeds cap {MAX_ORACLE_HORIZON}"
         )
     total_mean = sum(d.mean for d in instance.demands)
     total_sd = math.sqrt(sum(d.std_dev ** 2 for d in instance.demands))
     ymax = max(1.0, total_mean + 12.0 * total_sd)
-    if grid_step is None:
-        grid_step = max(total_mean / T, 1e-3) / 200.0
-    grid = np.arange(0.0, ymax + grid_step, grid_step)
+    step = max(total_mean / T, 1e-3) / 200.0
+    grid = np.arange(0.0, ymax + step, step)
     table = _CycleTable(instance, grid)
     offset = instance.params.z * instance.initial_inventory
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,21 +34,17 @@ __all__ = [
     "expected_trace",
 ]
 
-DEFAULT_CHUNK = 65536
+#: replications per chunk; chunk k draws from substream k of the seed
+CHUNK = 65536
 
 
 @dataclass(frozen=True)
 class Policy:
-    """Static review schedule with one order-up-to level per review.
-
-    A level of ``None`` marks a review that pays the fixed cost but never
-    orders; inventory simply carries through. Such reviews arise when two
-    cycles are merged during feasibility repair.
-    """
+    """Static review schedule with one finite order-up-to level per review."""
 
     horizon: int
     reviews: Tuple[int, ...]
-    levels: Tuple[Optional[float], ...]
+    levels: Tuple[float, ...]
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -68,20 +64,18 @@ class Policy:
             prev = r
         if prev > self.horizon:
             raise InputError(f"review period {prev} beyond horizon {self.horizon}")
-        if self.levels[0] is None:
-            raise InputError("the first review must carry an order-up-to level")
         for s in self.levels:
-            if s is not None and not math.isfinite(s):
-                raise InputError(f"order-up-to levels must be finite, got {s}")
+            if s is None or not math.isfinite(s):
+                raise InputError(f"order-up-to levels must be finite numbers, got {s}")
 
-    def level_by_period(self) -> Dict[int, Optional[float]]:
+    def level_by_period(self) -> Dict[int, float]:
         return dict(zip(self.reviews, self.levels))
 
     def to_dict(self) -> dict:
         return {
             "horizon": self.horizon,
             "reviews": list(self.reviews),
-            "levels": [None if s is None else float(s) for s in self.levels],
+            "levels": [float(s) for s in self.levels],
         }
 
 
@@ -121,15 +115,13 @@ def simulate_policy(
     n_reps: int = 100_000,
     seed: int = 0,
     allow_negative_orders: bool = False,
-    chunk: int = DEFAULT_CHUNK,
 ) -> SimulationReport:
     """Estimate the expected total cost of ``policy`` on ``instance``.
 
     Demand is drawn per period from the instance's Normal marginals
     (independent across periods and replications). Work is done in chunks of
-    replications; each chunk uses its own spawned RNG substream, so results
-    are reproducible for a given (seed, chunk) and independent of chunk count
-    only through the stream layout.
+    ``CHUNK`` replications; chunk k draws from its own spawned RNG substream
+    k, so a report is reproducible for a given seed and replication count.
     """
     if n_reps < 1:
         raise InputError(f"n_reps must be >= 1, got {n_reps}")
@@ -142,7 +134,6 @@ def simulate_policy(
     means = np.array([d.mean for d in instance.demands], dtype=float)
     stds = np.array([d.std_dev for d in instance.demands], dtype=float)
     level_at = policy.level_by_period()
-    review_set = set(policy.reviews)
 
     t0 = time.perf_counter()
     total = 0.0
@@ -153,7 +144,7 @@ def simulate_policy(
     done = 0
     index = 0
     while done < n_reps:
-        c = min(chunk, n_reps - done)
+        c = min(CHUNK, n_reps - done)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
         demand = rng.normal(means, stds, size=(c, T))
         inv = np.full(c, float(instance.initial_inventory))
@@ -163,17 +154,16 @@ def simulate_policy(
         holding = np.zeros(c)
         penalty = np.zeros(c)
         for t in range(1, T + 1):
-            if t in review_set:
+            if t in level_at:
                 setup += params.K
                 s = level_at[t]
-                if s is not None:
-                    if allow_negative_orders:
-                        q = s - inv
-                        inv = np.full(c, s)
-                    else:
-                        q = np.maximum(0.0, s - inv)
-                        inv = inv + q
-                    order += params.z * q
+                if allow_negative_orders:
+                    q = s - inv
+                    inv = np.full(c, s)
+                else:
+                    q = np.maximum(0.0, s - inv)
+                    inv = inv + q
+                order += params.z * q
             inv = inv - demand[:, t - 1]
             holding += params.h * np.maximum(inv, 0.0)
             penalty += params.b * np.maximum(-inv, 0.0)
@@ -253,22 +243,21 @@ def expected_trace(instance, policy: Policy) -> ExpectedTrace:
     demands: Sequence[PeriodDemand] = instance.demands
     level_at = policy.level_by_period()
 
-    review_set = set(policy.reviews)
     rows: List[TraceRow] = []
     total = 0.0
     prev_closing = float(instance.initial_inventory)
     seg_start = 1
     seg_level = 0.0
     for t in range(1, T + 1):
-        is_review = t in review_set
-        s = level_at.get(t) if is_review else None
+        is_review = t in level_at
         if is_review:
+            s = level_at[t]
             total += params.K
-        if s is not None:
             total += params.z * (s - prev_closing)
             seg_start, seg_level = t, s
             opening = s
         else:
+            s = math.nan
             opening = prev_closing
         acc = cumulative(demands, seg_start, t)
         hold = params.h * complementary_loss(seg_level, acc)
@@ -279,7 +268,7 @@ def expected_trace(instance, policy: Policy) -> ExpectedTrace:
             TraceRow(
                 period=t,
                 review=is_review,
-                order_up_to=s if s is not None else math.nan,
+                order_up_to=s,
                 expected_opening=opening,
                 expected_closing=closing,
                 expected_holding=hold,

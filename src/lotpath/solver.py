@@ -9,7 +9,7 @@ lies on a plan within the re-optimising stage's bound
 relaxed plan comes straight from the matrix arrays
 (:func:`lotpath.augment.relaxed_path`). When it expects a negative order,
 the exact re-optimising stage :func:`lotpath.augment.reoptimise` gives the
-answer; it reuses the relaxed distances and the bound plan the pruned
+answer; it reads the relaxed distances and the bound plan the pruned
 matrix carries. Both are those of the complete matrix, bit for bit. Every
 plan is a :class:`~lotpath.cycles.Plan`; the solve builds no cycle graph and
 imports nothing from :mod:`lotpath.graph`, where the paper's
@@ -37,11 +37,14 @@ CV_LIMIT = 0.3
 _log = logging.getLogger(__name__)
 
 
-def policy_from_path(plan: Plan, horizon: int) -> Policy:
+def policy_from_path(plan: Plan) -> Policy:
     """The review schedule ``plan`` encodes: a review at the first period of
-    each cycle, ordering up to the cycle's level."""
+    each cycle, ordering up to the cycle's level, over the periods up to the
+    plan's last."""
     return Policy(
-        horizon=horizon, reviews=tuple(s + 1 for s, _ in plan.spans), levels=plan.levels
+        horizon=plan.spans[-1][1] + 1,
+        reviews=tuple(s + 1 for s, _ in plan.spans),
+        levels=plan.levels,
     )
 
 
@@ -101,13 +104,13 @@ def solve_instance(instance: InstanceSpec) -> Solution:
     relaxed = relaxed_path(matrix)
     relaxed_violations = len(check_feasibility(relaxed))
     t2 = time.perf_counter()
-    path = reoptimise(matrix, relaxed) if relaxed_violations else relaxed
+    path = reoptimise(matrix) if relaxed_violations else relaxed
     t3 = time.perf_counter()
 
     offset = instance.params.z * instance.initial_inventory
     return Solution(
         instance=instance,
-        policy=policy_from_path(path, instance.horizon),
+        policy=policy_from_path(path),
         expected_cost=path.cost - offset,
         relaxed_cost=relaxed.cost - offset,
         path=path,

@@ -14,13 +14,11 @@ from scipy import stats
 
 from conftest import golden_spec
 from lotpath import (
-    CostParams,
-    PeriodDemand,
+    InstanceSpec,
     build_connection_matrix,
     build_graph,
     check_feasibility,
     generate_instances,
-    optimize_order_up_to,
     policy_from_path,
     repetitive_augment,
     schedule_enumeration_oracle,
@@ -66,16 +64,17 @@ def test_worked_example_numerics(criterion, golden_matrix):
     g = build_graph(golden_matrix)
     repetitive_augment(g)
     merged = g.get_arc(NodeId(3, 1), NodeId(4)).cycle
+    level, closing = golden_matrix.level, golden_matrix.closing  # [first - 1, last - 1]
 
     checks = [
-        ("single-period level S2", golden_matrix.entry(2, 2).order_up_to, 187.0, 0.5),
-        ("single-period level S3", golden_matrix.entry(3, 3).order_up_to, 37.0, 0.5),
-        ("two-period level (3,5)", golden_matrix.entry(3, 4).order_up_to, 83.0, 0.5),
+        ("single-period level S2", level[1, 1], 187.0, 0.5),
+        ("single-period level S3", level[2, 2], 37.0, 0.5),
+        ("two-period level (3,5)", level[2, 3], 83.0, 0.5),
         ("merged-cycle level", merged.order_up_to, 203.3237, 0.01),
         ("merged-cycle cost", merged.cost, 264.9488, 0.5),
         ("merged-cycle closing", merged.closing, 53.3144, 0.01),
-        ("closing stock I1", golden_matrix.entry(1, 1).expected_closing, 49.0, 0.5),
-        ("closing stock I2", golden_matrix.entry(2, 2).expected_closing, 62.0, 0.5),
+        ("closing stock I1", closing[0, 0], 49.0, 0.5),
+        ("closing stock I2", closing[1, 1], 62.0, 0.5),
     ]
     failures = [
         f"{name} {got:.4f} vs {want}±{tol}"
@@ -95,7 +94,7 @@ def test_worked_example_numerics(criterion, golden_matrix):
 
 
 def test_monte_carlo_reproduction(criterion, golden, golden_solution):
-    relaxed_policy = policy_from_path(golden_solution.relaxed_path, golden.horizon)
+    relaxed_policy = policy_from_path(golden_solution.relaxed_path)
     t0 = time.perf_counter()
     rep_aug = simulate_policy(
         golden, golden_solution.policy, n_reps=500_000, seed=0,
@@ -124,6 +123,12 @@ def test_monte_carlo_reproduction(criterion, golden, golden_solution):
 # 4. fractile property of single-period cycles
 
 
+def one_period_level(mean, cv, K, h, b):
+    """The optimal level of a one-period instance's only cycle."""
+    inst = InstanceSpec(horizon=1, means=(mean,), cv=cv, K=K, z=0.0, h=h, b=b)
+    return build_connection_matrix(inst).level[0, 0]
+
+
 def test_single_period_fractile_suite(criterion):
     rng = np.random.default_rng(2026)
     worst_fractile = 0.0
@@ -134,16 +139,12 @@ def test_single_period_fractile_suite(criterion):
         h = rng.uniform(0.5, 4.0)
         b = h * rng.uniform(1.5, 25.0)
         K = rng.uniform(0.0, 500.0)
-        demand = [PeriodDemand(mean=mean, std_dev=cv * mean)]
-        params = CostParams(K=K, z=0.0, h=h, b=b)
-        opt = optimize_order_up_to(1, 1, demand, params)
+        level = one_period_level(mean, cv, K, h, b)
         target = mean + cv * mean * stats.norm.ppf(b / (b + h))
-        worst_fractile = max(worst_fractile, abs(opt.order_up_to - target))
+        worst_fractile = max(worst_fractile, abs(level - target))
         if i % 5 == 0:
-            shifted = optimize_order_up_to(
-                1, 1, demand, CostParams(K=K + 123.456, z=0.0, h=h, b=b)
-            )
-            worst_shift = max(worst_shift, abs(shifted.order_up_to - opt.order_up_to))
+            shifted = one_period_level(mean, cv, K + 123.456, h, b)
+            worst_shift = max(worst_shift, abs(shifted - level))
     ok = worst_fractile <= 1e-4 and worst_shift <= 1e-6
     criterion(
         4, "newsvendor fractile suite (1000 cycles)", ok,
@@ -240,6 +241,11 @@ def test_final_policies_feasible_and_trends(criterion, desk_sweep):
     assert erratic_aug == 0
     assert big_k_aug == 0
     assert rho_trend and b_trend
+    # the re-optimising stage's bound plan, when a pruned build certifies
+    # one, has the relaxed schedule
+    for *_, sol in desk_sweep:
+        bound = sol.matrix.bound_plan
+        assert bound is None or bound.spans == sol.relaxed_path.spans
 
 
 def test_cost_inflation_band(criterion, desk_sweep):

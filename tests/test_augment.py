@@ -28,7 +28,7 @@ from lotpath import (
     solve_instance,
 )
 from lotpath import augment
-from lotpath.cycles import LEVEL_TOL
+from lotpath.cycles import LEVEL_TOL, _relaxed_distances
 from lotpath.graph import NodeId, ReplenishmentGraph
 
 
@@ -45,15 +45,14 @@ def plain_chain_optimum(matrix, horizon):
     best = {}
     for end in range(1, horizon + 1):
         for start in range(1, end + 1):
-            entry = matrix.entry(start, end)
+            cost = matrix.cost[start - 1, end - 1]
             if start == 1:
-                cand = entry.expected_cost
+                cand = cost
             else:
                 cand = math.inf
                 for m in range(1, start):
-                    prev = matrix.entry(m, start - 1)
-                    if prev.expected_closing <= entry.order_up_to + 1e-9:
-                        cand = min(cand, best[(m, start - 1)] + entry.expected_cost)
+                    if matrix.closing[m - 1, start - 2] <= matrix.level[start - 1, end - 1] + 1e-9:
+                        cand = min(cand, best[(m, start - 1)] + cost)
             best[(start, end)] = cand
     return min(best[(s, horizon)] for s in range(1, horizon + 1))
 
@@ -156,9 +155,8 @@ class TestSingleSplit:
         for target, span_end in ((5, 4), (6, 5)):
             dup = g.get_arc(NodeId(3, 1), NodeId(target))
             assert dup.kind == "duplicated"
-            entry = golden_matrix.entry(3, span_end)
-            assert dup.cycle.cost == entry.expected_cost
-            assert dup.cycle.order_up_to == entry.order_up_to
+            assert dup.cycle.cost == golden_matrix.cost[2, span_end - 1]
+            assert dup.cycle.order_up_to == golden_matrix.level[2, span_end - 1]
             assert dup.cycle.absorbed == ()
 
     def test_final_path_uses_duplicate(self, repaired):
@@ -225,15 +223,23 @@ class TestRelaxedPath:
     def test_cost_tie_takes_the_smallest_predecessor(self, golden):
         # integer costs add exactly; the sink is then reached from node 3 at
         # exactly the distance of the relaxed path's node 4, and both
-        # searches must keep the smaller node 3
+        # searches must keep the smaller node 3. The build's relaxed
+        # distances are recomputed after each edit of its costs.
         matrix = build_connection_matrix(golden)
-        matrix.cost[:] = np.round(matrix.cost)
+
+        def set_costs(cost):
+            matrix.cost[:] = cost
+            matrix.prefix, matrix.suffix, matrix.pred = _relaxed_distances(matrix.cost)
+
+        set_costs(np.round(matrix.cost))
         T = matrix.horizon
         prefix = [0.0]
         for e in range(T):
             prefix.append(min(prefix[s] + matrix.cost[s, e] for s in range(e + 1)))
         assert relaxed_path(matrix).node_labels[-2] == "4"
-        matrix.cost[2, T - 1] = prefix[T] - prefix[2]
+        cost = matrix.cost.copy()
+        cost[2, T - 1] = prefix[T] - prefix[2]
+        set_costs(cost)
         assert prefix[2] + matrix.cost[2, T - 1] == prefix[3] + matrix.cost[3, T - 1]
         self.assert_same_path(matrix)
         assert relaxed_path(matrix).node_labels[-2] == "3"
@@ -356,11 +362,11 @@ class TestReoptimise:
     def lumpy_solution(self, lumpy):
         return solve_instance(lumpy)
 
-    def test_golden_keeps_the_loop_plan(self, golden, golden_matrix):
+    def test_golden_keeps_the_loop_plan(self, golden_matrix):
         loop, _ = repetitive_augment(build_graph(golden_matrix))
-        plan = reoptimise(golden_matrix, relaxed_path(golden_matrix))
+        plan = reoptimise(golden_matrix)
         want = [c.cycle for c in effective_cycles(loop)]
-        got = policy_from_path(plan, golden.horizon)
+        got = policy_from_path(plan)
         assert got.reviews == tuple(c.start for c in want)
         assert got.levels == pytest.approx([c.order_up_to for c in want], rel=1e-12)
         assert plan.cost == pytest.approx(loop.total_cost, rel=1e-12)
@@ -369,14 +375,14 @@ class TestReoptimise:
         sol = lumpy_solution
         loop, _ = repetitive_augment(build_graph(build_connection_matrix(lumpy)))
         assert sol.relaxed_violations > 0
-        assert sol.path == reoptimise(sol.matrix, sol.relaxed_path)
+        assert sol.path == reoptimise(sol.matrix)
         assert loop.total_cost == pytest.approx(1425.41, abs=0.01)
         assert sol.expected_cost == pytest.approx(1258.11, abs=0.01)
 
     def test_path_policy_and_cost_describe_one_plan(self, lumpy, lumpy_solution):
         sol = lumpy_solution
         assert check_feasibility(sol.path) == []
-        assert sol.path == reoptimise(sol.matrix, sol.relaxed_path)
+        assert sol.path == reoptimise(sol.matrix)
         assert sol.policy.reviews == tuple(s + 1 for s, _ in sol.path.spans)
         assert sol.policy.levels == sol.path.levels
         trace = expected_trace(lumpy, sol.policy)
@@ -414,14 +420,13 @@ class TestReoptimise:
             pattern="lumpy", horizon=20, rho=0.3, K=225.0, b=10.0, count=3, seed=7
         ):
             matrix = build_connection_matrix(inst)
-            relaxed = relaxed_path(matrix)
-            pruned = reoptimise(matrix, relaxed)
+            pruned = reoptimise(matrix)
             with monkeypatch.context() as m:
                 m.setattr(
                     augment, "_admissible_spans",
                     lambda cost, *_: np.triu(np.ones(cost.shape, dtype=bool)),
                 )
-                full = reoptimise(matrix, relaxed)
+                full = reoptimise(matrix)
             assert pruned.cost == pytest.approx(full.cost, abs=1e-9), inst.name
 
     def test_zero_mean_periods(self):
@@ -431,7 +436,7 @@ class TestReoptimise:
         )
         sol = solve_instance(inst)
         assert sol.relaxed_violations == 2
-        assert sol.path == reoptimise(sol.matrix, sol.relaxed_path)
+        assert sol.path == reoptimise(sol.matrix)
         assert check_feasibility(sol.path) == []
         assert expected_trace(inst, sol.policy).total_cost == pytest.approx(
             sol.expected_cost, rel=1e-12

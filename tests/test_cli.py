@@ -47,10 +47,16 @@ class TestSolve:
 
     def test_validation_failure_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        data = golden_spec().to_dict()
-        data["means"] = []
-        bad.write_text(json.dumps(data))
-        assert main(["solve", str(bad)]) == 2
+        # booleans are JSON numbers to Python's int and float; not here
+        one_period = dict(golden_spec().to_dict(), horizon=1, means=[100.0])
+        for change, message in (
+            (dict(means=[]), "'means' must not be empty"),
+            (dict(horizon=True), "'horizon' must be an integer"),
+            (dict(means=[True]), "period 1 value True is not a number"),
+        ):
+            bad.write_text(json.dumps(dict(one_period, **change)))
+            assert main(["solve", str(bad)]) == 2, change
+            assert message in capsys.readouterr().err
 
     def test_high_cv_warning_on_stderr(self, golden_file, tmp_path, capsys):
         assert main(["solve", golden_file]) == 0
@@ -112,6 +118,21 @@ class TestSimulate:
         lines = trace.read_text().strip().splitlines()
         assert lines[0].startswith("period,review,")
         assert len(lines) == 6
+
+    def test_policy_file_takes_integers_and_numbers_only(self, golden_file, tmp_path, capsys):
+        # int() would simulate horizon 5 and reviews (1, 3) here; a null
+        # level is not a review schedule
+        policy = tmp_path / "policy.json"
+        for data, message in (
+            ({"horizon": 5.9, "reviews": [1, 3], "levels": [300.0, 100.0]}, "got 5.9"),
+            ({"horizon": 5, "reviews": [1, 3.7], "levels": [300.0, 100.0]}, "got 3.7"),
+            ({"horizon": 5, "reviews": [True, 3], "levels": [300.0, 100.0]}, "got True"),
+            ({"horizon": 5, "reviews": [1, 3], "levels": [300.0, None]}, "got None"),
+            ({"horizon": 5, "reviews": [1, 3], "levels": [300.0, 10**400]}, "out of range"),
+        ):
+            policy.write_text(json.dumps(data))
+            assert main(["simulate", golden_file, "--policy", str(policy)]) == 2, data
+            assert message in capsys.readouterr().err
 
     def test_broken_policy_file(self, golden_file, tmp_path, capsys):
         policy = tmp_path / "policy.json"
@@ -196,6 +217,13 @@ class TestGen:
         payload = json.loads(capsys.readouterr().out)
         assert payload["horizon"] == 4
         assert len(payload["means"]) == 4
+
+    def test_count_below_one_is_input_error(self, capsys):
+        assert main([
+            "gen", "--pattern", "lumpy", "--horizon", "4", "--rho", "0.2",
+            "--fixed-cost", "100", "--penalty", "5", "--count", "0",
+        ]) == 2
+        assert "--count must be >= 1" in capsys.readouterr().err
 
     def test_bad_pattern_choice(self, capsys):
         with pytest.raises(SystemExit) as exc:

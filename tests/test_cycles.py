@@ -32,7 +32,6 @@ from lotpath import (
     cycle_cost_at,
     generate_instances,
     loss,
-    optimize_order_up_to,
     relaxed_path,
     reoptimise,
     solve_instance,
@@ -43,7 +42,8 @@ from conftest import golden_spec
 
 GOLDEN_PARAMS = CostParams(K=50.0, z=0.0, h=1.0, b=19.0)
 
-# (first, last) -> (order_up_to, expected_cost)
+# (first, last) -> (order_up_to, expected_cost); the matrix holds cycle
+# (i, j) at [i - 1, j - 1]
 GOLDEN_ENTRIES = {
     (1, 1): (149.3456, 111.8814),
     (2, 2): (186.6820, 127.3517),
@@ -81,42 +81,39 @@ class TestCostParams:
 
 
 class TestOptimizer:
-    def test_single_period_newsvendor_fractile(self, golden):
+    def test_single_period_newsvendor_fractile(self, golden_matrix):
         # closed-form check: S = mu + sigma * Phi^-1(b/(b+h))
-        opt = optimize_order_up_to(2, 2, golden.demands, GOLDEN_PARAMS)
         expected = 125.0 + 37.5 * stats.norm.ppf(19.0 / 20.0)
-        assert opt.order_up_to == pytest.approx(expected, abs=1e-4)
+        assert golden_matrix.level[1, 1] == pytest.approx(expected, abs=1e-4)
 
-    def test_fixed_cost_shift_leaves_optimum(self, golden):
-        base = optimize_order_up_to(3, 4, golden.demands, GOLDEN_PARAMS)
-        shifted_params = CostParams(K=550.0, z=0.0, h=1.0, b=19.0)
-        shifted = optimize_order_up_to(3, 4, golden.demands, shifted_params)
-        assert shifted.order_up_to == pytest.approx(base.order_up_to, abs=1e-6)
-        assert shifted.expected_cost - base.expected_cost == pytest.approx(500.0, abs=1e-9)
+    def test_fixed_cost_shift_leaves_optimum(self, golden_matrix):
+        shifted = build_connection_matrix(golden_spec(K=550.0))
+        assert shifted.level[2, 3] == pytest.approx(golden_matrix.level[2, 3], abs=1e-6)
+        assert shifted.cost[2, 3] - golden_matrix.cost[2, 3] == pytest.approx(500.0, abs=1e-9)
 
-    def test_cost_components_sum(self, golden):
+    def test_cost_components_sum(self, golden, golden_matrix):
         # one on-hand and one shortage term per covered period, each against
         # the demand accumulated since the order
-        opt = optimize_order_up_to(2, 4, golden.demands, GOLDEN_PARAMS)
-        y = opt.order_up_to
+        y = golden_matrix.level[1, 3]
         accumulated = [cumulative(golden.demands, 2, k) for k in (2, 3, 4)]
         total = GOLDEN_PARAMS.K + sum(
             GOLDEN_PARAMS.h * complementary_loss(y, d) + GOLDEN_PARAMS.b * loss(y, d)
             for d in accumulated
         )
-        assert opt.expected_cost == pytest.approx(total, rel=1e-9)
+        assert golden_matrix.cost[1, 3] == pytest.approx(total, rel=1e-9)
 
-    def test_local_optimality(self, golden):
-        opt = optimize_order_up_to(1, 3, golden.demands, GOLDEN_PARAMS)
+    def test_local_optimality(self, golden, golden_matrix):
+        y, cost = golden_matrix.level[0, 2], golden_matrix.cost[0, 2]
         at = lambda y: cycle_cost_at(y, 1, 3, golden.demands, GOLDEN_PARAMS)
-        assert at(opt.order_up_to) == pytest.approx(opt.expected_cost, rel=1e-9)
+        assert at(y) == pytest.approx(cost, rel=1e-9)
         for delta in (0.5, 5.0, 50.0):
-            assert at(opt.order_up_to + delta) >= opt.expected_cost - 1e-9
-            assert at(opt.order_up_to - delta) >= opt.expected_cost - 1e-9
+            assert at(y + delta) >= cost - 1e-9
+            assert at(y - delta) >= cost - 1e-9
 
-    def test_expected_closing_is_level_minus_mean(self, golden):
-        opt = optimize_order_up_to(2, 3, golden.demands, GOLDEN_PARAMS)
-        assert opt.expected_closing == pytest.approx(opt.order_up_to - 150.0, rel=1e-9)
+    def test_expected_closing_is_level_minus_mean(self, golden_matrix):
+        assert golden_matrix.closing[1, 2] == pytest.approx(
+            golden_matrix.level[1, 2] - 150.0, rel=1e-9
+        )
 
     def test_terminal_flag_adds_unit_cost_on_level(self, golden):
         # interior cycles price z on the cycle mean, terminal ones on the level;
@@ -129,7 +126,7 @@ class TestOptimizer:
 
     def test_bracket_failure_raises(self):
         with pytest.raises(NumericalError, match="bracket"):
-            _bisect_roots(lambda y, rows: np.ones_like(y), [0.0], [1.0], y_tol=1e-6, max_expand=8)
+            _bisect_roots(lambda y, rows: np.ones_like(y), [0.0], [1.0], y_tol=1e-6)
 
     def test_converged_rows_keep_their_bracket(self):
         # a narrow bracket converges in 20 halvings, a 1e6-wide one in 40 and
@@ -177,27 +174,37 @@ class TestConnectionMatrix:
 
     def test_frozen_values(self, golden_matrix):
         for (i, j), (level, cost) in GOLDEN_ENTRIES.items():
-            entry = golden_matrix.entry(i, j)
-            assert entry.expected_cost == pytest.approx(cost, abs=1e-3), (i, j)
+            assert golden_matrix.cost[i - 1, j - 1] == pytest.approx(cost, abs=1e-3), (i, j)
             if level is not None:
-                assert entry.order_up_to == pytest.approx(level, abs=1e-3), (i, j)
+                assert golden_matrix.level[i - 1, j - 1] == pytest.approx(level, abs=1e-3), (i, j)
 
-    def test_terminal_marking(self, golden_matrix):
-        for (i, j), entry in golden_matrix.items():
-            assert entry.terminal == (j == 5)
+    def test_terminal_marking(self):
+        # cycles ending at the horizon carry the unit cost on their level,
+        # the others on their mean demand: z (y - mean) apart at a fixed y
+        inst = golden_spec(z=2.0)
+        matrix = build_connection_matrix(inst)
+        for i, j in zip(*np.triu_indices(5)):
+            y = matrix.level[i, j]
+            interior, terminal = (
+                cycle_cost_at(y, i + 1, j + 1, inst.demands, inst.params, terminal=flag)
+                for flag in (False, True)
+            )
+            want = terminal if j == 4 else interior
+            assert matrix.cost[i, j] == pytest.approx(want, rel=1e-12), (i, j)
+            assert terminal - interior == pytest.approx(2.0 * matrix.closing[i, j], rel=1e-9)
 
     def test_levels_satisfy_first_order_condition(self, golden, golden_matrix):
         # stationarity: the cdf values of the cumulative demands, summed over
         # the covered periods, must equal n * b/(b+h) at the optimum
-        for (i, j), entry in golden_matrix.items():
+        for s, e in zip(*np.triu_indices(5)):
             total = 0.0
             mean = var = 0.0
-            for m in golden.means[i - 1 : j]:
+            for m in golden.means[s : e + 1]:
                 mean += m
                 var += (0.3 * m) ** 2
-                total += stats.norm.cdf(entry.order_up_to, mean, math.sqrt(var))
-            n = j - i + 1
-            assert total == pytest.approx(n * 19.0 / 20.0, abs=1e-4), (i, j)
+                total += stats.norm.cdf(golden_matrix.level[s, e], mean, math.sqrt(var))
+            n = e - s + 1
+            assert total == pytest.approx(n * 19.0 / 20.0, abs=1e-4), (s + 1, e + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +252,14 @@ def test_batched_matrix_matches_scalar_bisection(instance):
     means = np.array([d.mean for d in instance.demands])
     var = np.array([d.std_dev**2 for d in instance.demands])
     T = instance.horizon
-    for (i, j), entry in matrix.items():
-        mus = np.cumsum(means[i - 1 : j])
-        sds = np.sqrt(np.cumsum(var[i - 1 : j]))
+    for s, e in zip(*np.triu_indices(T)):
+        i, j = s + 1, e + 1
+        mus = np.cumsum(means[s:j])
+        sds = np.sqrt(np.cumsum(var[s:j]))
         level = scalar_level(mus, sds, instance.params, terminal=j == T)
-        assert entry.order_up_to == level, (i, j)
+        assert matrix.level[s, e] == level, (i, j)
         cost = cycle_cost_at(level, i, j, instance.demands, instance.params, terminal=j == T)
-        assert entry.expected_cost == pytest.approx(cost, rel=1e-12, abs=0.0), (i, j)
+        assert matrix.cost[s, e] == pytest.approx(cost, rel=1e-12, abs=0.0), (i, j)
 
 
 def test_zero_mean_periods_emit_no_warning():
@@ -382,7 +390,11 @@ def test_pruned_matrix_gives_the_complete_matrix_answer(instance):
 
     relaxed = relaxed_path(dense)
     assert sol.relaxed_path == relaxed
-    plan = reoptimise(dense, relaxed) if sol.relaxed_violations else relaxed
+    # the re-optimising stage takes a pruned build's bound plan as the
+    # relaxed schedule's constrained plan
+    bound = pruned.bound_plan
+    assert bound is None or bound.spans == sol.relaxed_path.spans
+    plan = reoptimise(dense) if sol.relaxed_violations else relaxed
     assert sol.path == plan
 
 

@@ -32,3 +32,30 @@ def test_worked_example():
 
 def test_negative_orders():
     run_demo("negative_orders.py")
+
+
+def test_readme_quick_start():
+    # the Python block under "Quick start" runs, and every printed value
+    # with a comment matches that comment (to 4 decimals for floats)
+    readme = (SRC.parent / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    printed = out.stdout.splitlines()
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
+    commented = [
+        (k, line.split("#", 1)[1].strip().split("  ")[0])
+        for k, line in enumerate(prints)
+        if "#" in line
+    ]
+    assert [want for _, want in commented] == ["(1, 2, 3, 5)", "447.4670", "437.3540"]
+    for k, want in commented:
+        got = printed[k]
+        if want.startswith("("):
+            assert got == want
+        else:
+            assert f"{float(got):.4f}" == want

@@ -2,6 +2,7 @@
 
 import pytest
 
+from lotpath import simulate
 from lotpath import (
     InputError,
     InstanceSpec,
@@ -39,8 +40,10 @@ class TestPolicyValidation:
             Policy(horizon=3, reviews=(1, 2), levels=(10.0,))
 
     def test_first_level_cannot_be_blank(self):
-        with pytest.raises(InputError, match="first review"):
-            Policy(horizon=3, reviews=(1, 2), levels=(None, 10.0))
+        # no level may be blank: every review orders up to a number
+        for levels in ((None, 10.0), (190.0, None)):
+            with pytest.raises(InputError, match="finite numbers, got None"):
+                Policy(horizon=3, reviews=(1, 2), levels=levels)
 
     def test_levels_must_be_finite(self):
         with pytest.raises(InputError, match="finite"):
@@ -64,14 +67,17 @@ class TestSimulatePolicy:
         b = simulate_policy(inst, policy, n_reps=5_000, seed=2)
         assert a.mean_cost != b.mean_cost
 
-    def test_chunking_does_not_change_the_stream(self):
+    def test_chunking_does_not_change_the_stream(self, monkeypatch):
         # the substream layout depends only on the chunk index
         inst = small_instance()
         policy = Policy(horizon=3, reviews=(1,), levels=(200.0,))
-        whole = simulate_policy(inst, policy, n_reps=4_096, seed=5, chunk=4_096)
-        split = simulate_policy(inst, policy, n_reps=4_096, seed=5, chunk=1_024)
+
+        def run(chunk):
+            monkeypatch.setattr(simulate, "CHUNK", chunk)
+            return simulate_policy(inst, policy, n_reps=4_096, seed=5)
+
+        whole, split, wide = run(4_096), run(1_024), run(8_192)
         assert whole.mean_cost != split.mean_cost  # different layouts
-        wide = simulate_policy(inst, policy, n_reps=4_096, seed=5, chunk=8_192)
         assert whole.mean_cost == wide.mean_cost  # single chunk either way
 
     def test_near_deterministic_demand(self):
@@ -93,16 +99,6 @@ class TestSimulatePolicy:
         assert len(rep.closing_means) == 3
         lo, hi = rep.ci95
         assert lo < rep.mean_cost < hi
-
-    def test_blank_level_review_costs_exactly_k_more(self):
-        # a review that never orders leaves every trajectory untouched
-        inst = small_instance()
-        merged = Policy(horizon=3, reviews=(1, 2), levels=(190.0, None))
-        single = Policy(horizon=3, reviews=(1,), levels=(190.0,))
-        a = simulate_policy(inst, merged, n_reps=8_000, seed=11)
-        b = simulate_policy(inst, single, n_reps=8_000, seed=11)
-        assert a.mean_cost - b.mean_cost == pytest.approx(100.0, abs=1e-9)
-        assert a.closing_means == pytest.approx(b.closing_means)
 
     def test_clipping_changes_infeasible_policies_only(self):
         inst = small_instance()
@@ -163,17 +159,6 @@ class TestExpectedTrace:
         for row in trace.rows:
             if not row.review:
                 assert math.isnan(row.order_up_to)
-
-    def test_blank_level_adds_fixed_cost_only(self):
-        inst = small_instance()
-        merged = Policy(horizon=3, reviews=(1, 2), levels=(190.0, None))
-        single = Policy(horizon=3, reviews=(1,), levels=(190.0,))
-        a = expected_trace(inst, merged)
-        b = expected_trace(inst, single)
-        assert a.total_cost - b.total_cost == pytest.approx(100.0, abs=1e-9)
-        assert [r.expected_closing for r in a.rows] == pytest.approx(
-            [r.expected_closing for r in b.rows]
-        )
 
     def test_csv_shape(self, golden, golden_solution):
         text = expected_trace(golden, golden_solution.policy).to_csv()
