@@ -30,7 +30,7 @@ from .cycles import (
     build_connection_matrix,
     cycle_cost_at,
 )
-from .demand import PeriodDemand, complementary_loss, cumulative, loss
+from .demand import complementary_loss, loss
 from .errors import InputError, LotpathError, NonTerminationError, NumericalError
 from .instances import InstanceSpec, generate_instances, load_instance, save_instance
 from .simulate import Policy, SimulationReport, expected_trace, simulate_policy
@@ -81,7 +81,6 @@ __all__ = [
     "NumericalError",
     "OracleResult",
     "PathSolution",
-    "PeriodDemand",
     "Plan",
     "Policy",
     "ReplenishmentGraph",
@@ -91,7 +90,6 @@ __all__ = [
     "build_graph",
     "check_feasibility",
     "complementary_loss",
-    "cumulative",
     "cycle_cost_at",
     "effective_cycles",
     "expected_trace",

@@ -156,12 +156,12 @@ def reoptimise(matrix: ConnectionMatrix) -> Plan:
 
     The relaxed schedule (:func:`relaxed_path`) at its exact constrained
     levels is a feasible plan, and that plan's cost bounds the spans the
-    grid dynamic program visits (see :func:`_admissible_spans`). A pruned
-    matrix carries that plan as ``matrix.bound_plan``; a matrix that priced
-    every span has none, and the plan is made here. The level grid (see
-    ``GRID_PER_MEAN``) covers 0 and the matrix optima of those spans: an
-    optimal constrained level lies between the lowest and highest
-    stand-alone optimum of its plan. The recovered schedule then gets its
+    grid dynamic program visits (see :func:`_admissible_spans`); the plan's
+    own spans always stay in. A pruned matrix carries that plan as
+    ``matrix.bound_plan``; a matrix that priced every span has none, and the
+    plan is made here. The level grid (see ``GRID_PER_MEAN``) covers 0 and
+    the matrix optima of those spans: an optimal constrained level lies
+    between the lowest and highest stand-alone optimum of its plan. The recovered schedule then gets its
     exact constrained levels. Returns the cheaper of the two plans. Both
     price their spans from the matrix's moment table
     (``matrix.mus``/``matrix.sds``); the span bound reads the matrix's
@@ -170,6 +170,9 @@ def reoptimise(matrix: ConnectionMatrix) -> Plan:
     T = matrix.horizon
     bound = matrix.bound_plan or _constrained_plan(matrix, _relaxed_spans(matrix.pred))
     keep = _admissible_spans(matrix.cost, bound.cost, matrix.prefix, matrix.suffix)
+    # the bound plan is feasible and costs exactly the bound; where Y_TOL is
+    # large against the demand, the relaxed distances can exceed it
+    keep[tuple(np.array(bound.spans).T)] = True
 
     levels = matrix.level[keep]
     lo = min(0.0, float(levels.min()))

@@ -7,7 +7,9 @@ until period j+1. Expected cost of the cycle:
     c(i, j; y) = K + unit_term + sum over k = i..j of
                  h * complementary_loss(y, D[i..k]) + b * loss(y, D[i..k])
 
-where D[i..k] is the cumulative demand of periods i..k. Each period inside
+where D[i..k] is the cumulative demand of periods i..k: Normal, with the
+summed means and variances of its periods (period t has sd cv * mean_t).
+The loss functions are those of :mod:`lotpath.demand`. Each period inside
 the cycle is charged against the demand accumulated since the order, so the
 summand k prices the end-of-period-k inventory.
 
@@ -72,7 +74,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-from .demand import PeriodDemand, complementary_loss, cumulative, loss
+from .demand import complementary_loss, loss
 from .errors import NumericalError
 
 __all__ = [
@@ -134,12 +136,6 @@ class CostParams:
 # ---------------------------------------------------------------------------
 
 
-def _moments(demands: Sequence[PeriodDemand]) -> Tuple[np.ndarray, np.ndarray]:
-    means = np.array([d.mean for d in demands], dtype=float)
-    var = np.array([d.std_dev**2 for d in demands], dtype=float)
-    return means, var
-
-
 def _loss_pair(y, mus, sds):
     """Elementwise (loss, complementary_loss) of level ``y`` against Normal
     cumulative demands ``(mus, sds)``, with numpy broadcasting.
@@ -149,7 +145,10 @@ def _loss_pair(y, mus, sds):
     """
     pos = sds > 0.0
     u = (y - mus) / np.where(pos, sds, 1.0)
-    phi = np.exp(-0.5 * u * u) / _SQRT_2PI
+    # beyond |u| ~ 1e154 (a level far out on a near-deterministic demand)
+    # u * u overflows to inf, and exp(-inf) = 0 is the exact limit
+    with np.errstate(over="ignore"):
+        phi = np.exp(-0.5 * u * u) / _SQRT_2PI
     lo = sds * (phi - (1.0 - ndtr(u)) * u)
     # exact identity: complementary - loss = y - mu
     hi = lo + (y - mus)
@@ -277,25 +276,26 @@ def _cycle_levels(
 # ---------------------------------------------------------------------------
 
 
-def cycle_cost_at(
-    y: float,
-    first: int,
-    last: int,
-    demands: Sequence[PeriodDemand],
-    params: CostParams,
-    terminal: bool = False,
-) -> float:
-    """Expected cycle cost at an arbitrary order-up-to level ``y``.
+def cycle_cost_at(y: float, first: int, last: int, instance, terminal: bool = False) -> float:
+    """Expected cost at level ``y`` of the cycle covering periods
+    ``first..last`` (1-indexed, inclusive) of ``instance``.
 
-    Scalar reference implementation assembled period by period from the loss
-    functions; the optimiser uses a vectorised equivalent.
+    Scalar reference assembled period by period from the loss functions of
+    :mod:`lotpath.demand`, accumulating the window's mean and variance
+    (sd = cv * mean) from period ``first``; the optimiser uses a vectorised
+    equivalent.
     """
+    params = instance.params
     total = params.K
-    for k in range(first, last + 1):
-        d = cumulative(demands, first, k)
-        total += params.h * complementary_loss(y, d) + params.b * loss(y, d)
+    mu = var = 0.0
+    for m in instance.means[first - 1 : last]:
+        mu += m
+        sd = instance.cv * m
+        var += sd * sd
+        sigma = math.sqrt(var)
+        total += params.h * complementary_loss(y, mu, sigma) + params.b * loss(y, mu, sigma)
     if params.z:
-        total += params.z * (y if terminal else cumulative(demands, first, last).mean)
+        total += params.z * (y if terminal else mu)
     return total
 
 
@@ -515,7 +515,9 @@ def _lower_bounds(
 def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     """Optimise the cycles of ``instance``.
 
-    ``instance`` needs ``horizon``, ``demands`` and ``params`` attributes.
+    ``instance`` needs ``horizon``, ``means``, ``cv`` and ``params``
+    attributes: period t's demand is Normal with mean ``means[t - 1]`` and
+    standard deviation ``cv * means[t - 1]``.
     Spans are priced in one batch per cycle length: one bisection for the
     levels, one pass for the costs. By default all horizon * (horizon + 1) / 2
     spans are priced; the split loop, ``export-graph`` and the worked example
@@ -527,7 +529,8 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     """
     params = instance.params
     T = instance.horizon
-    means, var = _moments(instance.demands)
+    means = np.array(instance.means, dtype=float)
+    var = np.array([(instance.cv * m) ** 2 for m in instance.means], dtype=float)
 
     # row i: cumulative demand from period i + 1, accumulated the way a
     # single cycle starting there accumulates it

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .cycles import CostParams
-from .demand import PeriodDemand
 from .errors import InputError
 
 __all__ = ["InstanceSpec", "load_instance", "save_instance", "generate_instances"]
@@ -68,10 +67,6 @@ class InstanceSpec:
     def params(self) -> CostParams:
         return CostParams(K=self.K, z=self.z, h=self.h, b=self.b)
 
-    @property
-    def demands(self) -> Tuple[PeriodDemand, ...]:
-        return tuple(PeriodDemand(m, self.cv * m) for m in self.means)
-
     def to_dict(self) -> dict:
         return {
             "horizon": self.horizon,
@@ -90,6 +85,15 @@ class InstanceSpec:
 
 _REQUIRED = ("horizon", "means", "cv", "K", "z", "h", "b")
 _OPTIONAL = {"seed": None, "initial_inventory": 0.0, "pattern": "explicit", "name": ""}
+
+
+def _beyond_float(v) -> bool:
+    """Whether ``v`` is an integer too large to convert to a float."""
+    try:
+        float(v)
+    except OverflowError:
+        return True
+    return False
 
 
 def _from_mapping(data: dict, origin: str = "instance") -> InstanceSpec:
@@ -115,10 +119,14 @@ def _from_mapping(data: dict, origin: str = "instance") -> InstanceSpec:
     for t, m in enumerate(kwargs["means"], start=1):
         if not isinstance(m, (int, float)) or isinstance(m, bool):
             raise InputError(f"{origin}: field 'means': period {t} value {m!r} is not a number")
+        if _beyond_float(m):
+            raise InputError(f"{origin}: field 'means': period {t} value is beyond the float range")
     for fname in ("cv", "K", "z", "h", "b", "initial_inventory"):
         v = kwargs[fname]
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise InputError(f"{origin}: field '{fname}' must be a number, got {v!r}")
+        if _beyond_float(v):
+            raise InputError(f"{origin}: field '{fname}' is beyond the float range")
     kwargs["means"] = tuple(float(m) for m in kwargs["means"])
     return InstanceSpec(**kwargs)
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -73,8 +73,8 @@ class _CycleTable:
     def __init__(self, instance: InstanceSpec, grid: np.ndarray):
         self.params = instance.params
         self.T = instance.horizon
-        self.means = [d.mean for d in instance.demands]
-        self.vars_ = [d.std_dev ** 2 for d in instance.demands]
+        self.means = instance.means
+        self.vars_ = [(instance.cv * m) ** 2 for m in instance.means]
         self.grid = grid
         self._grid_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self._free_cache: Dict[Tuple[int, int], Tuple[float, float]] = {}
@@ -213,8 +213,8 @@ def schedule_enumeration_oracle(instance: InstanceSpec, constrained: bool = True
         raise InputError(
             f"oracle enumerates 2^(T-1) schedules; horizon {T} exceeds cap {MAX_ORACLE_HORIZON}"
         )
-    total_mean = sum(d.mean for d in instance.demands)
-    total_sd = math.sqrt(sum(d.std_dev ** 2 for d in instance.demands))
+    total_mean = sum(instance.means)
+    total_sd = math.sqrt(sum((instance.cv * m) ** 2 for m in instance.means))
     ymax = max(1.0, total_mean + 12.0 * total_sd)
     step = max(total_mean / T, 1e-3) / 200.0
     grid = np.arange(0.0, ymax + step, step)

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .demand import PeriodDemand, complementary_loss, cumulative, loss
+from .demand import complementary_loss, loss
 from .errors import InputError
 
 __all__ = [
@@ -118,8 +118,8 @@ def simulate_policy(
 ) -> SimulationReport:
     """Estimate the expected total cost of ``policy`` on ``instance``.
 
-    Demand is drawn per period from the instance's Normal marginals
-    (independent across periods and replications). Work is done in chunks of
+    Period t's demand is drawn from Normal(means[t - 1], cv * means[t - 1]),
+    independently across periods and replications. Work is done in chunks of
     ``CHUNK`` replications; chunk k draws from its own spawned RNG substream
     k, so a report is reproducible for a given seed and replication count.
     """
@@ -131,8 +131,8 @@ def simulate_policy(
         )
     T = instance.horizon
     params = instance.params
-    means = np.array([d.mean for d in instance.demands], dtype=float)
-    stds = np.array([d.std_dev for d in instance.demands], dtype=float)
+    means = np.array(instance.means, dtype=float)
+    stds = instance.cv * means
     level_at = policy.level_by_period()
 
     t0 = time.perf_counter()
@@ -148,7 +148,6 @@ def simulate_policy(
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
         demand = rng.normal(means, stds, size=(c, T))
         inv = np.full(c, float(instance.initial_inventory))
-        cost = np.zeros(c)
         setup = 0.0
         order = np.zeros(c)
         holding = np.zeros(c)
@@ -232,7 +231,9 @@ def expected_trace(instance, policy: Policy) -> ExpectedTrace:
 
     Within a replenishment segment starting at review a with level S, the
     closing inventory of period k is S minus cumulative demand over a..k, so
-    period costs come straight from the two loss functions.
+    period costs come straight from the two loss functions. The window's
+    mean and variance (sd = cv * mean per period) are running sums from the
+    review.
     """
     if policy.horizon != instance.horizon:
         raise InputError(
@@ -240,30 +241,34 @@ def expected_trace(instance, policy: Policy) -> ExpectedTrace:
         )
     T = instance.horizon
     params = instance.params
-    demands: Sequence[PeriodDemand] = instance.demands
     level_at = policy.level_by_period()
 
     rows: List[TraceRow] = []
     total = 0.0
     prev_closing = float(instance.initial_inventory)
-    seg_start = 1
     seg_level = 0.0
+    mu = var = 0.0  # demand accumulated since the segment's review
     for t in range(1, T + 1):
         is_review = t in level_at
         if is_review:
             s = level_at[t]
             total += params.K
             total += params.z * (s - prev_closing)
-            seg_start, seg_level = t, s
+            seg_level = s
+            mu = var = 0.0
             opening = s
         else:
             s = math.nan
             opening = prev_closing
-        acc = cumulative(demands, seg_start, t)
-        hold = params.h * complementary_loss(seg_level, acc)
-        pen = params.b * loss(seg_level, acc)
+        m = instance.means[t - 1]
+        mu += m
+        sd = instance.cv * m
+        var += sd * sd
+        sigma = math.sqrt(var)
+        hold = params.h * complementary_loss(seg_level, mu, sigma)
+        pen = params.b * loss(seg_level, mu, sigma)
         total += hold + pen
-        closing = seg_level - acc.mean
+        closing = seg_level - mu
         rows.append(
             TraceRow(
                 period=t,

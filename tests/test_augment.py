@@ -2,14 +2,18 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import golden_spec
 from lotpath import (
     InstanceSpec,
+    LotpathError,
     NonTerminationError,
     PathSolution,
     build_connection_matrix,
@@ -400,7 +404,7 @@ class TestReoptimise:
 
         def cost(levels):
             return sum(
-                cycle_cost_at(y, s + 1, e + 1, lumpy.demands, lumpy.params, e + 1 == T)
+                cycle_cost_at(y, s + 1, e + 1, lumpy, e + 1 == T)
                 for y, (s, e) in zip(levels, plan.spans)
             )
 
@@ -442,6 +446,28 @@ class TestReoptimise:
             sol.expected_cost, rel=1e-12
         )
 
+    @pytest.mark.parametrize("initial_inventory", [0.0, -20.0])
+    def test_tiny_means_keep_the_bound_plan(self, initial_inventory):
+        # at means of about 1e-4 the absolute Y_TOL lifts every relaxed
+        # distance through a span above the bound plan's exact cost; the
+        # bound plan's own spans stay admissible
+        inst = InstanceSpec(
+            horizon=10,
+            means=(
+                0.00019647047256994332, 0.0002699624701089316, 4.2424021918729404e-05,
+                0.0005815808121114838, 0.00042423022686762033, 0.00065854274728412,
+                0.0005314625331171093, 0.0004167841381885743, 0.00035202597495714974,
+                4.062224652090485e-05,
+            ),
+            cv=0.05, K=0.0, z=49.5, h=1.0, b=50.0, initial_inventory=initial_inventory,
+        )
+        sol = solve_instance(inst)
+        assert sol.relaxed_violations > 0
+        assert check_feasibility(sol.path) == []
+        assert expected_trace(inst, sol.policy).total_cost == pytest.approx(
+            sol.expected_cost, rel=1e-12
+        )
+
     def test_pooled_blocks_meet_their_fractile(self):
         # a block of cycles whose hand-offs bind shares one root: the Normal
         # CDFs of all its covered periods, each at its cycle's level, sum to
@@ -464,7 +490,7 @@ class TestReoptimise:
                 else:
                     blocks.append([cycles[k]])
             means = np.array(inst.means)
-            var = np.array([d.std_dev**2 for d in inst.demands])
+            var = np.array([(inst.cv * m) ** 2 for m in inst.means])
             p = inst.params
             for block in (b for b in blocks if len(b) > 1):
                 blocks_checked += 1
@@ -487,3 +513,44 @@ class TestReoptimise:
                 tol = LEVEL_TOL * max(1.0, x)
                 assert cdf_sum(-tol) <= target <= cdf_sum(tol), (inst.name, block)
         assert blocks_checked == 22
+
+
+# ---------------------------------------------------------------------------
+# every schema-valid instance gets a feasible, self-consistent plan or a
+# typed error
+
+
+@st.composite
+def schema_instances(draw):
+    T = draw(st.integers(1, 10))
+    scale = draw(st.sampled_from((1e-4, 1.0, 1e3)))
+    means = tuple(
+        0.0 if draw(st.booleans()) else scale * draw(st.floats(0.0, 1.0)) for _ in range(T)
+    )
+    h = draw(st.floats(0.5, 2.0))
+    b = h * draw(st.floats(1.01, 50.0))
+    return InstanceSpec(
+        horizon=T,
+        means=means,
+        cv=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        K=draw(st.sampled_from((0.0, 1.0, 225.0))),
+        z=b * draw(st.floats(0.0, 0.99)),
+        h=h,
+        b=b,
+        initial_inventory=draw(st.sampled_from((-20.0, 0.0, 50.0))),
+    )
+
+
+@given(inst=schema_instances())
+@settings(max_examples=150, deadline=None)
+def test_solve_gives_a_feasible_plan_or_a_typed_error(inst):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            sol = solve_instance(inst)
+        except LotpathError:
+            return
+        trace = expected_trace(inst, sol.policy)
+    assert check_feasibility(sol.path) == []
+    assert all(math.isfinite(y) for y in sol.path.levels)
+    assert trace.total_cost == pytest.approx(sol.expected_cost, rel=1e-9, abs=0.0)

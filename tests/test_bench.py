@@ -5,7 +5,6 @@ import pytest
 from lotpath.bench import (
     DESK_GRID,
     FULL_GRID,
-    BenchRecord,
     bench_to_csv,
     run_benchmark,
     summarize,

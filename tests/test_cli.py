@@ -58,6 +58,27 @@ class TestSolve:
             assert main(["solve", str(bad)]) == 2, change
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["means", "cv", "K", "z", "h", "b", "initial_inventory"])
+    def test_integer_beyond_float_range_is_input_error(self, field, tmp_path, capsys):
+        data = golden_spec().to_dict()
+        if field == "means":
+            data["means"][0] = 10**400
+        else:
+            data[field] = 10**400
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(data))
+        assert main(["solve", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err and "beyond the float range" in err
+        assert "0" * 20 not in err
+
+    def test_in_range_integers_are_echoed_as_given(self, tmp_path, capsys):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(dict(golden_spec().to_dict(), K=50, initial_inventory=0)))
+        assert main(["solve", str(path)]) == 0
+        echo = json.loads(capsys.readouterr().out)["instance"]
+        assert type(echo["K"]) is int and type(echo["initial_inventory"]) is int
+
     def test_high_cv_warning_on_stderr(self, golden_file, tmp_path, capsys):
         assert main(["solve", golden_file]) == 0
         assert capsys.readouterr().err == ""

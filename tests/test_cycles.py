@@ -25,10 +25,8 @@ from lotpath import (
     CostParams,
     InstanceSpec,
     NumericalError,
-    PeriodDemand,
     build_connection_matrix,
     complementary_loss,
-    cumulative,
     cycle_cost_at,
     generate_instances,
     loss,
@@ -95,16 +93,17 @@ class TestOptimizer:
         # one on-hand and one shortage term per covered period, each against
         # the demand accumulated since the order
         y = golden_matrix.level[1, 3]
-        accumulated = [cumulative(golden.demands, 2, k) for k in (2, 3, 4)]
-        total = GOLDEN_PARAMS.K + sum(
-            GOLDEN_PARAMS.h * complementary_loss(y, d) + GOLDEN_PARAMS.b * loss(y, d)
-            for d in accumulated
-        )
+        total = GOLDEN_PARAMS.K
+        for k in (2, 3, 4):
+            mu = sum(golden.means[1:k])
+            sigma = math.hypot(*(golden.cv * m for m in golden.means[1:k]))
+            total += GOLDEN_PARAMS.h * complementary_loss(y, mu, sigma)
+            total += GOLDEN_PARAMS.b * loss(y, mu, sigma)
         assert golden_matrix.cost[1, 3] == pytest.approx(total, rel=1e-9)
 
     def test_local_optimality(self, golden, golden_matrix):
         y, cost = golden_matrix.level[0, 2], golden_matrix.cost[0, 2]
-        at = lambda y: cycle_cost_at(y, 1, 3, golden.demands, GOLDEN_PARAMS)
+        at = lambda y: cycle_cost_at(y, 1, 3, golden)
         assert at(y) == pytest.approx(cost, rel=1e-9)
         for delta in (0.5, 5.0, 50.0):
             assert at(y + delta) >= cost - 1e-9
@@ -115,13 +114,13 @@ class TestOptimizer:
             golden_matrix.level[1, 2] - 150.0, rel=1e-9
         )
 
-    def test_terminal_flag_adds_unit_cost_on_level(self, golden):
+    def test_terminal_flag_adds_unit_cost_on_level(self):
         # interior cycles price z on the cycle mean, terminal ones on the level;
         # at a fixed y the gap is exactly z * (y - mean)
-        params = CostParams(K=50.0, z=2.0, h=1.0, b=19.0)
+        inst = golden_spec(z=2.0)
         y = 120.0
-        interior = cycle_cost_at(y, 4, 5, golden.demands, params, terminal=False)
-        terminal = cycle_cost_at(y, 4, 5, golden.demands, params, terminal=True)
+        interior = cycle_cost_at(y, 4, 5, inst, terminal=False)
+        terminal = cycle_cost_at(y, 4, 5, inst, terminal=True)
         assert terminal - interior == pytest.approx(2.0 * (y - 70.0), rel=1e-9)
 
     def test_bracket_failure_raises(self):
@@ -186,7 +185,7 @@ class TestConnectionMatrix:
         for i, j in zip(*np.triu_indices(5)):
             y = matrix.level[i, j]
             interior, terminal = (
-                cycle_cost_at(y, i + 1, j + 1, inst.demands, inst.params, terminal=flag)
+                cycle_cost_at(y, i + 1, j + 1, inst, terminal=flag)
                 for flag in (False, True)
             )
             want = terminal if j == 4 else interior
@@ -249,8 +248,8 @@ ZERO_MEAN = dict(horizon=4, means=(0, 0, 50, 0), cv=0.3, K=50, z=0, h=1, b=19)
 )
 def test_batched_matrix_matches_scalar_bisection(instance):
     matrix = build_connection_matrix(instance)
-    means = np.array([d.mean for d in instance.demands])
-    var = np.array([d.std_dev**2 for d in instance.demands])
+    means = np.array(instance.means)
+    var = np.array([(instance.cv * m) ** 2 for m in instance.means])
     T = instance.horizon
     for s, e in zip(*np.triu_indices(T)):
         i, j = s + 1, e + 1
@@ -258,7 +257,7 @@ def test_batched_matrix_matches_scalar_bisection(instance):
         sds = np.sqrt(np.cumsum(var[s:j]))
         level = scalar_level(mus, sds, instance.params, terminal=j == T)
         assert matrix.level[s, e] == level, (i, j)
-        cost = cycle_cost_at(level, i, j, instance.demands, instance.params, terminal=j == T)
+        cost = cycle_cost_at(level, i, j, instance, terminal=j == T)
         assert matrix.cost[s, e] == pytest.approx(cost, rel=1e-12, abs=0.0), (i, j)
 
 

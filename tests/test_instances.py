@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from lotpath import InputError, InstanceSpec, generate_instances, load_instance, save_instance
+from lotpath import (
+    InputError,
+    InstanceSpec,
+    build_connection_matrix,
+    generate_instances,
+    load_instance,
+    save_instance,
+)
 
 
 def spec_kwargs(**overrides):
@@ -68,7 +75,8 @@ class TestValidation:
 
     def test_demands_derive_from_cv(self):
         inst = InstanceSpec(**spec_kwargs())
-        assert [d.std_dev for d in inst.demands] == [2.0, 4.0, 6.0]
+        # the moment table's first column is the single-period sd, cv * mean
+        assert build_connection_matrix(inst).sds[:, 0].tolist() == [2.0, 4.0, 6.0]
 
 
 class TestJsonRoundTrip:

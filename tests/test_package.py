@@ -1,5 +1,6 @@
 """The package surface: what ``import lotpath`` loads, and the ``lotpath`` logger."""
 
+import ast
 import json
 import logging
 import os
@@ -131,3 +132,38 @@ def test_capped_level_grid_warns(caplog, monkeypatch):
     [record] = caplog.records
     assert record.name == "lotpath.augment"
     assert "capped at 8 points" in record.getMessage()
+
+
+def _unused_imports(path: Path):
+    """Names ``path`` imports and never references (``from __future__``
+    aside; an ``__init__.py`` may import a name only to list it in
+    ``__all__``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        exported = next(
+            node.value for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        )
+        used |= set(ast.literal_eval(exported))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    tests = Path(__file__).resolve().parent
+    unused = [
+        f"{path.relative_to(SRC.parent)}:{line}: {name}"
+        for root in (SRC / "lotpath", tests)
+        for path in sorted(root.rglob("*.py"))
+        for line, name in _unused_imports(path)
+    ]
+    assert unused == []

@@ -9,7 +9,6 @@ from lotpath import (
     Policy,
     expected_trace,
     simulate_policy,
-    solve_instance,
 )
 
 
