@@ -25,7 +25,6 @@ import logging
 from .augment import check_feasibility, relaxed_path, reoptimise
 from .cycles import (
     ConnectionMatrix,
-    CostParams,
     Plan,
     build_connection_matrix,
     cycle_cost_at,
@@ -70,7 +69,6 @@ __all__ = [
     "AugmentationStep",
     "AugmentationTrace",
     "ConnectionMatrix",
-    "CostParams",
     "CycleInfo",
     "FeasibilityViolation",
     "InputError",

@@ -39,12 +39,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cycles import (
-    BOUND_TOL,
     ConnectionMatrix,
     Plan,
     _constrained_plan,
     _loss_pair,
     _relaxed_spans,
+    _within_bound,
 )
 
 __all__ = ["relaxed_path", "check_feasibility", "reoptimise"]
@@ -88,18 +88,22 @@ def check_feasibility(plan: Plan) -> List[int]:
 # leads from node s to node e + 1 (node T is the sink).
 
 
-def _admissible_spans(
-    cost: np.ndarray, bound: float, prefix: np.ndarray, suffix: np.ndarray
-) -> np.ndarray:
+def _admissible_spans(matrix: ConnectionMatrix, bound: float) -> np.ndarray:
     """Spans that can lie on a feasible plan costing at most ``bound``.
 
-    Every feasible plan is also a relaxed plan and no level prices a span
-    below its matrix optimum, so a plan through span (s, e) costs at least
-    prefix[s] + cost[s, e] + suffix[e + 1], with ``prefix`` and ``suffix``
-    the relaxed distances over ``cost``.
+    Every feasible plan is also a relaxed plan, so a plan through span
+    (s, e) has the relaxed through-cost prefix[s] + cost[s, e] +
+    suffix[e + 1] over the matrix's relaxed distances. The span is kept by
+    the pruned build's own rule (:func:`lotpath.cycles._within_bound`): a
+    level within ``Y_TOL`` / 2 of its optimum prices a span at most
+    (b n + z) ``Y_TOL`` / 2 above its exact minimum, so every span of a
+    feasible plan costing at most ``bound`` has a through-cost of at most
+    bound + e / 2, e = (b T + z) ``Y_TOL``, which the rule admits. The bound
+    plan's own spans therefore pass it.
     """
     with np.errstate(invalid="ignore"):  # NaN below the diagonal compares False
-        return prefix[:-1, None] + cost + suffix[None, 1:] <= bound + BOUND_TOL * abs(bound)
+        through = matrix.prefix[:-1, None] + matrix.cost + matrix.suffix[None, 1:]
+        return _within_bound(through, bound, matrix.instance)
 
 
 def _grid_schedule(
@@ -114,7 +118,7 @@ def _grid_schedule(
     moment rows. The schedule is recovered forward with the exact carried
     stock, so its grid levels are feasible.
     """
-    p = matrix.params
+    inst = matrix.instance
     T = matrix.horizon
     value: List[Optional[np.ndarray]] = [None] * T + [np.zeros_like(ys)]
     best: List[Optional[np.ndarray]] = [None] * T
@@ -125,15 +129,15 @@ def _grid_schedule(
             continue
         n = ends[-1] - s + 1
         short, on_hand = _loss_pair(ys[None, :], matrix.mus[s, :n, None], matrix.sds[s, :n, None])
-        running = np.cumsum(p.h * on_hand + p.b * short, axis=0)
+        running = np.cumsum(inst.h * on_hand + inst.b * short, axis=0)
         total = np.full_like(ys, np.inf)
         arg = np.zeros(ys.shape, dtype=int)
         for e in ends:
             mu = matrix.mus[s, e - s]
             if e == T - 1:
-                w = running[e - s] + (p.K + p.z * ys)
+                w = running[e - s] + (inst.K + inst.z * ys)
             else:
-                w = running[e - s] + (p.K + p.z * mu) + np.interp(ys - mu, ys, value[e + 1])
+                w = running[e - s] + (inst.K + inst.z * mu) + np.interp(ys - mu, ys, value[e + 1])
             better = w < total
             total[better] = w[better]
             arg[better] = e
@@ -156,28 +160,25 @@ def reoptimise(matrix: ConnectionMatrix) -> Plan:
 
     The relaxed schedule (:func:`relaxed_path`) at its exact constrained
     levels is a feasible plan, and that plan's cost bounds the spans the
-    grid dynamic program visits (see :func:`_admissible_spans`); the plan's
-    own spans always stay in. A pruned matrix carries that plan as
+    grid dynamic program visits (see :func:`_admissible_spans`), whose rule
+    the plan's own spans pass. A pruned matrix carries that plan as
     ``matrix.bound_plan``; a matrix that priced every span has none, and the
     plan is made here. The level grid (see ``GRID_PER_MEAN``) covers 0 and
     the matrix optima of those spans: an optimal constrained level lies
-    between the lowest and highest stand-alone optimum of its plan. The recovered schedule then gets its
-    exact constrained levels. Returns the cheaper of the two plans. Both
-    price their spans from the matrix's moment table
-    (``matrix.mus``/``matrix.sds``); the span bound reads the matrix's
-    relaxed distances (``matrix.prefix``/``matrix.suffix``).
+    between the lowest and highest stand-alone optimum of its plan. The
+    recovered schedule then gets its exact constrained levels. Returns the
+    cheaper of the two plans. Both price their spans from the matrix's
+    moment table (``matrix.mus``/``matrix.sds``); the span bound reads the
+    matrix's relaxed distances (``matrix.prefix``/``matrix.suffix``).
     """
     T = matrix.horizon
     bound = matrix.bound_plan or _constrained_plan(matrix, _relaxed_spans(matrix.pred))
-    keep = _admissible_spans(matrix.cost, bound.cost, matrix.prefix, matrix.suffix)
-    # the bound plan is feasible and costs exactly the bound; where Y_TOL is
-    # large against the demand, the relaxed distances can exceed it
-    keep[tuple(np.array(bound.spans).T)] = True
+    keep = _admissible_spans(matrix, bound.cost)
 
     levels = matrix.level[keep]
     lo = min(0.0, float(levels.min()))
     hi = float(levels.max())
-    mean_step = matrix.total_mean / T / GRID_PER_MEAN
+    mean_step = float(np.asarray(matrix.instance.means, dtype=float).sum()) / T / GRID_PER_MEAN
     step = max(mean_step, (hi - lo) / MAX_GRID, 1e-12)
     if (hi - lo) / MAX_GRID > mean_step:
         _log.warning(

@@ -53,6 +53,8 @@ start period is dropped once
     LBprefix(i) + c(i, i + n - 1) - K + LBsuffix(i + n) > U * (1 + BOUND_TOL) + e,
 
 where e = (b T + z) Y_TOL covers the bisection error of the priced costs.
+:func:`_within_bound` is this rule; the re-optimising stage admits its
+spans by it too.
 
 U is the bound of the re-optimising stage: the relaxed schedule at its exact
 constrained levels. It is known once the relaxed optimum over the priced
@@ -75,10 +77,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from .demand import complementary_loss, loss
-from .errors import NumericalError
+from .errors import InputError, NumericalError
 
 __all__ = [
-    "CostParams",
     "ConnectionMatrix",
     "Plan",
     "cycle_cost_at",
@@ -96,30 +97,9 @@ BOUND_TOL = 1e-9
 LEVEL_TOL = 1e-9
 #: geometric expansions a bisection bracket gets before it gives up
 MAX_EXPAND = 64
-
-
-@dataclass(frozen=True)
-class CostParams:
-    """Cost structure: fixed order cost K, unit cost z, holding h, penalty b."""
-
-    K: float
-    z: float
-    h: float
-    b: float
-
-    def __post_init__(self):
-        for name in ("K", "z", "h", "b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.K < 0:
-            raise ValueError(f"fixed order cost K must be >= 0, got {self.K}")
-        if self.h <= 0:
-            raise ValueError(f"holding cost h must be > 0, got {self.h}")
-        if self.b <= self.h:
-            # keeps the newsvendor fractile above one half
-            raise ValueError(f"penalty cost b must exceed holding cost h, got b={self.b} h={self.h}")
-        if not 0 <= self.z < self.b:
-            raise ValueError(f"unit cost z must satisfy 0 <= z < b, got z={self.z} b={self.b}")
+#: most bytes a matrix build may allocate for its five (horizon x horizon)
+#: float64 arrays, 40 horizon^2: 2 GiB admits horizons up to 7,327
+MAX_MATRIX_BYTES = 2 * 2**30
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +139,17 @@ def _loss_pair(y, mus, sds):
 
 
 def _block_costs(
-    y: np.ndarray, mus: np.ndarray, sds: np.ndarray, params: CostParams, terminal: np.ndarray
+    y: np.ndarray, mus: np.ndarray, sds: np.ndarray, instance, terminal: np.ndarray
 ) -> np.ndarray:
-    """Expected cost of each row's cycle at its level ``y``.
+    """Expected cost of each row's cycle at its level ``y``, under the costs
+    of ``instance``.
 
     ``terminal`` flags the rows whose cycle ends at the horizon; they carry
     the unit cost on the level instead of on the cycle mean.
     """
     lo, hi = _loss_pair(y[:, None], mus, sds)
-    base = params.K + np.where(terminal, params.z * y, params.z * mus[:, -1])
-    return base + (params.h * hi + params.b * lo).sum(axis=1)
+    base = instance.K + np.where(terminal, instance.z * y, instance.z * mus[:, -1])
+    return base + (instance.h * hi + instance.b * lo).sum(axis=1)
 
 
 def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray, y_tol: float) -> np.ndarray:
@@ -226,7 +207,7 @@ def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray, y_tol: float) -> np.ndarray
 def _bisect_levels(
     mus: np.ndarray,
     sds: np.ndarray,
-    params: CostParams,
+    instance,
     terminal: np.ndarray,
     lo,
     hi,
@@ -243,7 +224,7 @@ def _bisect_levels(
     until it holds the root, which is then bisected to ``tol``.
     """
     n = mus.shape[1]
-    target = (n * params.b - np.where(terminal, params.z, 0.0)) / (params.b + params.h)
+    target = (n * instance.b - np.where(terminal, instance.z, 0.0)) / (instance.b + instance.h)
     pos = sds > 0.0
     scale = np.where(pos, sds, 1.0)
     steps = not pos.all()
@@ -260,7 +241,7 @@ def _bisect_levels(
 
 
 def _cycle_levels(
-    mus: np.ndarray, sds: np.ndarray, params: CostParams, terminal: np.ndarray
+    mus: np.ndarray, sds: np.ndarray, instance, terminal: np.ndarray
 ) -> np.ndarray:
     """Optimal level of each row's cycle, bisected to ``Y_TOL`` from the cold
     bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1, which holds
@@ -268,7 +249,7 @@ def _cycle_levels(
     smax = sds.max(axis=1)
     lo = mus.min(axis=1) - 12.0 * smax - 1.0
     hi = mus.max(axis=1) + 12.0 * smax + 1.0
-    return _bisect_levels(mus, sds, params, terminal, lo, hi, Y_TOL)
+    return _bisect_levels(mus, sds, instance, terminal, lo, hi, Y_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -285,22 +266,22 @@ def cycle_cost_at(y: float, first: int, last: int, instance, terminal: bool = Fa
     (sd = cv * mean) from period ``first``; the optimiser uses a vectorised
     equivalent.
     """
-    params = instance.params
-    total = params.K
+    total = instance.K
     mu = var = 0.0
     for m in instance.means[first - 1 : last]:
         mu += m
         sd = instance.cv * m
         var += sd * sd
         sigma = math.sqrt(var)
-        total += params.h * complementary_loss(y, mu, sigma) + params.b * loss(y, mu, sigma)
-    if params.z:
-        total += params.z * (y if terminal else mu)
+        total += instance.h * complementary_loss(y, mu, sigma) + instance.b * loss(y, mu, sigma)
+    if instance.z:
+        total += instance.z * (y if terminal else mu)
     return total
 
 
 class ConnectionMatrix:
-    """Optimised cycles of one instance as (horizon x horizon) arrays.
+    """Optimised cycles of ``instance`` as (horizon x horizon) arrays;
+    ``horizon`` is their size.
 
     ``level[i - 1, j - 1]``, ``cost[i - 1, j - 1]`` and ``closing[i - 1, j - 1]``
     hold the order-up-to level, expected cost and expected closing inventory
@@ -330,23 +311,20 @@ class ConnectionMatrix:
 
     def __init__(
         self,
-        horizon: int,
-        params: CostParams,
+        instance,
         level: np.ndarray,
         cost: np.ndarray,
         closing: np.ndarray,
         mus: np.ndarray,
         sds: np.ndarray,
-        total_mean: float,
     ):
-        self.horizon = horizon
-        self.params = params
+        self.instance = instance
+        self.horizon = len(level)
         self.level = level
         self.cost = cost
         self.closing = closing
         self.mus = mus
         self.sds = sds
-        self.total_mean = total_mean
         self.bound_plan: Optional[Plan] = None
 
     def __len__(self):
@@ -419,7 +397,7 @@ def _schedule_levels(matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int
         terminal = np.array([members[-1][1] == T - 1])
         tol = LEVEL_TOL * max(1.0, abs(lo), abs(hi))
         x = _bisect_levels(
-            mus[None, :], sds[None, :], matrix.params, terminal, [lo - 1.0], [hi + 1.0], tol
+            mus[None, :], sds[None, :], matrix.instance, terminal, [lo - 1.0], [hi + 1.0], tol
         )
         return float(x[0])
 
@@ -484,7 +462,7 @@ def _constrained_plan(matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, in
         k = np.flatnonzero(lengths == n)
         rows, terminal = starts[k], ends[k] == matrix.horizon - 1
         mus, sds = matrix.mus[rows, :n], matrix.sds[rows, :n]
-        costs[k] = _block_costs(ys[k], mus, sds, matrix.params, terminal)
+        costs[k] = _block_costs(ys[k], mus, sds, matrix.instance, terminal)
     closings = ys - matrix.mus[starts, lengths - 1]
     return Plan(tuple(schedule), tuple(levels), tuple(closings.tolist()), tuple(costs.tolist()))
 
@@ -505,19 +483,27 @@ def _lower_bounds(
     open_rows = np.flatnonzero(np.arange(T) + lengths < T)
     last = open_rows + lengths[open_rows] - 1
     lb = matrix.cost.copy()
-    lb[open_rows, last] -= matrix.params.K
+    lb[open_rows, last] -= matrix.instance.K
     prefix, suffix, pred = _relaxed_distances(lb)
     through = np.full(T, np.inf)
     through[open_rows] = prefix[open_rows] + lb[open_rows, last] + suffix[last + 1]
     return through, prefix[T], pred
 
 
+def _within_bound(through, bound: float, instance):
+    """The span-bound rule: whether relaxed cost ``through`` may belong to a
+    plan costing at most ``bound``, allowing e = (b T + z) Y_TOL on top of
+    ``BOUND_TOL`` (see :func:`lotpath.augment._admissible_spans`)."""
+    slack = (instance.b * instance.horizon + instance.z) * Y_TOL
+    return through - slack <= bound + BOUND_TOL * abs(bound)
+
+
 def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     """Optimise the cycles of ``instance``.
 
-    ``instance`` needs ``horizon``, ``means``, ``cv`` and ``params``
-    attributes: period t's demand is Normal with mean ``means[t - 1]`` and
-    standard deviation ``cv * means[t - 1]``.
+    ``instance`` needs ``horizon``, ``means``, ``cv``, ``K``, ``z``, ``h``
+    and ``b`` attributes: period t's demand is Normal with mean
+    ``means[t - 1]`` and standard deviation ``cv * means[t - 1]``.
     Spans are priced in one batch per cycle length: one bisection for the
     levels, one pass for the costs. By default all horizon * (horizon + 1) / 2
     spans are priced; the split loop, ``export-graph`` and the worked example
@@ -525,10 +511,15 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     plan within the re-optimising stage's bound can use its longer spans (see
     the module docstring): the solve's relaxed path and plan are those of the
     complete matrix, and ``bound_plan`` holds the plan that set the bound.
-    Every priced span equals the complete matrix's bit for bit.
+    Every priced span equals the complete matrix's bit for bit. A horizon
+    whose arrays exceed ``MAX_MATRIX_BYTES`` raises :class:`InputError`
+    before any is allocated.
     """
-    params = instance.params
     T = instance.horizon
+    if 40 * T * T > MAX_MATRIX_BYTES:
+        raise InputError(
+            f"horizon {T}: the matrix needs {40 * T * T:,} bytes, over {MAX_MATRIX_BYTES:,}"
+        )
     means = np.array(instance.means, dtype=float)
     var = np.array([(instance.cv * m) ** 2 for m in instance.means], dtype=float)
 
@@ -544,13 +535,8 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     cost = np.full((T, T), np.nan)
     cost[np.triu_indices(T)] = np.inf
     closing = np.full((T, T), np.nan)
-    matrix = ConnectionMatrix(T, params, level, cost, closing, mus, sds, float(means.sum()))
+    matrix = ConnectionMatrix(instance, level, cost, closing, mus, sds)
 
-    # a level lies within Y_TOL / 2 of its exact optimum, so a priced span of
-    # n periods costs at most (b n + z) Y_TOL / 2 above its exact minimum,
-    # where the lemma holds; the spans of one plan, (b T + z) Y_TOL / 2. The
-    # bounds below allow twice that on top of their relative rounding slack.
-    slack = (params.b * T + params.z) * Y_TOL
     lengths = np.zeros(T, dtype=int)  # spans priced per start period
     rows = np.arange(T)  # start periods still growing
     for n in range(1, T + 1):
@@ -560,9 +546,9 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
         ends = rows + n - 1
         block_mus, block_sds = mus[rows, :n], sds[rows, :n]
         terminal = ends == T - 1
-        y = _cycle_levels(block_mus, block_sds, params, terminal)
+        y = _cycle_levels(block_mus, block_sds, instance, terminal)
         level[rows, ends] = y
-        cost[rows, ends] = _block_costs(y, block_mus, block_sds, params, terminal)
+        cost[rows, ends] = _block_costs(y, block_mus, block_sds, instance, terminal)
         closing[rows, ends] = y - block_mus[:, -1]
         lengths[rows] = n
         if not prune or n == T:
@@ -575,10 +561,10 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
             # certified once every path through a reduced span costs more
             # than the graph's optimum: that optimum then takes priced spans
             # only and is the relaxed optimum of the complete matrix
-            if through.min() - slack <= optimum + BOUND_TOL * abs(optimum):
+            if _within_bound(through.min(), optimum, instance):
                 continue
             matrix.bound_plan = _constrained_plan(matrix, _relaxed_spans(pred))
         bound = matrix.bound_plan.cost
-        rows = rows[through[rows] - slack <= bound + BOUND_TOL * abs(bound)]
+        rows = rows[_within_bound(through[rows], bound, instance)]
     matrix.prefix, matrix.suffix, matrix.pred = _relaxed_distances(cost)
     return matrix

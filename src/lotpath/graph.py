@@ -449,7 +449,7 @@ def augment_once(graph: ReplenishmentGraph, violation: FeasibilityViolation) -> 
     start = inbound.cycle.start
     absorbed = inbound.cycle.absorbed + (v.period,)
     closing = inbound.cycle.closing
-    K = matrix.params.K
+    K = matrix.instance.K
 
     # furthest span starting here whose level the carried stock still exceeds;
     # every such span becomes a merged cycle, never a duplicate that would

@@ -10,7 +10,6 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .cycles import CostParams
 from .errors import InputError
 
 __all__ = ["InstanceSpec", "load_instance", "save_instance", "generate_instances"]
@@ -21,8 +20,9 @@ class InstanceSpec:
     """One single-item lot-sizing instance.
 
     Period demand t is Normal with mean ``means[t-1]`` and standard
-    deviation ``cv * means[t-1]``. Orders may be placed at the start of any
-    period; the first period always holds a review.
+    deviation ``cv * means[t-1]``; ``K``, ``z``, ``h`` and ``b`` are the
+    fixed order, unit, holding and penalty costs. Orders may be placed at
+    the start of any period; the first period always holds a review.
     """
 
     horizon: int
@@ -38,34 +38,51 @@ class InstanceSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise InputError(f"field 'horizon': must be >= 1, got {self.horizon}")
+        """The one validation of an instance's fields; stores ``means`` as floats."""
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
+            raise InputError("field 'horizon' must be an integer")
+        if _number("field 'horizon' value", self.horizon) < 1:
+            raise InputError("field 'horizon': must be >= 1")
+        if len(self.means) == 0:
+            raise InputError("field 'means' must not be empty")
         if len(self.means) != self.horizon:
             raise InputError(
-                f"field 'means': expected {self.horizon} entries, got {len(self.means)}"
+                f"field 'means': expected one entry per period of the horizon, got {len(self.means)}"
             )
-        for t, m in enumerate(self.means, start=1):
-            if not (isinstance(m, (int, float)) and math.isfinite(m)) or m < 0:
+        means = tuple(
+            _number(f"field 'means': period {t} value", m) for t, m in enumerate(self.means, start=1)
+        )
+        for t, m in enumerate(means, start=1):
+            if not math.isfinite(m) or m < 0:
                 raise InputError(f"field 'means': period {t} value {m!r} is not a finite non-negative number")
-        if not (0.0 < self.cv <= 1.0):
-            raise InputError(f"field 'cv': must lie in (0, 1], got {self.cv}")
+        object.__setattr__(self, "means", means)
+        cv, K, z, h, b, stock = (
+            _number(f"field '{name}' value", getattr(self, name))
+            for name in ("cv", "K", "z", "h", "b", "initial_inventory")
+        )
+        if not (0.0 < cv <= 1.0):
+            raise InputError(f"field 'cv': must lie in (0, 1], got {cv}")
         # products, not powers: a float power raises OverflowError instead of giving inf
-        total_var = sum((self.cv * m) * (self.cv * m) for m in self.means)
-        if not (math.isfinite(sum(self.means)) and math.isfinite(total_var)):
+        total_var = sum((cv * m) * (cv * m) for m in means)
+        if not (math.isfinite(sum(means)) and math.isfinite(total_var)):
             raise InputError(
                 "field 'means': the horizon totals of the means and of the variances "
                 "(cv * mean)^2 must be finite"
             )
-        if not math.isfinite(self.initial_inventory):
+        if not math.isfinite(stock):
             raise InputError("field 'initial_inventory': must be finite")
-        try:
-            self.params  # cost validation lives in CostParams
-        except ValueError as exc:
-            raise InputError(f"field 'K/z/h/b': {exc}") from exc
-
-    @property
-    def params(self) -> CostParams:
-        return CostParams(K=self.K, z=self.z, h=self.h, b=self.b)
+        for name, v in (("K", K), ("z", z), ("h", h), ("b", b)):
+            if not math.isfinite(v):
+                raise InputError(f"field 'K/z/h/b': {name} must be finite, got {v}")
+        if K < 0:
+            raise InputError(f"field 'K/z/h/b': fixed order cost K must be >= 0, got {K}")
+        if h <= 0:
+            raise InputError(f"field 'K/z/h/b': holding cost h must be > 0, got {h}")
+        if b <= h:
+            # keeps the newsvendor fractile above one half
+            raise InputError(f"field 'K/z/h/b': penalty cost b must exceed holding cost h, got b={b} h={h}")
+        if not 0 <= z < b:
+            raise InputError(f"field 'K/z/h/b': unit cost z must satisfy 0 <= z < b, got z={z} b={b}")
 
     def to_dict(self) -> dict:
         return {
@@ -87,16 +104,19 @@ _REQUIRED = ("horizon", "means", "cv", "K", "z", "h", "b")
 _OPTIONAL = {"seed": None, "initial_inventory": 0.0, "pattern": "explicit", "name": ""}
 
 
-def _beyond_float(v) -> bool:
-    """Whether ``v`` is an integer too large to convert to a float."""
+def _number(what: str, v) -> float:
+    """``v`` as a float, or :class:`InputError` unless it is an int or a
+    float (not a bool) within the float range; ``what`` names the value."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise InputError(f"{what} {v!r} is not a number")
     try:
-        float(v)
+        return float(v)
     except OverflowError:
-        return True
-    return False
+        raise InputError(f"{what} is beyond the float range") from None
 
 
 def _from_mapping(data: dict, origin: str = "instance") -> InstanceSpec:
+    """Check the JSON shape of an instance; :class:`InstanceSpec` checks its values."""
     if not isinstance(data, dict):
         raise InputError(f"{origin}: expected a JSON object, got {type(data).__name__}")
     missing = [k for k in _REQUIRED if k not in data]
@@ -105,30 +125,12 @@ def _from_mapping(data: dict, origin: str = "instance") -> InstanceSpec:
     unknown = [k for k in data if k not in _REQUIRED and k not in _OPTIONAL]
     if unknown:
         raise InputError(f"{origin}: unknown field '{unknown[0]}'")
-    kwargs = {}
-    for k in _REQUIRED:
-        kwargs[k] = data[k]
-    for k, default in _OPTIONAL.items():
-        kwargs[k] = data.get(k, default)
-    if not isinstance(kwargs["horizon"], int) or isinstance(kwargs["horizon"], bool):
-        raise InputError(f"{origin}: field 'horizon' must be an integer")
-    if not isinstance(kwargs["means"], list):
+    if not isinstance(data["means"], list):
         raise InputError(f"{origin}: field 'means' must be an array")
-    if len(kwargs["means"]) == 0:
-        raise InputError(f"{origin}: field 'means' must not be empty")
-    for t, m in enumerate(kwargs["means"], start=1):
-        if not isinstance(m, (int, float)) or isinstance(m, bool):
-            raise InputError(f"{origin}: field 'means': period {t} value {m!r} is not a number")
-        if _beyond_float(m):
-            raise InputError(f"{origin}: field 'means': period {t} value is beyond the float range")
-    for fname in ("cv", "K", "z", "h", "b", "initial_inventory"):
-        v = kwargs[fname]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InputError(f"{origin}: field '{fname}' must be a number, got {v!r}")
-        if _beyond_float(v):
-            raise InputError(f"{origin}: field '{fname}' is beyond the float range")
-    kwargs["means"] = tuple(float(m) for m in kwargs["means"])
-    return InstanceSpec(**kwargs)
+    try:
+        return InstanceSpec(**{**_OPTIONAL, **data})
+    except InputError as exc:
+        raise InputError(f"{origin}: {exc}") from None
 
 
 def load_instance(source: Union[str, Path, dict]) -> InstanceSpec:

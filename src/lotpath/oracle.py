@@ -61,7 +61,9 @@ def _normal_losses(y, mu, sigma):
         exces = np.maximum(y - mu, 0.0)
     else:
         u = (y - mu) / sigma
-        pdf = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        # u * u may overflow to inf; exp(-inf) = 0 is the exact limit
+        with np.errstate(over="ignore"):
+            pdf = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
         short = sigma * (pdf - (1.0 - ndtr(u)) * u)
         exces = short + (y - mu)
     return np.maximum(short, 0.0), np.maximum(exces, 0.0)
@@ -71,7 +73,7 @@ class _CycleTable:
     """Per-(first, last) cycle cost callables with memoised grid columns."""
 
     def __init__(self, instance: InstanceSpec, grid: np.ndarray):
-        self.params = instance.params
+        self.instance = instance
         self.T = instance.horizon
         self.means = instance.means
         self.vars_ = [(instance.cv * m) ** 2 for m in instance.means]
@@ -80,7 +82,7 @@ class _CycleTable:
         self._free_cache: Dict[Tuple[int, int], Tuple[float, float]] = {}
 
     def cost(self, first: int, last: int, y):
-        p = self.params
+        inst = self.instance
         mu_acc = 0.0
         var_acc = 0.0
         total = np.zeros_like(np.asarray(y, dtype=float))
@@ -88,23 +90,23 @@ class _CycleTable:
             mu_acc += self.means[k - 1]
             var_acc += self.vars_[k - 1]
             short, exces = _normal_losses(y, mu_acc, math.sqrt(var_acc))
-            total = total + p.h * exces + p.b * short
-        unit = p.z * (np.asarray(y, dtype=float) if last == self.T else mu_acc)
-        return p.K + unit + total
+            total = total + inst.h * exces + inst.b * short
+        unit = inst.z * (np.asarray(y, dtype=float) if last == self.T else mu_acc)
+        return inst.K + unit + total
 
     def slope(self, first: int, last: int, y: float) -> float:
         """Derivative of ``cost`` in y: (h + b) Phi - b summed over the
         covered periods, plus z for the horizon-final cycle."""
-        p = self.params
+        inst = self.instance
         mu_acc = 0.0
         var_acc = 0.0
-        total = p.z if last == self.T else 0.0
+        total = inst.z if last == self.T else 0.0
         for k in range(first, last + 1):
             mu_acc += self.means[k - 1]
             var_acc += self.vars_[k - 1]
             sigma = math.sqrt(var_acc)
             cdf = float(y >= mu_acc) if sigma == 0.0 else float(ndtr((y - mu_acc) / sigma))
-            total += (p.h + p.b) * cdf - p.b
+            total += (inst.h + inst.b) * cdf - inst.b
         return total
 
     def grid_cost(self, first: int, last: int) -> np.ndarray:
@@ -213,13 +215,13 @@ def schedule_enumeration_oracle(instance: InstanceSpec, constrained: bool = True
         raise InputError(
             f"oracle enumerates 2^(T-1) schedules; horizon {T} exceeds cap {MAX_ORACLE_HORIZON}"
         )
-    total_mean = sum(instance.means)
-    total_sd = math.sqrt(sum((instance.cv * m) ** 2 for m in instance.means))
-    ymax = max(1.0, total_mean + 12.0 * total_sd)
-    step = max(total_mean / T, 1e-3) / 200.0
+    demand = sum(instance.means)
+    demand_sd = math.sqrt(sum((instance.cv * m) ** 2 for m in instance.means))
+    ymax = max(1.0, demand + 12.0 * demand_sd)
+    step = max(demand / T, 1e-3) / 200.0
     grid = np.arange(0.0, ymax + step, step)
     table = _CycleTable(instance, grid)
-    offset = instance.params.z * instance.initial_inventory
+    offset = instance.z * instance.initial_inventory
 
     best_cost = math.inf
     best_schedule: Tuple[int, ...] = (1,)

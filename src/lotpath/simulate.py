@@ -130,7 +130,6 @@ def simulate_policy(
             f"policy horizon {policy.horizon} != instance horizon {instance.horizon}"
         )
     T = instance.horizon
-    params = instance.params
     means = np.array(instance.means, dtype=float)
     stds = instance.cv * means
     level_at = policy.level_by_period()
@@ -154,7 +153,7 @@ def simulate_policy(
         penalty = np.zeros(c)
         for t in range(1, T + 1):
             if t in level_at:
-                setup += params.K
+                setup += instance.K
                 s = level_at[t]
                 if allow_negative_orders:
                     q = s - inv
@@ -162,10 +161,10 @@ def simulate_policy(
                 else:
                     q = np.maximum(0.0, s - inv)
                     inv = inv + q
-                order += params.z * q
+                order += instance.z * q
             inv = inv - demand[:, t - 1]
-            holding += params.h * np.maximum(inv, 0.0)
-            penalty += params.b * np.maximum(-inv, 0.0)
+            holding += instance.h * np.maximum(inv, 0.0)
+            penalty += instance.b * np.maximum(-inv, 0.0)
             closing_sum[t - 1] += float(inv.sum())
         cost = setup + order + holding + penalty
         total += float(cost.sum())
@@ -240,7 +239,6 @@ def expected_trace(instance, policy: Policy) -> ExpectedTrace:
             f"policy horizon {policy.horizon} != instance horizon {instance.horizon}"
         )
     T = instance.horizon
-    params = instance.params
     level_at = policy.level_by_period()
 
     rows: List[TraceRow] = []
@@ -252,8 +250,8 @@ def expected_trace(instance, policy: Policy) -> ExpectedTrace:
         is_review = t in level_at
         if is_review:
             s = level_at[t]
-            total += params.K
-            total += params.z * (s - prev_closing)
+            total += instance.K
+            total += instance.z * (s - prev_closing)
             seg_level = s
             mu = var = 0.0
             opening = s
@@ -265,8 +263,8 @@ def expected_trace(instance, policy: Policy) -> ExpectedTrace:
         sd = instance.cv * m
         var += sd * sd
         sigma = math.sqrt(var)
-        hold = params.h * complementary_loss(seg_level, mu, sigma)
-        pen = params.b * loss(seg_level, mu, sigma)
+        hold = instance.h * complementary_loss(seg_level, mu, sigma)
+        pen = instance.b * loss(seg_level, mu, sigma)
         total += hold + pen
         closing = seg_level - mu
         rows.append(

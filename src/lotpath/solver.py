@@ -107,7 +107,7 @@ def solve_instance(instance: InstanceSpec) -> Solution:
     path = reoptimise(matrix) if relaxed_violations else relaxed
     t3 = time.perf_counter()
 
-    offset = instance.params.z * instance.initial_inventory
+    offset = instance.z * instance.initial_inventory
     return Solution(
         instance=instance,
         policy=policy_from_path(path),

@@ -428,7 +428,7 @@ class TestReoptimise:
             with monkeypatch.context() as m:
                 m.setattr(
                     augment, "_admissible_spans",
-                    lambda cost, *_: np.triu(np.ones(cost.shape, dtype=bool)),
+                    lambda matrix, _: np.triu(np.ones(matrix.cost.shape, dtype=bool)),
                 )
                 full = reoptimise(matrix)
             assert pruned.cost == pytest.approx(full.cost, abs=1e-9), inst.name
@@ -491,7 +491,6 @@ class TestReoptimise:
                     blocks.append([cycles[k]])
             means = np.array(inst.means)
             var = np.array([(inst.cv * m) ** 2 for m in inst.means])
-            p = inst.params
             for block in (b for b in blocks if len(b) > 1):
                 blocks_checked += 1
 
@@ -507,7 +506,7 @@ class TestReoptimise:
 
                 n = sum(end - start + 1 for start, end, _ in block)
                 terminal = block[-1][1] == inst.horizon
-                target = (n * p.b - (p.z if terminal else 0.0)) / (p.b + p.h)
+                target = (n * inst.b - (inst.z if terminal else 0.0)) / (inst.b + inst.h)
                 # x, the shared root, is a level plus the mean demand before it
                 x = max(abs(level + means[: start - 1].sum()) for start, _, level in block)
                 tol = LEVEL_TOL * max(1.0, x)

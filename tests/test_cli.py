@@ -58,7 +58,9 @@ class TestSolve:
             assert main(["solve", str(bad)]) == 2, change
             assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["means", "cv", "K", "z", "h", "b", "initial_inventory"])
+    @pytest.mark.parametrize(
+        "field", ["horizon", "means", "cv", "K", "z", "h", "b", "initial_inventory"]
+    )
     def test_integer_beyond_float_range_is_input_error(self, field, tmp_path, capsys):
         data = golden_spec().to_dict()
         if field == "means":

@@ -22,7 +22,7 @@ from scipy.special import ndtr
 
 import lotpath
 from lotpath import (
-    CostParams,
+    InputError,
     InstanceSpec,
     NumericalError,
     build_connection_matrix,
@@ -37,8 +37,6 @@ from lotpath import (
 from lotpath.cycles import _bisect_levels, _bisect_roots
 
 from conftest import golden_spec
-
-GOLDEN_PARAMS = CostParams(K=50.0, z=0.0, h=1.0, b=19.0)
 
 # (first, last) -> (order_up_to, expected_cost); the matrix holds cycle
 # (i, j) at [i - 1, j - 1]
@@ -57,27 +55,6 @@ GOLDEN_ENTRIES = {
 }
 
 
-class TestCostParams:
-    def test_rejects_negative_fixed_cost(self):
-        with pytest.raises(ValueError, match="K"):
-            CostParams(K=-1.0, z=0.0, h=1.0, b=2.0)
-
-    def test_rejects_nonpositive_holding(self):
-        with pytest.raises(ValueError, match="holding"):
-            CostParams(K=0.0, z=0.0, h=0.0, b=2.0)
-
-    def test_rejects_penalty_below_holding(self):
-        # b <= h would push the newsvendor fractile to 0.5 or below
-        with pytest.raises(ValueError, match="penalty"):
-            CostParams(K=0.0, z=0.0, h=2.0, b=2.0)
-
-    def test_rejects_unit_cost_outside_band(self):
-        with pytest.raises(ValueError, match="unit cost"):
-            CostParams(K=0.0, z=-0.5, h=1.0, b=2.0)
-        with pytest.raises(ValueError, match="unit cost"):
-            CostParams(K=0.0, z=5.0, h=1.0, b=2.0)
-
-
 class TestOptimizer:
     def test_single_period_newsvendor_fractile(self, golden_matrix):
         # closed-form check: S = mu + sigma * Phi^-1(b/(b+h))
@@ -93,12 +70,12 @@ class TestOptimizer:
         # one on-hand and one shortage term per covered period, each against
         # the demand accumulated since the order
         y = golden_matrix.level[1, 3]
-        total = GOLDEN_PARAMS.K
+        total = golden.K
         for k in (2, 3, 4):
             mu = sum(golden.means[1:k])
             sigma = math.hypot(*(golden.cv * m for m in golden.means[1:k]))
-            total += GOLDEN_PARAMS.h * complementary_loss(y, mu, sigma)
-            total += GOLDEN_PARAMS.b * loss(y, mu, sigma)
+            total += golden.h * complementary_loss(y, mu, sigma)
+            total += golden.b * loss(y, mu, sigma)
         assert golden_matrix.cost[1, 3] == pytest.approx(total, rel=1e-9)
 
     def test_local_optimality(self, golden, golden_matrix):
@@ -151,18 +128,18 @@ class TestOptimizer:
 
     def test_converged_level_rows_keep_their_bracket(self):
         # the fractile kernel with a narrow, a 1e6-wide and a step (zero-sd) row
-        params = CostParams(K=50.0, z=2.0, h=1.0, b=19.0)
+        instance = golden_spec(z=2.0)  # K=50, h=1, b=19
         mus = np.array([[100.0, 200.0, 300.0], [1e3, 2e3, 3e3], [10.0, 20.0, 30.0]])
         sds = np.array([[30.0, 42.0, 52.0], [100.0, 141.0, 173.0], [0.0, 0.0, 0.0]])
         terminal = np.array([False, True, False])
         lo = np.array([250.0, -5e5, 0.0])
         hi = np.array([450.0, 5e5, 64.0])
-        batched = _bisect_levels(mus, sds, params, terminal, lo, hi, 1e-6)
+        batched = _bisect_levels(mus, sds, instance, terminal, lo, hi, 1e-6)
         assert batched[2] == pytest.approx(30.0, abs=1e-6)  # the step of its last CDF
         for r in range(3):
             row = slice(r, r + 1)
             single = _bisect_levels(
-                mus[row], sds[row], params, terminal[row], lo[row], hi[row], 1e-6
+                mus[row], sds[row], instance, terminal[row], lo[row], hi[row], 1e-6
             )
             assert batched[r] == single[0], r
 
@@ -210,9 +187,9 @@ class TestConnectionMatrix:
 # batched kernel vs a per-cycle scalar bisection as the reference
 
 
-def scalar_level(mus, sds, params, terminal, y_tol=1e-6):
+def scalar_level(mus, sds, instance, terminal, y_tol=1e-6):
     """Per-cycle bisection on the newsvendor condition, one CDF sum per step."""
-    target = (len(mus) * params.b - (params.z if terminal else 0.0)) / (params.b + params.h)
+    target = (len(mus) * instance.b - (instance.z if terminal else 0.0)) / (instance.b + instance.h)
 
     def g(y):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -255,7 +232,7 @@ def test_batched_matrix_matches_scalar_bisection(instance):
         i, j = s + 1, e + 1
         mus = np.cumsum(means[s:j])
         sds = np.sqrt(np.cumsum(var[s:j]))
-        level = scalar_level(mus, sds, instance.params, terminal=j == T)
+        level = scalar_level(mus, sds, instance, terminal=j == T)
         assert matrix.level[s, e] == level, (i, j)
         cost = cycle_cost_at(level, i, j, instance, terminal=j == T)
         assert matrix.cost[s, e] == pytest.approx(cost, rel=1e-12, abs=0.0), (i, j)
@@ -352,12 +329,11 @@ def test_span_costs_are_superadditive(instance):
     # right part terminal where j is the horizon; the slack is the bisection
     # error the pruned build allows for, (b n + z) Y_TOL
     cost = build_connection_matrix(instance).cost
-    p = instance.params
     T = instance.horizon
     for i in range(T):
         for j in range(i + 1, T):
-            parts = cost[i, i:j] + cost[i + 1 : j + 1, j] - p.K
-            slack = (p.b * (j - i + 1) + p.z) * lotpath.cycles.Y_TOL
+            parts = cost[i, i:j] + cost[i + 1 : j + 1, j] - instance.K
+            slack = (instance.b * (j - i + 1) + instance.z) * lotpath.cycles.Y_TOL
             assert (cost[i, j] >= parts - slack).all(), (i, j)
 
 
@@ -404,3 +380,16 @@ def test_long_horizon_prices_a_tenth_of_the_spans():
     sol = solve_instance(inst)
     assert sol.expected_cost == pytest.approx(55577.90329937521, rel=1e-9, abs=0.0)
     assert sol.to_dict()["spans_priced"] <= 0.10 * 80_200
+
+
+def test_horizon_beyond_the_matrix_budget_is_refused(monkeypatch):
+    # the five (T, T) float64 arrays take 40 T^2 bytes; with the budget set
+    # to exactly T = 49's, T = 50 is refused before anything is allocated
+    monkeypatch.setattr(lotpath.cycles, "MAX_MATRIX_BYTES", 40 * 49 * 49)
+
+    def flat(T):
+        return InstanceSpec(horizon=T, means=(10.0,) * T, cv=0.2, K=50.0, z=0.0, h=1.0, b=5.0)
+
+    with pytest.raises(InputError, match="horizon 50: .* 100,000 bytes"):
+        solve_instance(flat(50))
+    assert math.isfinite(solve_instance(flat(49)).expected_cost)

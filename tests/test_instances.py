@@ -60,7 +60,7 @@ class TestValidation:
         with pytest.raises(InputError, match="K must be finite"):
             load_instance(target)
 
-    def test_total_mean_finite(self):
+    def test_total_of_means_finite(self):
         with pytest.raises(InputError, match="horizon totals"):
             InstanceSpec(**spec_kwargs(means=(1e308, 1e308, 1.0)))
 
@@ -68,6 +68,33 @@ class TestValidation:
         # each mean is finite, but (cv * mean)^2 overflows
         with pytest.raises(InputError, match="horizon totals"):
             InstanceSpec(**spec_kwargs(means=(1e160, 1.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("horizon", dict(horizon=True, means=(10.0,))),
+            ("cv", dict(cv=True)),
+            ("means", dict(means=(10.0, True, 30.0))),
+        ],
+        ids=["horizon", "cv", "means"],
+    )
+    def test_booleans_are_not_numbers(self, field, overrides):
+        with pytest.raises(InputError, match=f"field '{field}'"):
+            InstanceSpec(**spec_kwargs(**overrides))
+
+    @pytest.mark.parametrize(
+        "field", ["horizon", "means", "cv", "K", "z", "h", "b", "initial_inventory"]
+    )
+    def test_integer_beyond_float_range(self, field):
+        overrides = {field: (10.0, 20.0, 10**400) if field == "means" else 10**400}
+        with pytest.raises(InputError, match=f"field '{field}'.*beyond the float range") as info:
+            InstanceSpec(**spec_kwargs(**overrides))
+        assert "0" * 20 not in str(info.value)
+
+    def test_means_are_stored_as_floats(self):
+        inst = InstanceSpec(**spec_kwargs(means=[10, 20, 30]))
+        assert inst.means == (10.0, 20.0, 30.0)
+        assert all(type(m) is float for m in inst.means)
 
     def test_initial_inventory_finite(self):
         with pytest.raises(InputError, match="initial_inventory"):
@@ -77,6 +104,27 @@ class TestValidation:
         inst = InstanceSpec(**spec_kwargs())
         # the moment table's first column is the single-period sd, cv * mean
         assert build_connection_matrix(inst).sds[:, 0].tolist() == [2.0, 4.0, 6.0]
+
+
+class TestCostRules:
+    def test_rejects_negative_fixed_cost(self):
+        with pytest.raises(InputError, match="K"):
+            InstanceSpec(**spec_kwargs(K=-1.0, z=0.0, h=1.0, b=2.0))
+
+    def test_rejects_nonpositive_holding(self):
+        with pytest.raises(InputError, match="holding"):
+            InstanceSpec(**spec_kwargs(K=0.0, z=0.0, h=0.0, b=2.0))
+
+    def test_rejects_penalty_below_holding(self):
+        # b <= h would push the newsvendor fractile to 0.5 or below
+        with pytest.raises(InputError, match="penalty"):
+            InstanceSpec(**spec_kwargs(K=0.0, z=0.0, h=2.0, b=2.0))
+
+    def test_rejects_unit_cost_outside_band(self):
+        with pytest.raises(InputError, match="unit cost"):
+            InstanceSpec(**spec_kwargs(K=0.0, z=-0.5, h=1.0, b=2.0))
+        with pytest.raises(InputError, match="unit cost"):
+            InstanceSpec(**spec_kwargs(K=0.0, z=5.0, h=1.0, b=2.0))
 
 
 class TestJsonRoundTrip:

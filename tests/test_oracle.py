@@ -1,5 +1,8 @@
 """Schedule enumeration benchmark."""
 
+import math
+import warnings
+
 import pytest
 
 from lotpath import (
@@ -95,6 +98,17 @@ class TestEdges:
             15.0, abs=1e-9
         )
 
+
+    @pytest.mark.parametrize("constrained", [False, True], ids=["unconstrained", "constrained"])
+    def test_near_deterministic_demand_leaks_no_warning(self, constrained):
+        # the standardised level u reaches ~1e159 here, so u * u overflows
+        inst = InstanceSpec(
+            horizon=3, means=(0.0, 0.0, 1.0), cv=5.49e-160, K=0.0, z=0.0, h=1.0, b=2.0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = schedule_enumeration_oracle(inst, constrained=constrained)
+        assert math.isfinite(res.best_cost)
 
 def test_constrained_levels_are_exact_on_repaired_schedules():
     # criterion 10's 16 repaired instances: for the schedule the solve picked,

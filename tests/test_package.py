@@ -167,3 +167,44 @@ def test_no_unused_imports():
         for line, name in _unused_imports(path)
     ]
     assert unused == []
+
+
+def _unreferenced_private_names(package: Path):
+    """Module-level private names (functions, classes, constants; dunders
+    aside) of ``package`` that no code of the package references outside
+    their own definition."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(package.rglob("*.py"))]
+    definitions = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            definitions += [
+                (name, node) for name in names
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+            ]
+    uses = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    ]
+    unreferenced = []
+    for name, definition in definitions:
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(
+            id(node) not in inside and getattr(node, "id", getattr(node, "attr", None)) == name
+            for node in uses
+        ):
+            unreferenced.append(name)
+    return sorted(unreferenced)
+
+
+def test_no_unreferenced_private_names():
+    assert _unreferenced_private_names(SRC / "lotpath") == []
