@@ -105,18 +105,10 @@ def _load_policy(path: str) -> Policy:
         raise InputError(f"{path}: missing policy field {e.args[0]!r}") from e
     if not (isinstance(reviews, list) and isinstance(levels, list)):
         raise InputError(f"{path}: policy fields 'reviews' and 'levels' must be arrays")
-    # JSON integers only: int() would truncate 3.7 to 3 and take true for 1
-    bad = [v for v in [horizon, *reviews] if not isinstance(v, int) or isinstance(v, bool)]
-    if bad:
-        raise InputError(f"{path}: policy horizon and reviews must be integers, got {bad[0]!r}")
-    bad = [s for s in levels if not isinstance(s, (int, float)) or isinstance(s, bool)]
-    if bad:
-        raise InputError(f"{path}: policy levels must be numbers, got {bad[0]!r}")
     try:
-        levels = tuple(float(s) for s in levels)
-    except OverflowError as e:  # an integer beyond the float range
-        raise InputError(f"{path}: policy level out of range: {e}") from e
-    return Policy(horizon=horizon, reviews=tuple(reviews), levels=levels)
+        return Policy(horizon=horizon, reviews=reviews, levels=levels)
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 def _cmd_solve(args) -> int:

@@ -43,14 +43,20 @@ class InstanceSpec:
             raise InputError("field 'horizon' must be an integer")
         if _number("field 'horizon' value", self.horizon) < 1:
             raise InputError("field 'horizon': must be >= 1")
-        if len(self.means) == 0:
-            raise InputError("field 'means' must not be empty")
-        if len(self.means) != self.horizon:
+        try:
+            means = tuple(self.means)
+        except TypeError:
             raise InputError(
-                f"field 'means': expected one entry per period of the horizon, got {len(self.means)}"
+                f"field 'means' must be a sequence of numbers, got {type(self.means).__name__}"
+            ) from None
+        if len(means) == 0:
+            raise InputError("field 'means' must not be empty")
+        if len(means) != self.horizon:
+            raise InputError(
+                f"field 'means': expected one entry per period of the horizon, got {len(means)}"
             )
         means = tuple(
-            _number(f"field 'means': period {t} value", m) for t, m in enumerate(self.means, start=1)
+            _number(f"field 'means': period {t} value", m) for t, m in enumerate(means, start=1)
         )
         for t, m in enumerate(means, start=1):
             if not math.isfinite(m) or m < 0:
@@ -83,6 +89,11 @@ class InstanceSpec:
             raise InputError(f"field 'K/z/h/b': penalty cost b must exceed holding cost h, got b={b} h={h}")
         if not 0 <= z < b:
             raise InputError(f"field 'K/z/h/b': unit cost z must satisfy 0 <= z < b, got z={z} b={b}")
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)):
+            raise InputError(f"field 'seed' must be an integer or null, got {self.seed!r}")
+        for name in ("pattern", "name"):
+            if not isinstance(getattr(self, name), str):
+                raise InputError(f"field '{name}' must be a string, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -113,6 +124,13 @@ def _number(what: str, v) -> float:
         return float(v)
     except OverflowError:
         raise InputError(f"{what} is beyond the float range") from None
+
+
+def check_seed(seed) -> None:
+    """:class:`InputError` unless ``seed`` is a non-negative int (not a bool),
+    which is what :class:`numpy.random.SeedSequence` takes."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _from_mapping(data: dict, origin: str = "instance") -> InstanceSpec:
@@ -186,6 +204,7 @@ def generate_instances(
     Deterministic for a given seed; replicate r uses its own child stream so
     the set is stable under reordering.
     """
+    check_seed(seed)
     out = []
     for r in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))

@@ -11,6 +11,10 @@ Two order semantics are supported:
 * set point (``allow_negative_orders=True``): Q = S - I even when negative.
   This matches the analytic cycle costs, which price each cycle from its
   level S regardless of the stock carried into the review.
+
+A simulation streams its replications through blocks of ``ROWS``, so it
+holds O(ROWS * T + CHUNK) numbers at a time, never the whole demand matrix.
+The block size changes neither the random stream nor the mean cost.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 
 from .demand import complementary_loss, loss
 from .errors import InputError
+from .instances import check_seed
 
 __all__ = [
     "Policy",
@@ -36,6 +41,8 @@ __all__ = [
 
 #: replications per chunk; chunk k draws from substream k of the seed
 CHUNK = 65536
+#: replications per block: a chunk is drawn and simulated one block at a time
+ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,24 @@ class Policy:
     levels: Tuple[float, ...]
 
     def __post_init__(self):
+        """The one validation of a policy; stores ``reviews`` as a tuple and
+        ``levels`` as a tuple of floats."""
+        try:
+            reviews, levels = tuple(self.reviews), tuple(self.levels)
+        except TypeError:
+            raise InputError("policy reviews and levels must be sequences") from None
+        object.__setattr__(self, "reviews", reviews)
+        bad = [v for v in [self.horizon, *reviews] if isinstance(v, bool) or not isinstance(v, int)]
+        if bad:
+            raise InputError(f"policy horizon and reviews must be integers, got {bad[0]!r}")
+        bad = [s for s in levels if isinstance(s, bool) or not isinstance(s, (int, float))]
+        if bad:
+            raise InputError(f"policy levels must be finite numbers, got {bad[0]!r}")
+        try:
+            levels = tuple(float(s) for s in levels)
+        except OverflowError as e:  # an integer beyond the float range
+            raise InputError(f"policy level out of range: {e}") from None
+        object.__setattr__(self, "levels", levels)
         if self.horizon < 1:
             raise InputError(f"horizon must be >= 1, got {self.horizon}")
         if not self.reviews:
@@ -64,9 +89,9 @@ class Policy:
             prev = r
         if prev > self.horizon:
             raise InputError(f"review period {prev} beyond horizon {self.horizon}")
-        for s in self.levels:
-            if s is None or not math.isfinite(s):
-                raise InputError(f"order-up-to levels must be finite numbers, got {s}")
+        for s in levels:
+            if not math.isfinite(s):
+                raise InputError(f"policy levels must be finite numbers, got {s}")
 
     def level_by_period(self) -> Dict[int, float]:
         return dict(zip(self.reviews, self.levels))
@@ -75,7 +100,7 @@ class Policy:
         return {
             "horizon": self.horizon,
             "reviews": list(self.reviews),
-            "levels": [float(s) for s in self.levels],
+            "levels": list(self.levels),
         }
 
 
@@ -122,15 +147,21 @@ def simulate_policy(
     independently across periods and replications. Work is done in chunks of
     ``CHUNK`` replications; chunk k draws from its own spawned RNG substream
     k, so a report is reproducible for a given seed and replication count.
+    Each chunk is drawn and simulated in blocks of ``ROWS`` replications
+    that continue the chunk's stream, so memory is O(ROWS * T + CHUNK) and
+    the block size changes neither the draws nor any cost.
     """
+    if isinstance(n_reps, bool) or not isinstance(n_reps, int):
+        raise InputError(f"n_reps must be an integer, got {n_reps!r}")
     if n_reps < 1:
         raise InputError(f"n_reps must be >= 1, got {n_reps}")
+    check_seed(seed)
     if policy.horizon != instance.horizon:
         raise InputError(
             f"policy horizon {policy.horizon} != instance horizon {instance.horizon}"
         )
     T = instance.horizon
-    means = np.array(instance.means, dtype=float)
+    means = np.array(instance.means, dtype=float)[:, None]
     stds = instance.cv * means
     level_at = policy.level_by_period()
 
@@ -139,33 +170,53 @@ def simulate_policy(
     total_sq = 0.0
     comp = {"setup": 0.0, "order": 0.0, "holding": 0.0, "penalty": 0.0}
     closing_sum = np.zeros(T)
+    setup = 0.0
+    for _ in policy.reviews:  # a running total, not K * reviews: the same rounding
+        setup += instance.K
+    rows = min(ROWS, n_reps)
+    draws = np.empty((rows, T))  # one block's standard normals, replication-major
+    stock = np.empty((T, rows))  # its closing stock, period-major
+    work = np.empty((T, rows))
 
     done = 0
     index = 0
     while done < n_reps:
         c = min(CHUNK, n_reps - done)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-        demand = rng.normal(means, stds, size=(c, T))
-        inv = np.full(c, float(instance.initial_inventory))
-        setup = 0.0
         order = np.zeros(c)
-        holding = np.zeros(c)
-        penalty = np.zeros(c)
-        for t in range(1, T + 1):
-            if t in level_at:
-                setup += instance.K
-                s = level_at[t]
-                if allow_negative_orders:
-                    q = s - inv
-                    inv = np.full(c, s)
-                else:
-                    q = np.maximum(0.0, s - inv)
-                    inv = inv + q
-                order += instance.z * q
-            inv = inv - demand[:, t - 1]
-            holding += instance.h * np.maximum(inv, 0.0)
-            penalty += instance.b * np.maximum(-inv, 0.0)
-            closing_sum[t - 1] += float(inv.sum())
+        holding = np.empty(c)
+        penalty = np.empty(c)
+        for lo in range(0, c, rows):
+            n = min(rows, c - lo)
+            normals = rng.standard_normal(out=draws[:n])
+            # means + stds * normals is what rng.normal draws, bit for bit
+            block = stock[:, :n]
+            np.multiply(normals.T, stds, out=block)
+            block += means
+            block_order = order[lo:lo + n]
+            carried = np.full(n, float(instance.initial_inventory))
+            for t in range(T):
+                d = block[t]  # this period's demand, replaced by its closing stock
+                s = level_at.get(t + 1)
+                if s is not None:
+                    if allow_negative_orders:
+                        q = s - carried
+                        carried = s
+                    else:
+                        q = np.maximum(0.0, s - carried)
+                        carried = carried + q  # not in place: carried may be the last row
+                    block_order += instance.z * q
+                np.subtract(carried, d, out=d)
+                carried = d
+            w = work[:, :n]
+            np.maximum(block, 0.0, out=w)
+            w *= instance.h
+            _period_sums(w, holding[lo:lo + n])
+            np.negative(block, out=w)
+            np.maximum(w, 0.0, out=w)
+            w *= instance.b
+            _period_sums(w, penalty[lo:lo + n])
+            closing_sum += block.sum(axis=1)
         cost = setup + order + holding + penalty
         total += float(cost.sum())
         total_sq += float((cost * cost).sum())
@@ -192,6 +243,15 @@ def simulate_policy(
         seed=seed,
         elapsed=time.perf_counter() - t0,
     )
+
+
+def _period_sums(a: np.ndarray, out: np.ndarray) -> None:
+    """Each column of the period-major block ``a`` summed into ``out`` in
+    period order, as a running per-replication total adds them."""
+    if a.shape[1] == 1:  # numpy would sum a lone column pairwise
+        out[0] = np.add.accumulate(a[:, 0])[-1]
+    else:
+        np.add.reduce(a, axis=0, out=out)
 
 
 # ---------------------------------------------------------------------------

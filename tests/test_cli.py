@@ -257,6 +257,23 @@ class TestGen:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "GOLDEN", "--reps", "10"],
+        ["gen", "--pattern", "lumpy", "--horizon", "4", "--rho", "0.2",
+         "--fixed-cost", "100", "--penalty", "5"],
+        ["bench", "--patterns", "lumpy", "--horizons", "5", "--rhos", "0.3",
+         "--fixed-costs", "225", "--penalties", "10", "--replicates", "1"],
+    ],
+    ids=["simulate", "gen", "bench"],
+)
+def test_negative_seed_is_input_error(argv, golden_file, capsys):
+    argv = [golden_file if a == "GOLDEN" else a for a in argv]
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

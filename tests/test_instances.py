@@ -91,6 +91,29 @@ class TestValidation:
             InstanceSpec(**spec_kwargs(**overrides))
         assert "0" * 20 not in str(info.value)
 
+    def test_means_must_be_a_sequence(self):
+        with pytest.raises(InputError, match="field 'means' must be a sequence of numbers, got float"):
+            InstanceSpec(**spec_kwargs(means=5.0))
+
+    @pytest.mark.parametrize("seed", [True, "x", 1.0])
+    def test_seed_is_an_integer_or_none(self, seed):
+        with pytest.raises(InputError, match=f"field 'seed' must be an integer or null, got {seed!r}"):
+            InstanceSpec(**spec_kwargs(seed=seed))
+        assert InstanceSpec(**spec_kwargs(seed=None)).seed is None
+        assert InstanceSpec(**spec_kwargs(seed=-3)).seed == -3
+
+    @pytest.mark.parametrize("field", ["pattern", "name"])
+    def test_labels_are_strings(self, field):
+        with pytest.raises(InputError, match=f"field '{field}' must be a string, got 3"):
+            InstanceSpec(**spec_kwargs(**{field: 3}))
+
+    def test_loader_refuses_mistyped_labels(self):
+        data = dict(spec_kwargs(means=[10.0, 20.0, 30.0]), seed="x", name=3)
+        with pytest.raises(InputError, match="instance: field 'seed'"):
+            load_instance(data)
+        with pytest.raises(InputError, match="instance: field 'name'"):
+            load_instance(dict(data, seed=None))
+
     def test_means_are_stored_as_floats(self):
         inst = InstanceSpec(**spec_kwargs(means=[10, 20, 30]))
         assert inst.means == (10.0, 20.0, 30.0)
@@ -208,6 +231,11 @@ class TestGenerators:
     def test_unknown_pattern(self):
         with pytest.raises(InputError, match="pattern"):
             generate_instances("seasonal", 10, rho=0.2, K=10.0, b=2.0)
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.5, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InputError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            generate_instances("lumpy", 10, rho=0.2, K=10.0, b=2.0, seed=seed)
 
     def test_generated_instances_validate_and_round_trip(self, tmp_path):
         (inst,) = generate_instances("erratic", 8, rho=0.25, K=900.0, b=5.0, seed=9)

@@ -1,0 +1,29 @@
+"""The benchmark's Monte Carlo workloads run and pass their own checks."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["mc-validate", "mc-clipped"])
+def test_monte_carlo_workload_passes_its_gate(workload):
+    # --trace 0 writes nothing under perfbench/out; --limit 2 keeps a pass short
+    out = subprocess.run(
+        [
+            sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", "1", "--seconds", "0.5", "--trace", "0", "--limit", "2",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -1,5 +1,8 @@
 """Monte Carlo policy evaluation and the analytic trace."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from lotpath import simulate
@@ -47,6 +50,33 @@ class TestPolicyValidation:
     def test_levels_must_be_finite(self):
         with pytest.raises(InputError, match="finite"):
             Policy(horizon=2, reviews=(1, 2), levels=(10.0, float("inf")))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(horizon=True), "horizon and reviews must be integers, got True"),
+            (dict(horizon=3.0), "horizon and reviews must be integers, got 3.0"),
+            (dict(reviews=(1, 2.0)), "horizon and reviews must be integers, got 2.0"),
+            (dict(levels=(True, 10.0)), "levels must be finite numbers, got True"),
+            (dict(levels=("10", 10.0)), "levels must be finite numbers, got '10'"),
+            (dict(levels=(10**400, 10.0)), "level out of range"),
+        ],
+        ids=["bool-horizon", "float-horizon", "float-review", "bool-level", "str-level", "huge-level"],
+    )
+    def test_field_types(self, fields, message):
+        base = dict(horizon=3, reviews=(1, 2), levels=(10.0, 10.0))
+        with pytest.raises(InputError, match=message):
+            Policy(**{**base, **fields})
+
+    def test_levels_are_stored_as_floats(self):
+        policy = Policy(horizon=3, reviews=[1, 2], levels=[10, 20])
+        assert policy.reviews == (1, 2)
+        assert policy.levels == (10.0, 20.0)
+        assert all(type(s) is float for s in policy.levels)
+
+    def test_reviews_and_levels_must_be_sequences(self):
+        with pytest.raises(InputError, match="reviews and levels must be sequences"):
+            Policy(horizon=3, reviews=1, levels=(10.0,))
 
 
 class TestSimulatePolicy:
@@ -129,6 +159,133 @@ class TestSimulatePolicy:
         policy = Policy(horizon=3, reviews=(1,), levels=(100.0,))
         with pytest.raises(InputError, match="n_reps"):
             simulate_policy(inst, policy, n_reps=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(n_reps=True), "n_reps must be an integer, got True"),
+            (dict(n_reps=2.5), "n_reps must be an integer, got 2.5"),
+            (dict(seed=-1), "seed must be a non-negative integer, got -1"),
+            (dict(seed=False), "seed must be a non-negative integer, got False"),
+            (dict(seed=1.0), "seed must be a non-negative integer, got 1.0"),
+        ],
+        ids=["bool-reps", "float-reps", "negative-seed", "bool-seed", "float-seed"],
+    )
+    def test_rejects_mistyped_reps_and_seed(self, kwargs, message):
+        inst = small_instance()
+        policy = Policy(horizon=3, reviews=(1,), levels=(100.0,))
+        with pytest.raises(InputError, match=message):
+            simulate_policy(inst, policy, **{"n_reps": 10, **kwargs})
+
+
+def stocked_instance():
+    """Four periods with initial stock and a zero-mean period; the policy
+    below sits under the carried stock at periods 1 and 2, so clipped and
+    set-point orders part there."""
+    return InstanceSpec(
+        horizon=4, means=(0.0, 50.0, 0.0, 30.0), cv=0.5,
+        K=10.0, z=1.0, h=1.0, b=9.0, initial_inventory=40.0,
+    )
+
+
+STOCKED_POLICY = Policy(horizon=4, reviews=(1, 2, 4), levels=(20.0, 5.0, 60.0))
+
+
+def reference_costs(instance, policy, n_reps, seed, allow_negative_orders):
+    """Per-replication costs and closing stock, one replication at a time in
+    plain Python floats, from the same stream as a single chunk."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    level_at = policy.level_by_period()
+    costs, closings = [], []
+    for _ in range(n_reps):
+        z = rng.standard_normal(instance.horizon).tolist()
+        inv = instance.initial_inventory
+        cost, closing = 0.0, []
+        for t, (m, e) in enumerate(zip(instance.means, z), start=1):
+            if t in level_at:
+                s = level_at[t]
+                q = s - inv if allow_negative_orders else max(0.0, s - inv)
+                inv = inv + q
+                cost += instance.K + instance.z * q
+            inv -= m + instance.cv * m * e
+            cost += instance.h * max(inv, 0.0) + instance.b * max(-inv, 0.0)
+            closing.append(inv)
+        costs.append(cost)
+        closings.append(closing)
+    return costs, closings
+
+
+class TestBlocks:
+    """A chunk is simulated in blocks of ``ROWS`` replications; the block
+    size must change nothing but the rounding of the closing-stock sums."""
+
+    @pytest.mark.parametrize("allow_negative_orders", [True, False], ids=["set-point", "clipped"])
+    def test_block_size_changes_nothing(self, monkeypatch, allow_negative_orders):
+        # twelve periods: numpy would sum a lone column pairwise from eight on;
+        # 1,002 replications leave a one-replication tail block at ROWS = 7
+        inst = InstanceSpec(
+            horizon=12, means=tuple(float(m) for m in (80, 0, 35, 120, 60, 5, 90, 0, 40, 70, 10, 55)),
+            cv=0.4, K=75.0, z=0.5, h=1.0, b=6.0, initial_inventory=30.0,
+        )
+        policy = Policy(
+            horizon=12, reviews=(1, 3, 4, 7, 10), levels=(150.0, 60.0, 170.0, 160.0, 90.0)
+        )
+
+        def run(rows):
+            monkeypatch.setattr(simulate, "ROWS", rows)
+            return simulate_policy(
+                inst, policy, n_reps=1_002, seed=13, allow_negative_orders=allow_negative_orders
+            )
+
+        default = run(simulate.ROWS)
+        for rows in (1, 7):
+            rep = run(rows)
+            assert rep.mean_cost == default.mean_cost
+            assert rep.std_error == default.std_error
+            assert rep.components == default.components
+            for a, b in zip(rep.closing_means, default.closing_means):
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("allow_negative_orders", [True, False], ids=["set-point", "clipped"])
+    @pytest.mark.parametrize("rows", [7, None], ids=["rows-7", "rows-default"])
+    def test_matches_a_per_replication_reference(self, monkeypatch, rows, allow_negative_orders):
+        if rows is not None:
+            monkeypatch.setattr(simulate, "ROWS", rows)
+        inst, n = stocked_instance(), 50
+        costs, closings = reference_costs(inst, STOCKED_POLICY, n, 21, allow_negative_orders)
+        rep = simulate_policy(
+            inst, STOCKED_POLICY, n_reps=n, seed=21, allow_negative_orders=allow_negative_orders
+        )
+        assert rep.mean_cost == pytest.approx(sum(costs) / n, rel=1e-12)
+        for t, mean in enumerate(rep.closing_means):
+            assert mean == pytest.approx(sum(c[t] for c in closings) / n, rel=1e-12, abs=1e-12)
+
+    def test_clipping_is_exercised(self):
+        inst = stocked_instance()
+        modes = [
+            simulate_policy(inst, STOCKED_POLICY, n_reps=200, seed=21, allow_negative_orders=neg)
+            for neg in (True, False)
+        ]
+        # period 1 has no demand: set-point orders drop the stock of 40 to
+        # the level 20, clipped orders keep it
+        assert [m.closing_means[0] for m in modes] == [20.0, 40.0]
+        assert abs(modes[1].mean_cost - modes[0].mean_cost) > 10.0
+
+    def test_memory_is_bounded_by_the_block(self):
+        # the whole (65,536 x 200) demand matrix alone would take 105 MB
+        T = 200
+        inst = InstanceSpec(
+            horizon=T, means=tuple(50.0 + (t % 7) * 10.0 for t in range(T)),
+            cv=0.3, K=100.0, z=0.0, h=1.0, b=9.0,
+        )
+        policy = Policy(horizon=T, reviews=tuple(range(1, T + 1, 4)), levels=(200.0,) * 50)
+        tracemalloc.start()
+        try:
+            simulate_policy(inst, policy, n_reps=65_536, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestExpectedTrace:
