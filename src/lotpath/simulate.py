@@ -174,9 +174,14 @@ def simulate_policy(
     for _ in policy.reviews:  # a running total, not K * reviews: the same rounding
         setup += instance.K
     rows = min(ROWS, n_reps)
-    draws = np.empty((rows, T))  # one block's standard normals, replication-major
-    stock = np.empty((T, rows))  # its closing stock, period-major
-    work = np.empty((T, rows))
+    # One allocation for the three block buffers, not three: the allocator
+    # keeps a single large block in its heap between calls, while three
+    # smaller ones are handed back to the OS at each return and page-faulted
+    # in again by the next call.
+    space = np.empty((3, rows * T))
+    draws = space[0].reshape(rows, T)  # one block's standard normals, replication-major
+    stock = space[1].reshape(T, rows)  # its closing stock, period-major
+    work = space[2].reshape(T, rows)
 
     done = 0
     index = 0
