@@ -191,6 +191,29 @@ class TestSingleSplit:
         assert len(cycles[1].arcs) == 2
 
 
+class TestMultiSplit:
+    """The loop on lumpy T=8 seed 7 r7: four splits, two of them of node 3."""
+
+    def test_nodes_cost_and_steps(self):
+        inst = generate_instances("lumpy", 8, 0.3, 225.0, 10.0, count=12, seed=7)[7]
+        path, trace = repetitive_augment(build_graph(build_connection_matrix(inst)))
+        assert path.node_labels == ("1", "3''", "9")
+        assert path.total_cost == pytest.approx(1425.4072114004136, abs=1e-9)
+        got = [
+            (str(s.node), str(s.new_node), str(s.redirected_from),
+             s.recomputed_targets, s.duplicated_targets)
+            for s in trace.steps
+        ]
+        assert got == [
+            ("3", "3'", "2", [4, 5, 6, 7, 8, 9], []),
+            ("4", "4'", "2", [5, 6, 7, 8, 9], []),
+            ("3", "3''", "1", [4, 5, 6, 7, 8], [9]),
+            ("5", "5'", "2", [6, 7, 8, 9], []),
+        ]
+        gaps = [68.52427885112857, 76.74601341193264, 30.520975151517206, 25.894370141853486]
+        assert [s.gap for s in trace.steps] == pytest.approx(gaps, abs=1e-9)
+
+
 class TestRelaxedPath:
     """The relaxed plan over the matrix arrays against the graph search."""
 

@@ -207,6 +207,25 @@ class TestExportGraph:
         assert "recomputed" in kinds and "duplicated" in kinds
         assert "3'" in out
 
+    def test_augmented_graph_rows(self, golden_file, capsys):
+        # one split of node 3: the inbound (2, 3) moves to 3', which gets the
+        # merged option to 4 and copies of node 3's longer spans
+        assert main(["export-graph", golden_file, "--augmented"]) == 0
+        rows = [tuple(line.split(",")[:3]) for line in capsys.readouterr().out.splitlines()[1:]]
+        normal = [(u, v, "normal") for u, v in (
+            ("1", "2"), ("1", "3"), ("1", "4"), ("1", "5"), ("1", "6"),
+            ("2", "3'"), ("2", "4"), ("2", "5"), ("2", "6"),
+            ("3", "4"), ("3", "5"), ("3", "6"),
+        )]
+        assert rows == normal + [
+            ("3'", "4", "recomputed"),
+            ("3'", "5", "duplicated"),
+            ("3'", "6", "duplicated"),
+            ("4", "5", "normal"),
+            ("4", "6", "normal"),
+            ("5", "6", "normal"),
+        ]
+
     def test_exhausted_split_budget_is_exit_3(self, golden_file, capsys, monkeypatch):
         capped = functools.partial(repetitive_augment, max_iterations=0)
         monkeypatch.setattr(graph, "repetitive_augment", capped)
