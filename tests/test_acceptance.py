@@ -63,7 +63,7 @@ def test_worked_example_paths(criterion):
 def test_worked_example_numerics(criterion, golden_matrix):
     g = build_graph(golden_matrix)
     repetitive_augment(g)
-    merged = g.get_arc(NodeId(3, 1), NodeId(4)).cycle
+    merged = g.get_arc(NodeId(3, 1), NodeId(4))
     level, closing = golden_matrix.level, golden_matrix.closing  # [first - 1, last - 1]
 
     checks = [
@@ -294,18 +294,11 @@ def test_long_horizon_smoke(criterion):
 # 10. repaired plans are minimal: no feasible schedule is cheaper
 
 
-def test_repair_matches_constrained_oracle(criterion):
-    gaps = []
-    for rho in (0.2, 0.3):
-        for b in (5.0, 10.0):
-            for inst in generate_instances(
-                pattern="lumpy", horizon=8, rho=rho, K=225.0, b=b, count=12, seed=7
-            ):
-                sol = solve_instance(inst)
-                if sol.relaxed_violations == 0:
-                    continue
-                con = schedule_enumeration_oracle(inst)
-                gaps.append((sol.expected_cost - con.best_cost, con.best_cost, inst.name))
+def test_repair_matches_constrained_oracle(criterion, repaired_oracle_runs):
+    gaps = [
+        (sol.expected_cost - con.best_cost, con.best_cost, inst.name)
+        for inst, sol, con in repaired_oracle_runs
+    ]
     over = [(gap, name) for gap, cost, name in gaps if gap > 1e-4 * cost]
     worst = max(gap for gap, _, _ in gaps)
     ok = len(gaps) == 16 and not over

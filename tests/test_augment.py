@@ -19,11 +19,9 @@ from lotpath import (
     build_connection_matrix,
     build_graph,
     check_feasibility,
-    effective_cycles,
     generate_instances,
     cycle_cost_at,
     expected_trace,
-    path_violations,
     policy_from_path,
     relaxed_path,
     reoptimise,
@@ -33,7 +31,8 @@ from lotpath import (
 )
 from lotpath import augment
 from lotpath.cycles import LEVEL_TOL, _relaxed_distances
-from lotpath.graph import NodeId, ReplenishmentGraph
+from lotpath import graph
+from lotpath.graph import NodeId, ReplenishmentGraph, augment_once
 
 
 def plain_chain_optimum(matrix, horizon):
@@ -75,15 +74,12 @@ class TestCheckFeasibility:
     def test_golden_relaxed_violation(self, golden_matrix):
         assert check_feasibility(relaxed_path(golden_matrix)) == [2]
         path = shortest_path(build_graph(golden_matrix))
-        violations = path_violations(path)
-        assert len(violations) == 1
-        v = violations[0]
-        assert v.node == NodeId(3)
-        assert v.closing == pytest.approx(61.682, abs=1e-3)
-        assert v.order_up_to == pytest.approx(37.3364, abs=1e-3)
-        assert v.gap == pytest.approx(61.682 - 37.3364, abs=1e-3)
-        assert v.pair_index == 2
-        assert v.effective_end == 3
+        plan = path.plan
+        assert check_feasibility(plan) == [2]
+        assert path.cycles[1].v == NodeId(3)  # the node whose review is violated
+        assert plan.closings[1] == pytest.approx(61.682, abs=1e-3)
+        assert plan.levels[2] == pytest.approx(37.3364, abs=1e-3)
+        assert plan.spans[2] == (2, 2)
 
     def test_repaired_path_is_clean(self, golden_solution):
         assert check_feasibility(golden_solution.path) == []
@@ -97,7 +93,7 @@ class TestCheckFeasibility:
         relaxed = check_feasibility(sol.relaxed_path)
         assert len(relaxed) == sol.relaxed_violations > 0
         path = shortest_path(build_graph(build_connection_matrix(instance)))
-        assert relaxed == [v.pair_index for v in path_violations(path)]
+        assert relaxed == check_feasibility(path.plan)
 
     def test_rising_demand_never_violates(self):
         inst = InstanceSpec(
@@ -115,13 +111,13 @@ class TestSingleSplit:
     @pytest.fixture()
     def repaired(self, golden_matrix):
         g = build_graph(golden_matrix)
-        path, trace = repetitive_augment(g)
-        return g, path, trace
+        path, steps = repetitive_augment(g)
+        return g, path, steps
 
     def test_trace_bookkeeping(self, repaired):
-        _, _, trace = repaired
-        assert trace.introduced_nodes == 1
-        step = trace.steps[0]
+        _, _, steps = repaired
+        assert len(steps) == 1
+        step = steps[0]
         assert step.node == NodeId(3)
         assert step.new_node == NodeId(3, 1)
         assert step.redirected_from == NodeId(2)
@@ -134,8 +130,8 @@ class TestSingleSplit:
         assert g.get_arc(NodeId(2), NodeId(3)) is None
         moved = g.get_arc(NodeId(2), NodeId(3, 1))
         assert moved is not None
-        assert moved.cycle.start == 2 and moved.cycle.end == 2
-        assert moved.cycle.order_up_to == pytest.approx(186.682, abs=1e-3)
+        assert moved.start == 2 and moved.end == 2
+        assert moved.order_up_to == pytest.approx(186.682, abs=1e-3)
         # the original node keeps its other inbound and all outbound options
         assert g.get_arc(NodeId(1), NodeId(3)) is not None
         assert g.get_arc(NodeId(3), NodeId(4)) is not None
@@ -144,11 +140,11 @@ class TestSingleSplit:
         g, _, _ = repaired
         merged = g.get_arc(NodeId(3, 1), NodeId(4))
         assert merged.kind == "recomputed"
-        assert (merged.cycle.start, merged.cycle.end) == (2, 3)
-        assert merged.cycle.absorbed == (3,)
-        assert merged.cycle.order_up_to == pytest.approx(203.3191, abs=1e-3)
-        assert merged.cycle.cost == pytest.approx(265.0495, abs=1e-3)
-        assert merged.cycle.closing == pytest.approx(53.3191, abs=1e-3)
+        assert (merged.start, merged.end) == (2, 3)
+        assert merged.absorbed == (3,)
+        assert merged.order_up_to == pytest.approx(203.3191, abs=1e-3)
+        assert merged.cost == pytest.approx(265.0495, abs=1e-3)
+        assert merged.closing == pytest.approx(53.3191, abs=1e-3)
         # traversal weight replaces the inbound cycle rather than adding to it
         assert g.effective_cost(merged) == pytest.approx(
             265.0495 - 127.3517, abs=1e-3
@@ -159,9 +155,9 @@ class TestSingleSplit:
         for target, span_end in ((5, 4), (6, 5)):
             dup = g.get_arc(NodeId(3, 1), NodeId(target))
             assert dup.kind == "duplicated"
-            assert dup.cycle.cost == golden_matrix.cost[2, span_end - 1]
-            assert dup.cycle.order_up_to == golden_matrix.level[2, span_end - 1]
-            assert dup.cycle.absorbed == ()
+            assert dup.cost == golden_matrix.cost[2, span_end - 1]
+            assert dup.order_up_to == golden_matrix.level[2, span_end - 1]
+            assert dup.absorbed == ()
 
     def test_final_path_uses_duplicate(self, repaired):
         _, path, _ = repaired
@@ -184,11 +180,10 @@ class TestSingleSplit:
             arcs=arcs,
             total_cost=total,
         )
-        cycles = effective_cycles(path)
-        assert [(c.cycle.start, c.cycle.end) for c in cycles] == [(1, 1), (2, 3), (4, 5)]
-        assert cycles[1].cycle.absorbed == (3,)
-        assert cycles[1].review_node == NodeId(2)
-        assert len(cycles[1].arcs) == 2
+        # the merged arc prices periods 2..3, superseding the redirect arc
+        assert path.cycles == [arcs[0], arcs[2], arcs[3]]
+        assert path.plan.spans == ((0, 0), (1, 2), (3, 4))
+        assert path.cycles[1].absorbed == (3,)
 
 
 class TestMultiSplit:
@@ -196,13 +191,13 @@ class TestMultiSplit:
 
     def test_nodes_cost_and_steps(self):
         inst = generate_instances("lumpy", 8, 0.3, 225.0, 10.0, count=12, seed=7)[7]
-        path, trace = repetitive_augment(build_graph(build_connection_matrix(inst)))
+        path, steps = repetitive_augment(build_graph(build_connection_matrix(inst)))
         assert path.node_labels == ("1", "3''", "9")
         assert path.total_cost == pytest.approx(1425.4072114004136, abs=1e-9)
         got = [
             (str(s.node), str(s.new_node), str(s.redirected_from),
              s.recomputed_targets, s.duplicated_targets)
-            for s in trace.steps
+            for s in steps
         ]
         assert got == [
             ("3", "3'", "2", [4, 5, 6, 7, 8, 9], []),
@@ -211,7 +206,7 @@ class TestMultiSplit:
             ("5", "5'", "2", [6, 7, 8, 9], []),
         ]
         gaps = [68.52427885112857, 76.74601341193264, 30.520975151517206, 25.894370141853486]
-        assert [s.gap for s in trace.steps] == pytest.approx(gaps, abs=1e-9)
+        assert [s.gap for s in steps] == pytest.approx(gaps, abs=1e-9)
 
 
 class TestRelaxedPath:
@@ -221,12 +216,8 @@ class TestRelaxedPath:
     def assert_same_path(matrix):
         want = shortest_path(build_graph(matrix))
         got = relaxed_path(matrix)
-        cycles = [a.cycle for a in want.arcs]
         assert got.node_labels == want.node_labels
-        assert got.spans == tuple((c.start - 1, c.end - 1) for c in cycles)
-        assert got.levels == tuple(c.order_up_to for c in cycles)
-        assert got.closings == tuple(c.closing for c in cycles)
-        assert got.costs == tuple(c.cost for c in cycles)
+        assert got == want.plan  # spans, levels, closings and costs
         assert got.cost == want.total_cost
 
     def test_golden(self, golden_matrix):
@@ -281,10 +272,10 @@ class TestSolveInstance:
         assert sol.policy.reviews == (1, 2, 3, 5)
         assert sol.relaxed_violations == 1
         # the paper's split loop repairs the same relaxed path with one split
-        loop, trace = repetitive_augment(build_graph(golden_matrix))
+        loop, steps = repetitive_augment(build_graph(golden_matrix))
         assert loop.node_labels == ("1", "2", "3'", "5", "6")
         assert loop.total_cost == pytest.approx(447.4670, abs=1e-3)
-        assert trace.introduced_nodes == 1
+        assert len(steps) == 1
 
     def test_golden_policy(self, golden_solution):
         policy = golden_solution.policy
@@ -325,13 +316,50 @@ class TestSolveInstance:
 
 
 class TestTermination:
-    def test_iteration_cap_raises_with_diagnostics(self, golden_matrix):
+    def test_iteration_cap_raises_with_diagnostics(self, golden_matrix, monkeypatch):
+        monkeypatch.setattr(graph, "SPLITS_PER_PERIOD", 0)
         g = build_graph(golden_matrix)
+        with pytest.raises(NonTerminationError, match="within 0 splits") as exc:
+            repetitive_augment(g)
+        assert exc.value.diagnostics == {
+            "iterations": 0,
+            "cap": 0,
+            "introduced_nodes": 0,
+            "node_count": 6,
+            "arc_count": 15,
+            "outstanding_violations": [
+                "node 3: carried 61.6820 exceeds order-up-to 37.3364 (gap 24.3456)"
+            ],
+        }
+
+    def test_budget_is_ten_splits_per_period(self, monkeypatch):
+        # lumpy T=8 seed 7 r7 needs four splits: a budget of 3 stops the
+        # loop at the fourth with that split's violation outstanding
+        inst = generate_instances("lumpy", 8, 0.3, 225.0, 10.0, count=12, seed=7)[7]
+        assert graph.SPLITS_PER_PERIOD == 10
+        monkeypatch.setattr(graph, "SPLITS_PER_PERIOD", 3 / 8)
         with pytest.raises(NonTerminationError) as exc:
-            repetitive_augment(g, max_iterations=0)
+            repetitive_augment(build_graph(build_connection_matrix(inst)))
         diag = exc.value.diagnostics
-        assert diag["cap"] == 0
-        assert diag["node_count"] >= 6
+        assert diag["iterations"] == diag["introduced_nodes"] == 3
+        assert diag["outstanding_violations"][0].startswith("node 5: ")
+
+    def test_split_of_a_stale_path_is_an_error(self, golden_matrix):
+        g = build_graph(golden_matrix)
+        path = shortest_path(g)
+        (k,) = check_feasibility(path.plan)
+        augment_once(g, path, k)
+        with pytest.raises(LotpathError, match="stale violation: inbound arc"):
+            augment_once(g, path, k)  # the split moved the arc into node 3
+
+    def test_split_without_a_matrix_is_an_error(self, golden_matrix):
+        g = ReplenishmentGraph(golden_matrix.horizon)
+        for arc in build_graph(golden_matrix).arcs():
+            g.add_arc(arc)
+        path = shortest_path(g)
+        with pytest.raises(LotpathError, match="no connection matrix"):
+            augment_once(g, path, check_feasibility(path.plan)[0])
+        assert len(g.nodes) == 6  # nothing was split
 
     def test_recombination_regression(self):
         # lumpy instances whose equal-cost merged arcs used to re-enter the
@@ -341,9 +369,9 @@ class TestTermination:
         ):
             sol = solve_instance(inst)
             assert check_feasibility(sol.path) == []
-            loop, trace = repetitive_augment(build_graph(build_connection_matrix(inst)))
-            assert path_violations(loop) == []
-            assert trace.introduced_nodes <= 50
+            loop, steps = repetitive_augment(build_graph(build_connection_matrix(inst)))
+            assert check_feasibility(loop.plan) == []
+            assert len(steps) <= 50
 
 
 class TestRepairQuality:
@@ -368,9 +396,9 @@ class TestRepairQuality:
                 sol = solve_instance(inst)
                 matrix = build_connection_matrix(inst)
                 dp = plain_chain_optimum(matrix, T)
-                loop, trace = repetitive_augment(build_graph(matrix))
+                loop, steps = repetitive_augment(build_graph(matrix))
                 # the loop splits exactly when the relaxed path violates
-                assert bool(trace.steps) == (sol.relaxed_violations > 0), inst.name
+                assert bool(steps) == (sol.relaxed_violations > 0), inst.name
                 assert loop.total_cost >= dp - 1e-9, inst.name
                 assert sol.expected_cost <= loop.total_cost + 1e-9, inst.name
 
@@ -392,7 +420,7 @@ class TestReoptimise:
     def test_golden_keeps_the_loop_plan(self, golden_matrix):
         loop, _ = repetitive_augment(build_graph(golden_matrix))
         plan = reoptimise(golden_matrix)
-        want = [c.cycle for c in effective_cycles(loop)]
+        want = loop.cycles
         got = policy_from_path(plan)
         assert got.reviews == tuple(c.start for c in want)
         assert got.levels == pytest.approx([c.order_up_to for c in want], rel=1e-12)

@@ -1,12 +1,11 @@
 """Command-line interface: one test per subcommand plus the exit-code map."""
 
-import functools
 import json
 
 import pytest
 
 from conftest import golden_spec
-from lotpath import graph, repetitive_augment, save_instance
+from lotpath import graph, save_instance
 from lotpath.cli import main
 
 
@@ -227,8 +226,7 @@ class TestExportGraph:
         ]
 
     def test_exhausted_split_budget_is_exit_3(self, golden_file, capsys, monkeypatch):
-        capped = functools.partial(repetitive_augment, max_iterations=0)
-        monkeypatch.setattr(graph, "repetitive_augment", capped)
+        monkeypatch.setattr(graph, "SPLITS_PER_PERIOD", 0)
         assert main(["export-graph", golden_file, "--augmented"]) == 3
         err = capsys.readouterr().err
         assert "did not terminate" in err

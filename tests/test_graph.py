@@ -7,13 +7,20 @@ from lotpath import (
     LotpathError,
     build_connection_matrix,
     build_graph,
+    check_feasibility,
     generate_instances,
     graph_dump,
-    path_violations,
     repetitive_augment,
     shortest_path,
 )
-from lotpath.graph import Arc, CycleInfo, NodeId, ReplenishmentGraph, augment_once
+from lotpath.graph import Arc, NodeId, ReplenishmentGraph, augment_once
+
+
+def plain_arc(u, v, cost):
+    return Arc(
+        NodeId(u), NodeId(v), "normal", start=u, end=v - 1, order_up_to=0.0, closing=0.0,
+        cost=cost,
+    )
 
 
 def enumerated_optimum(graph):
@@ -107,9 +114,9 @@ class TestBuildGraph:
     def test_arc_payload_matches_matrix(self, golden_matrix):
         g = build_graph(golden_matrix)
         arc = g.get_arc(NodeId(2), NodeId(4))
-        assert arc.cycle.cost == golden_matrix.cost[1, 2]
-        assert arc.cycle.order_up_to == golden_matrix.level[1, 2]
-        assert arc.cycle.start == 2 and arc.cycle.end == 3
+        assert arc.cost == golden_matrix.cost[1, 2]
+        assert arc.order_up_to == golden_matrix.level[1, 2]
+        assert arc.start == 2 and arc.end == 3
         assert arc.kind == "normal"
 
     def test_new_virtual_counts_copies(self, golden_matrix):
@@ -136,14 +143,14 @@ class TestShortestPath:
     def test_path_cost_is_arc_sum(self, golden_matrix):
         sol = shortest_path(build_graph(golden_matrix))
         assert sol.total_cost == pytest.approx(
-            sum(a.cycle.cost for a in sol.arcs), rel=1e-12
+            sum(a.cost for a in sol.arcs), rel=1e-12
         )
 
     def test_matches_enumeration_on_golden(self, golden_matrix):
         g = build_graph(golden_matrix)
         assert_search_matches_enumeration(g)
         repetitive_augment(g)
-        assert g.virtual_nodes  # the repair split a node
+        assert any(n.copy for n in g.nodes)  # the repair split a node
         assert_search_matches_enumeration(g)
 
     def test_matches_enumeration_on_generated_instances(self):
@@ -161,8 +168,7 @@ class TestShortestPath:
     def test_tie_goes_to_the_smaller_predecessor(self):
         g = ReplenishmentGraph(2)
         for u, v, cost in ((1, 2, 1.0), (2, 3, 1.0), (1, 3, 2.0)):
-            info = CycleInfo(start=u, end=v - 1, order_up_to=0.0, closing=0.0, cost=cost)
-            g.add_arc(Arc(NodeId(u), NodeId(v), "normal", info))
+            g.add_arc(plain_arc(u, v, cost))
             if u == 2:
                 assert shortest_path(g).node_labels == ("1", "2", "3")
         sol = shortest_path(g)
@@ -171,8 +177,7 @@ class TestShortestPath:
 
     def test_negative_weight_is_an_error(self):
         g = ReplenishmentGraph(1)
-        info = CycleInfo(start=1, end=1, order_up_to=0.0, closing=0.0, cost=-1.0)
-        g.add_arc(Arc(NodeId(1), NodeId(2), "normal", info))
+        g.add_arc(plain_arc(1, 2, -1.0))
         with pytest.raises(LotpathError, match="negative"):
             shortest_path(g)
 
@@ -193,8 +198,7 @@ class TestShortestPath:
     def test_negative_weight_fails_again_on_the_same_graph(self):
         g = ReplenishmentGraph(2)
         for u, v, cost in ((1, 2, 1.0), (2, 3, -1.0), (1, 3, 5.0)):
-            info = CycleInfo(start=u, end=v - 1, order_up_to=0.0, closing=0.0, cost=cost)
-            g.add_arc(Arc(NodeId(u), NodeId(v), "normal", info))
+            g.add_arc(plain_arc(u, v, cost))
         for _ in range(2):
             with pytest.raises(LotpathError, match="negative"):
                 shortest_path(g)
@@ -224,10 +228,11 @@ class TestResumedSearch:
         g = build_graph(matrix)
         splits = 0
         while True:
-            violations = path_violations(assert_search_matches_full_pass(g))
+            path = assert_search_matches_full_pass(g)
+            violations = check_feasibility(path.plan)
             if not violations:
                 break
-            augment_once(g, violations[0])
+            augment_once(g, path, violations[0])
             splits += 1
         return splits
 

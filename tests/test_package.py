@@ -32,7 +32,7 @@ lotpath.cli.main(["solve", sys.argv[2], "-o", sys.argv[3]])
 graph_after_solve = "lotpath.graph" in sys.modules
 lotpath.build_graph
 graph = "lotpath.graph" in sys.modules
-listed = {"build_graph", "repetitive_augment", "path_violations"} <= set(dir(lotpath))
+listed = {"build_graph", "repetitive_augment", "shortest_path"} <= set(dir(lotpath))
 res = lotpath.schedule_enumeration_oracle(spec, constrained=False)
 print(json.dumps({
     "package": package,
