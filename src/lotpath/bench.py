@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .instances import generate_instances
+from .instances import PATTERNS, generate_instances
 from .solver import solve_instance
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 # default factor levels
-PATTERNS = ("erratic", "lumpy")
 RHOS = (0.1, 0.2, 0.3)
 FIXED_COSTS = (225.0, 900.0, 2500.0)
 PENALTIES = (2.0, 5.0, 10.0)

@@ -344,9 +344,14 @@ def augment_once(graph: ReplenishmentGraph, path: PathSolution, k: int) -> Augme
     options as described above; ``k`` is an index that
     :func:`lotpath.augment.check_feasibility` reports for ``path.plan``.
 
-    Raises ``LotpathError`` if the path no longer matches the graph (its
-    arc into the node must still be present).
+    Raises ``LotpathError`` unless 1 <= k < len(path.cycles), or if the path
+    no longer matches the graph (its arc into the node must still be
+    present); the graph is then left unchanged.
     """
+    if not 1 <= k < len(path.cycles):
+        raise LotpathError(
+            f"cycle index {k!r} out of range: a split needs 1 <= k < {len(path.cycles)}"
+        )
     inbound = path.cycles[k - 1]
     v = inbound.v
     if graph.get_arc(inbound.u, v) is not inbound:

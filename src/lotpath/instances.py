@@ -39,10 +39,7 @@ class InstanceSpec:
 
     def __post_init__(self):
         """The one validation of an instance's fields; stores ``means`` as floats."""
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
-            raise InputError("field 'horizon' must be an integer")
-        if _number("field 'horizon' value", self.horizon) < 1:
-            raise InputError("field 'horizon': must be >= 1")
+        check_horizon(self.horizon)
         try:
             means = tuple(self.means)
         except TypeError:
@@ -126,6 +123,14 @@ def _number(what: str, v) -> float:
         raise InputError(f"{what} is beyond the float range") from None
 
 
+def check_horizon(horizon) -> None:
+    """:class:`InputError` unless ``horizon`` is an int (not a bool) of at least 1."""
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise InputError("field 'horizon' must be an integer")
+    if _number("field 'horizon' value", horizon) < 1:
+        raise InputError("field 'horizon': must be >= 1")
+
+
 def check_seed(seed) -> None:
     """:class:`InputError` unless ``seed`` is a non-negative int (not a bool),
     which is what :class:`numpy.random.SeedSequence` takes."""
@@ -174,17 +179,17 @@ def save_instance(spec: InstanceSpec, path: Union[str, Path]) -> None:
 # synthetic demand patterns
 # ---------------------------------------------------------------------------
 
+PATTERNS = ("erratic", "lumpy")
+
 
 def _pattern_means(pattern: str, horizon: int, rng: np.random.Generator) -> np.ndarray:
     if pattern == "erratic":
         return rng.uniform(0.0, 100.0, size=horizon)
-    if pattern == "lumpy":
-        # occasional demand spikes on a low base
-        spike = rng.uniform(size=horizon) < 0.2
-        high = rng.uniform(0.0, 420.0, size=horizon)
-        low = rng.uniform(0.0, 20.0, size=horizon)
-        return np.where(spike, high, low)
-    raise InputError(f"unknown demand pattern {pattern!r}")
+    # lumpy: occasional demand spikes on a low base
+    spike = rng.uniform(size=horizon) < 0.2
+    high = rng.uniform(0.0, 420.0, size=horizon)
+    low = rng.uniform(0.0, 20.0, size=horizon)
+    return np.where(spike, high, low)
 
 
 def generate_instances(
@@ -205,6 +210,9 @@ def generate_instances(
     the set is stable under reordering.
     """
     check_seed(seed)
+    check_horizon(horizon)
+    if pattern not in PATTERNS:
+        raise InputError(f"unknown demand pattern {pattern!r}")
     out = []
     for r in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))

@@ -11,10 +11,9 @@ Two modes:
   cost must equal the relaxed shortest-path objective.
 * constrained: levels must additionally absorb the stock carried between
   cycles (expected closing of a cycle never exceeds the next level), i.e. no
-  expected negative orders. A suffix-minimum grid DP over a shared level
-  grid, stepping by 1/200 of the average period mean, gives a start; SLSQP
-  then solves the levels exactly, with every hand-off as a linear
-  constraint.
+  expected negative orders. SLSQP solves the levels exactly, with every
+  hand-off as a linear constraint, starting from each cycle's stand-alone
+  optimum raised where it would need a negative order.
 
 The oracle keeps its own Normal loss and CDF kernels and its own level
 solve, on purpose: it shares no code with the solver it checks.
@@ -29,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -64,21 +63,21 @@ def _normal_losses(y, mu, sigma):
         # u * u may overflow to inf; exp(-inf) = 0 is the exact limit
         with np.errstate(over="ignore"):
             pdf = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-        short = sigma * (pdf - (1.0 - ndtr(u)) * u)
+        # ndtr(-u), not 1 - ndtr(u): the upper tail keeps its digits
+        short = sigma * (pdf - ndtr(-u) * u)
         exces = short + (y - mu)
     return np.maximum(short, 0.0), np.maximum(exces, 0.0)
 
 
 class _CycleTable:
-    """Per-(first, last) cycle cost callables with memoised grid columns."""
+    """Per-(first, last) cycle cost callables; levels lie in [0, ymax]."""
 
-    def __init__(self, instance: InstanceSpec, grid: np.ndarray):
+    def __init__(self, instance: InstanceSpec, ymax: float):
         self.instance = instance
         self.T = instance.horizon
         self.means = instance.means
         self.vars_ = [(instance.cv * m) ** 2 for m in instance.means]
-        self.grid = grid
-        self._grid_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        self.ymax = ymax
         self._free_cache: Dict[Tuple[int, int], Tuple[float, float]] = {}
 
     def cost(self, first: int, last: int, y):
@@ -109,20 +108,13 @@ class _CycleTable:
             total += (inst.h + inst.b) * cdf - inst.b
         return total
 
-    def grid_cost(self, first: int, last: int) -> np.ndarray:
-        key = (first, last)
-        if key not in self._grid_cache:
-            self._grid_cache[key] = self.cost(first, last, self.grid)
-        return self._grid_cache[key]
-
     def free_minimum(self, first: int, last: int) -> Tuple[float, float]:
         """(level, cost) of the cycle optimised with no coupling."""
         key = (first, last)
         if key not in self._free_cache:
-            hi = float(self.grid[-1])
             res = minimize_scalar(
                 lambda y: float(self.cost(first, last, y)),
-                bounds=(0.0, hi),
+                bounds=(0.0, self.ymax),
                 method="bounded",
                 options={"xatol": 1e-8},
             )
@@ -146,34 +138,18 @@ def _constrained_schedule(
 ) -> Tuple[float, List[float]]:
     """Best levels for one schedule with carried stock absorbed at each review.
 
-    The grid DP's levels start SLSQP on the convex problem: minimise the
-    summed cycle costs subject to y[k+1] - y[k] + mu[k] >= 0 and 0 <= y <=
-    the grid's top. Its answer is projected onto the hand-offs before it is
-    priced; the cheaper of start and answer is returned.
+    SLSQP solves the convex problem: minimise the summed cycle costs subject
+    to y[k+1] - y[k] + mu[k] >= 0 and 0 <= y <= ymax. It starts from each
+    cycle's stand-alone optimum, raised forward where it would need a
+    negative order, which is feasible. Its answer is projected onto the
+    hand-offs before it is priced; the cheaper of start and answer is
+    returned.
     """
-    grid = table.grid
     n = len(cycles)
     mus = [sum(table.means[a - 1: b]) for a, b in cycles]
-
-    # backward pass: value-to-go as a function of the lowest admissible level
-    value_next: Optional[np.ndarray] = None
-    totals: List[np.ndarray] = [None] * n  # cost-at-level + value-to-go, per cycle
-    for i in range(n - 1, -1, -1):
-        a, b = cycles[i]
-        col = table.grid_cost(a, b).copy()
-        if value_next is not None:
-            col += np.interp(grid - mus[i], grid, value_next)
-        totals[i] = col
-        value_next = np.minimum.accumulate(col[::-1])[::-1]
-
-    # forward recovery on the grid
-    levels: List[float] = []
-    lowest = -math.inf
-    for i in range(n):
-        j0 = int(np.searchsorted(grid, lowest, side="left")) if lowest > grid[0] else 0
-        j = j0 + int(np.argmin(totals[i][j0:]))
-        levels.append(float(grid[j]))
-        lowest = levels[-1] - mus[i]
+    levels = [table.free_minimum(a, b)[0] for a, b in cycles]
+    for k in range(1, n):
+        levels[k] = max(levels[k], levels[k - 1] - mus[k - 1])
 
     def total(y) -> float:
         return sum(float(table.cost(a, b, y[i])) for i, (a, b) in enumerate(cycles))
@@ -189,7 +165,7 @@ def _constrained_schedule(
         np.array(levels),
         jac=gradient,
         method="SLSQP",
-        bounds=[(0.0, float(grid[-1]))] * n,
+        bounds=[(0.0, table.ymax)] * n,
         constraints=[{
             "type": "ineq",
             "fun": lambda y: handoffs @ y + carried,
@@ -207,8 +183,8 @@ def schedule_enumeration_oracle(instance: InstanceSpec, constrained: bool = True
     """Exact-by-enumeration benchmark for small instances.
 
     Raises :class:`InputError` beyond ``MAX_ORACLE_HORIZON`` periods; the
-    schedule count doubles per period. The constrained mode's level grid
-    steps by 1/200 of the average period mean.
+    schedule count doubles per period. Levels lie in [0, max(1, D + 12 sd)],
+    D the demand over the whole horizon.
     """
     T = instance.horizon
     if T > MAX_ORACLE_HORIZON:
@@ -217,10 +193,7 @@ def schedule_enumeration_oracle(instance: InstanceSpec, constrained: bool = True
         )
     demand = sum(instance.means)
     demand_sd = math.sqrt(sum((instance.cv * m) ** 2 for m in instance.means))
-    ymax = max(1.0, demand + 12.0 * demand_sd)
-    step = max(demand / T, 1e-3) / 200.0
-    grid = np.arange(0.0, ymax + step, step)
-    table = _CycleTable(instance, grid)
+    table = _CycleTable(instance, max(1.0, demand + 12.0 * demand_sd))
     offset = instance.z * instance.initial_inventory
 
     best_cost = math.inf

@@ -291,6 +291,22 @@ def test_negative_seed_is_input_error(argv, golden_file, capsys):
     assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--pattern", "lumpy", "--horizon", "-1", "--rho", "0.2",
+         "--fixed-cost", "100", "--penalty", "5"],
+        ["bench", "--horizons", "-2", "--replicates", "1"],
+    ],
+    ids=["gen", "bench"],
+)
+def test_negative_horizon_is_input_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: field 'horizon': must be >= 1\n"
+    assert "Traceback" not in err
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

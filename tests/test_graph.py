@@ -255,6 +255,18 @@ class TestResumedSearch:
         assert self.repair_step_by_step(build_connection_matrix(inst)) == 19
 
 
+class TestAugmentOnceIndex:
+    @pytest.mark.parametrize("k", [0, 4, -1], ids=["zero", "past-last", "negative"])
+    def test_out_of_range_cycle_raises_and_leaves_graph(self, golden_matrix, k):
+        g = build_graph(golden_matrix)
+        path = shortest_path(g)
+        assert len(path.cycles) == 4
+        before = graph_dump(g)
+        with pytest.raises(LotpathError, match="out of range"):
+            augment_once(g, path, k)
+        assert graph_dump(g) == before
+
+
 class TestGraphDump:
     def test_csv_shape(self, golden_matrix):
         g = build_graph(golden_matrix)

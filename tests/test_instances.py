@@ -232,6 +232,19 @@ class TestGenerators:
         with pytest.raises(InputError, match="pattern"):
             generate_instances("seasonal", 10, rho=0.2, K=10.0, b=2.0)
 
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [
+            (-1, "field 'horizon': must be >= 1"),
+            (0, "field 'horizon': must be >= 1"),
+            (True, "field 'horizon' must be an integer"),
+            (2.5, "field 'horizon' must be an integer"),
+        ],
+    )
+    def test_bad_horizon_is_refused_before_drawing(self, horizon, message):
+        with pytest.raises(InputError, match=message):
+            generate_instances("lumpy", horizon, rho=0.2, K=10.0, b=2.0)
+
     @pytest.mark.parametrize("seed", [-1, True, 2.5, None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(InputError, match=f"seed must be a non-negative integer, got {seed!r}"):
