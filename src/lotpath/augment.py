@@ -15,26 +15,29 @@ still pays K. It never raises a level to absorb carried stock or lowers an
 upstream one, so its plan can cost more than the cheapest feasible plan.
 The solve does not run it. :func:`reoptimise` is stage 3 and gives the
 solve's answer whenever the relaxed plan violates: an exact dynamic program
-over all review schedules and levels,
+over all review schedules and levels. A cycle that starts in period i at
+level y has the position x = y + M(i), M(i) the mean demand before period i,
+and a hand-off is feasible exactly when positions do not decrease:
 
-    V(i, L) = min over j >= i, y >= L of  c(i, j; y) + V(j + 1, y - mu(i..j)),
+    V(i, x) = min over j >= i, x' >= x of  c(i, j; x' - M(i)) + V(j + 1, x'),
 
-with V(T + 1, .) = 0 and L the lowest admissible level (the stock carried
-into period i). It runs on a level grid, keeps only the spans that a relaxed
-bound admits below a feasible plan's cost, recovers a schedule forward with
-the exact carried stock, and then sets that schedule's levels to their exact
-constrained optimum off the grid. The stage prices every span from the
-matrix's moment table (``ConnectionMatrix.mus``/``sds``) and finds pooled
-levels with the matrix's own fractile kernel, so the two share one Normal
-CDF sum. The relaxed distances and the constrained-level solve live in
-:mod:`lotpath.cycles`, because the pruned matrix build uses them to bound the
-spans it prices; the stage's feasible plan is the one that set that bound.
+with V(T + 1, .) = 0 and x the position of the previous cycle (the stock
+carried into period i, plus M(i)). It runs on one grid of positions, keeps
+only the spans that a relaxed bound admits below a feasible plan's cost,
+recovers a schedule forward with non-decreasing positions, and then sets
+that schedule's levels to their exact constrained optimum off the grid. The
+stage prices every span from the matrix's moment table
+(``ConnectionMatrix.mus``/``sds``) and finds pooled levels with the matrix's
+own fractile kernel, so the two share one Normal CDF sum. The relaxed
+distances and the constrained-level solve live in :mod:`lotpath.cycles`,
+because the pruned matrix build uses them to bound the spans it prices; the
+stage's feasible plan is the one that set that bound.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -107,51 +110,47 @@ def _admissible_spans(matrix: ConnectionMatrix, bound: float) -> np.ndarray:
 
 
 def _grid_schedule(
-    matrix: ConnectionMatrix, keep: np.ndarray, ys: np.ndarray
+    matrix: ConnectionMatrix, keep: np.ndarray, lo: float, step: float, n: int
 ) -> List[Tuple[int, int]]:
-    """Cheapest feasible schedule with every level on the grid ``ys``.
+    """Cheapest feasible schedule with every position on one grid.
 
-    Backward pass: ``value[s][g]`` is V(s, ys[g]), the cheapest plan of
-    periods s.. whose first level is at least ys[g]; the carried stock
-    y - mu falls between grid points and is interpolated. Each start's cost
-    columns are one running sum over its ends, priced from the matrix's
-    moment rows. The schedule is recovered forward with the exact carried
-    stock, so its grid levels are feasible.
+    Start s prices the n positions lo + step (shift[s] + i), i < n, with
+    shift[s] = rint(M(s) / step): its levels run from lo on the grid step,
+    and a hand-off to start e + 1 is the index shift shift[e + 1] - shift[s].
+    Backward pass: ``value[s, i]`` is V(s, x) at start s's i-th position x.
+    One block per start prices all its admissible ends from the matrix's
+    moment rows; the first (smallest) end wins a tie. The schedule is
+    recovered forward with non-decreasing positions, so it is feasible.
     """
     inst = matrix.instance
     T = matrix.horizon
-    value: List[Optional[np.ndarray]] = [None] * T + [np.zeros_like(ys)]
-    best: List[Optional[np.ndarray]] = [None] * T
-    best_end: List[Optional[np.ndarray]] = [None] * T
+    M = np.concatenate(([0.0], matrix.mus[0]))
+    shift = np.rint(M / step).astype(int)
+    i = np.arange(n)
+    value = np.vstack([np.full((T, n), np.inf), np.zeros(n)])
+    best, best_end = np.full((T, n), np.inf), np.zeros((T, n), dtype=int)
     for s in range(T - 1, -1, -1):
-        ends = [e for e in np.flatnonzero(keep[s]).tolist() if value[e + 1] is not None]
-        if not ends:
+        ends = np.flatnonzero(keep[s] & np.isfinite(value[1:, 0]))
+        if ends.size == 0:
             continue
-        n = ends[-1] - s + 1
-        short, on_hand = _loss_pair(ys[None, :], matrix.mus[s, :n, None], matrix.sds[s, :n, None])
-        running = np.cumsum(inst.h * on_hand + inst.b * short, axis=0)
-        total = np.full_like(ys, np.inf)
-        arg = np.zeros(ys.shape, dtype=int)
-        for e in ends:
-            mu = matrix.mus[s, e - s]
-            if e == T - 1:
-                w = running[e - s] + (inst.K + inst.z * ys)
-            else:
-                w = running[e - s] + (inst.K + inst.z * mu) + np.interp(ys - mu, ys, value[e + 1])
-            better = w < total
-            total[better] = w[better]
-            arg[better] = e
-        best[s], best_end[s] = total, arg
-        value[s] = np.minimum.accumulate(total[::-1])[::-1]
+        ys = lo + step * (shift[s] + i) - M[s]
+        m = ends[-1] - s + 1  # the rows of the start's window
+        short, on_hand = _loss_pair(ys, matrix.mus[s, :m, None], matrix.sds[s, :m, None])
+        running = np.cumsum(inst.h * on_hand + inst.b * short, axis=0)[ends - s]
+        unit = inst.z * np.where(ends[:, None] == T - 1, ys, matrix.mus[s, ends - s, None])
+        after = np.maximum(i - (shift[ends + 1] - shift[s])[:, None], 0)
+        w = running + (inst.K + unit) + value[ends[:, None] + 1, after]
+        k = np.argmin(w, axis=0)
+        best[s], best_end[s] = w[k, i], ends[k]
+        value[s] = np.minimum.accumulate(best[s, ::-1])[::-1]
 
     schedule: List[Tuple[int, int]] = []
-    s, g0 = 0, 0
+    s = g = 0
     while s < T:
-        g = g0 + int(np.argmin(best[s][g0:]))
-        e = int(best_end[s][g])
-        schedule.append((s, e))
-        g0 = int(np.searchsorted(ys, ys[g] - matrix.mus[s, e - s], side="left"))
-        s = e + 1
+        first = max(g - shift[s], 0)
+        j = first + int(np.argmin(best[s, first:]))
+        schedule.append((s, int(best_end[s, j])))
+        s, g = schedule[-1][1] + 1, shift[s] + j
     return schedule
 
 
@@ -163,21 +162,24 @@ def reoptimise(matrix: ConnectionMatrix) -> Plan:
     grid dynamic program visits (see :func:`_admissible_spans`), whose rule
     the plan's own spans pass. A pruned matrix carries that plan as
     ``matrix.bound_plan``; a matrix that priced every span has none, and the
-    plan is made here. The level grid (see ``GRID_PER_MEAN``) covers 0 and
-    the matrix optima of those spans: an optimal constrained level lies
-    between the lowest and highest stand-alone optimum of its plan. The
-    recovered schedule then gets its exact constrained levels. Returns the
-    cheaper of the two plans. Both price their spans from the matrix's
-    moment table (``matrix.mus``/``matrix.sds``); the span bound reads the
-    matrix's relaxed distances (``matrix.prefix``/``matrix.suffix``).
+    plan is made here. Each start's grid positions (see ``GRID_PER_MEAN``)
+    give levels from lo = min(0, the lowest matrix optimum of those spans)
+    to the highest, hi, which hold every exact constrained level of a
+    schedule over them: in a pooled block of :func:`~lotpath.cycles._schedule_levels`
+    every prefix's root is at or above the block's position and every
+    suffix's at or below it, so each member's level lies between the last
+    and the first member's stand-alone optima. The recovered schedule then
+    gets its exact constrained levels. Returns the cheaper of the two plans.
+    Both price their spans from the matrix's moment table
+    (``matrix.mus``/``matrix.sds``); the span bound reads the matrix's
+    relaxed distances (``matrix.prefix``/``matrix.suffix``).
     """
     T = matrix.horizon
     bound = matrix.bound_plan or _constrained_plan(matrix, _relaxed_spans(matrix.pred))
     keep = _admissible_spans(matrix, bound.cost)
 
     levels = matrix.level[keep]
-    lo = min(0.0, float(levels.min()))
-    hi = float(levels.max())
+    lo, hi = min(0.0, float(levels.min())), float(levels.max())
     mean_step = float(np.asarray(matrix.instance.means, dtype=float).sum()) / T / GRID_PER_MEAN
     step = max(mean_step, (hi - lo) / MAX_GRID, 1e-12)
     if (hi - lo) / MAX_GRID > mean_step:
@@ -187,9 +189,7 @@ def reoptimise(matrix: ConnectionMatrix) -> Plan:
             "cheapest plan",
             MAX_GRID, step, GRID_PER_MEAN, mean_step,
         )
-    ys = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
-    schedule = _grid_schedule(matrix, keep, ys)
-    plans = [bound]
-    if tuple(schedule) != bound.spans:
-        plans.append(_constrained_plan(matrix, schedule))
-    return min(plans, key=lambda plan: plan.cost)
+    schedule = _grid_schedule(matrix, keep, lo, step, int(np.ceil((hi - lo) / step)) + 1)
+    if tuple(schedule) == bound.spans:
+        return bound
+    return min(bound, _constrained_plan(matrix, schedule), key=lambda plan: plan.cost)

@@ -207,12 +207,16 @@ def generate_instances(
 
     ``rho`` is the coefficient of variation applied to every period mean.
     Deterministic for a given seed; replicate r uses its own child stream so
-    the set is stable under reordering.
+    the set is stable under reordering. ``count`` = 0 gives no instances.
     """
     check_seed(seed)
     check_horizon(horizon)
     if pattern not in PATTERNS:
         raise InputError(f"unknown demand pattern {pattern!r}")
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise InputError(f"count must be an integer, got {count!r}")
+    for what, v in (("rho", rho), ("K", K), ("b", b)):
+        _number(f"{what} value", v)  # each instance's name formats them as numbers
     out = []
     for r in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))

@@ -1,5 +1,6 @@
 """Feasibility checking and the repetitive repair loop."""
 
+import itertools
 import math
 import sys
 import warnings
@@ -58,6 +59,56 @@ def plain_chain_optimum(matrix, horizon):
                         cand = min(cand, best[(m, start - 1)] + cost)
             best[(start, end)] = cand
     return min(best[(s, horizon)] for s in range(1, horizon + 1))
+
+
+def coarse_grid(matrix, keep):
+    """``reoptimise``'s grid geometry (lo, step, n) over the spans ``keep``
+    admits, at a step four times wider, so that enumeration stays quick."""
+    levels = matrix.level[keep]
+    lo, hi = min(0.0, float(levels.min())), float(levels.max())
+    mean_step = sum(matrix.instance.means) / matrix.horizon / augment.GRID_PER_MEAN
+    step = 4.0 * max(mean_step, (hi - lo) / augment.MAX_GRID, 1e-12)
+    return lo, step, int(np.ceil((hi - lo) / step)) + 1
+
+
+def enumerated_grid_schedule(matrix, keep, lo, step, n):
+    """Reference for ``augment._grid_schedule`` by enumeration.
+
+    Every schedule whose spans ``keep`` admits is priced by a chain DP over
+    non-decreasing global positions lo + step * g of the same grid (start s
+    holds g = shift[s] .. shift[s] + n - 1, its level the position less the
+    mean demand before s), each cycle priced by the scalar
+    :func:`cycle_cost_at`; the cheapest schedule wins.
+    """
+    inst, T = matrix.instance, matrix.horizon
+    before = np.concatenate(([0.0], np.cumsum(inst.means)))
+    shift = np.rint(before / step).astype(int)
+    width = shift[-1] + n
+    span_costs = {}
+
+    def span_cost(s, e):
+        # the cycle's cost at every global position, +inf off its start's window
+        if (s, e) not in span_costs:
+            cost = np.full(width, np.inf)
+            for g in range(shift[s], shift[s] + n):
+                y = lo + step * g - before[s]
+                cost[g] = cycle_cost_at(y, s + 1, e + 1, inst, e == T - 1)
+            span_costs[s, e] = cost
+        return span_costs[s, e]
+
+    best_cost, best_schedule = math.inf, None
+    for cuts in itertools.product((False, True), repeat=T - 1):
+        starts = [0] + [t for t in range(1, T) if cuts[t - 1]]
+        schedule = list(zip(starts, [s - 1 for s in starts[1:]] + [T - 1]))
+        if not all(keep[s, e] for s, e in schedule):
+            continue
+        # chain[g]: the cheapest prefix whose last position is at most g
+        chain = np.zeros(width)
+        for s, e in schedule:
+            chain = np.minimum.accumulate(span_cost(s, e) + chain)
+        if chain[-1] < best_cost:
+            best_cost, best_schedule = chain[-1], schedule
+    return best_schedule
 
 
 #: relaxed plans that expect negative orders: the golden instance, five
@@ -416,6 +467,62 @@ class TestReoptimise:
     @pytest.fixture(scope="class")
     def lumpy_solution(self, lumpy):
         return solve_instance(lumpy)
+
+    #: lumpy-long's answers (lumpy T=100, seed 7, rho 0.3, K 225, b 10): each
+    #: replicate's review starts (0-based) and expected cost
+    LUMPY_LONG = {
+        0: (
+            (0, 1, 2, 6, 7, 10, 17, 24, 25, 30, 31, 34, 35, 36, 44, 45, 51, 57, 64, 65, 70, 71,
+             75, 76, 80, 81, 86, 87, 92),
+            12951.119444465145,
+        ),
+        1: (
+            (0, 1, 3, 4, 9, 10, 11, 17, 21, 22, 24, 25, 29, 30, 31, 36, 37, 40, 45, 47, 54, 56,
+             57, 60, 65, 66, 71, 72, 78, 81, 82, 83, 89, 94, 95, 96),
+            15018.14371290149,
+        ),
+        2: (
+            (0, 2, 3, 6, 7, 13, 15, 16, 18, 19, 23, 25, 26, 30, 32, 33, 37, 39, 40, 48, 50, 51,
+             56, 58, 61, 65, 70, 73, 74, 77, 82, 84, 85, 91, 96),
+            16274.237303571532,
+        ),
+    }
+
+    def test_lumpy_long_answers(self):
+        for r, inst in enumerate(
+            generate_instances("lumpy", 100, 0.3, 225.0, 10.0, count=3, seed=7)
+        ):
+            starts, cost = self.LUMPY_LONG[r]
+            sol = solve_instance(inst)
+            assert sol.path.spans == tuple(zip(starts, [s - 1 for s in starts[1:]] + [99]))
+            assert sol.expected_cost == pytest.approx(cost, rel=1e-12), inst.name
+
+    @pytest.mark.parametrize(
+        "case",
+        [*(f"lumpy-r{r}" for r in range(6)), "zero-means", "spans-switched-off"],
+    )
+    def test_grid_schedule_matches_enumeration(self, case):
+        if case == "zero-means":
+            inst = InstanceSpec(
+                horizon=6, means=(0.0, 0.0, 50.0, 0.0, 80.0, 3.0), cv=0.3,
+                K=20.0, z=1.0, h=1.0, b=9.0,
+            )
+        else:
+            r = 0 if case == "spans-switched-off" else int(case[-1])
+            inst = generate_instances("lumpy", 6, 0.3, 225.0, 10.0, count=6, seed=7)[r]
+        matrix = build_connection_matrix(inst)
+        keep = np.triu(np.ones(matrix.cost.shape, dtype=bool))
+        if case == "spans-switched-off":
+            # drop the multi-period spans of the full answer, and every span of 3
+            full = augment._grid_schedule(matrix, keep, *coarse_grid(matrix, keep))
+            for s, e in full:
+                keep[s, e] = s == e
+            keep[np.arange(4), np.arange(2, 6)] = False
+        grid = coarse_grid(matrix, keep)
+        got = augment._grid_schedule(matrix, keep, *grid)
+        assert got == enumerated_grid_schedule(matrix, keep, *grid)
+        if case == "spans-switched-off":
+            assert got != full
 
     def test_golden_keeps_the_loop_plan(self, golden_matrix):
         loop, _ = repetitive_augment(build_graph(golden_matrix))

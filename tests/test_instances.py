@@ -250,6 +250,23 @@ class TestGenerators:
         with pytest.raises(InputError, match=f"seed must be a non-negative integer, got {seed!r}"):
             generate_instances("lumpy", 10, rho=0.2, K=10.0, b=2.0, seed=seed)
 
+    @pytest.mark.parametrize("count", [2.5, "2", True, None])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(InputError, match=f"count must be an integer, got {count!r}"):
+            generate_instances("lumpy", 10, rho=0.2, K=10.0, b=2.0, count=count)
+
+    @pytest.mark.parametrize("field", ["rho", "K", "b"])
+    @pytest.mark.parametrize("value", ["0.3", None, False])
+    def test_cost_factors_must_be_numbers(self, field, value):
+        factors = {"rho": 0.2, "K": 10.0, "b": 2.0, field: value}
+        with pytest.raises(InputError, match=f"{field} value {value!r} is not a number"):
+            generate_instances("lumpy", 10, **factors)
+
+    def test_integer_factors_keep_their_instances(self):
+        (a,) = generate_instances("lumpy", 10, rho=0.2, K=10, b=2)
+        (b,) = generate_instances("lumpy", 10, rho=0.2, K=10.0, b=2.0)
+        assert a == b and a.name == b.name == "lumpy-T10-rho0.2-b2-K10-r0"
+
     def test_generated_instances_validate_and_round_trip(self, tmp_path):
         (inst,) = generate_instances("erratic", 8, rho=0.25, K=900.0, b=5.0, seed=9)
         target = tmp_path / "gen.json"
