@@ -58,18 +58,18 @@ class BenchRecord:
 
 def run_benchmark(
     patterns: Sequence[str] = PATTERNS,
-    horizons: Sequence[int] = (10, 20),
+    horizons: Sequence[int] = DESK_GRID["horizons"],
     rhos: Sequence[float] = RHOS,
     fixed_costs: Sequence[float] = FIXED_COSTS,
     penalties: Sequence[float] = PENALTIES,
-    replicates: int = 3,
-    seed: int = 7,
+    replicates: int = DESK_GRID["replicates"],
+    seed: int = DESK_GRID["seed"],
     progress: Optional[Callable[[BenchRecord], None]] = None,
 ) -> List[BenchRecord]:
     """Solve the full factorial design and return one record per instance.
 
-    Every instance has holding cost 1 and no unit cost, the generator's
-    defaults."""
+    The horizons, replicates and seed default to ``DESK_GRID``. Every
+    instance has holding cost 1 and no unit cost, the generator's defaults."""
     records: List[BenchRecord] = []
     for pattern in patterns:
         for T in horizons:
@@ -101,7 +101,7 @@ def run_benchmark(
                                 augmented_cost=aug,
                                 pct_increase=100.0 * (aug - rel) / rel if rel else 0.0,
                                 **sol.timings,
-                                spans_priced=len(sol.matrix),
+                                spans_priced=sol.spans_priced,
                             )
                             records.append(rec)
                             if progress is not None:

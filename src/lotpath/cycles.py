@@ -152,58 +152,6 @@ def _block_costs(
     return base + (instance.h * hi + instance.b * lo).sum(axis=1)
 
 
-def _bisect_roots(g, lo: np.ndarray, hi: np.ndarray, y_tol: float) -> np.ndarray:
-    """Roots of non-decreasing functions, one per row, by plain bisection.
-
-    ``g(y, rows)`` evaluates the functions of ``rows`` at the points ``y``;
-    ``rows`` is an index array, or ``slice(None)`` for every row, which
-    gathers nothing. Each bracket expands geometrically, at most
-    ``MAX_EXPAND`` times, until its signs differ; a row that cannot be
-    bracketed raises :class:`NumericalError` describing its interval and
-    function signs. Bisection then evaluates every row at each step, but a
-    row whose bracket is no wider than its tolerance keeps it, so each row
-    follows exactly the midpoints a scalar bisection of its own function
-    would. A row's tolerance is ``y_tol``, or
-    two ulps of its bracketed ends where that is wider (beyond 2**32), so a
-    midpoint always lies strictly inside a bracket still being halved.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    rows = np.arange(len(lo))
-    every = slice(None)
-    g_lo, g_hi = g(lo, every), g(hi, every)
-    width = hi - lo
-    expansions = 0
-    bad = rows[(g_lo > 0.0) | (g_hi < 0.0)]
-    while bad.size:
-        if expansions >= MAX_EXPAND:
-            r = bad[0]
-            raise NumericalError(
-                f"could not bracket the optimum: g({lo[r]:.6g})={g_lo[r]:.6g}, "
-                f"g({hi[r]:.6g})={g_hi[r]:.6g} after {expansions} expansions"
-            )
-        width[bad] *= 2.0
-        low = bad[g_lo[bad] > 0.0]
-        if low.size:
-            lo[low] -= width[low]
-            g_lo[low] = g(lo[low], low)
-        high = bad[g_hi[bad] < 0.0]
-        if high.size:
-            hi[high] += width[high]
-            g_hi[high] = g(hi[high], high)
-        expansions += 1
-        bad = bad[(g_lo[bad] > 0.0) | (g_hi[bad] < 0.0)]
-    tol = np.maximum(y_tol, 2.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
-    active = hi - lo > tol
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        below = g(mid, every) < 0.0
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-        active = hi - lo > tol
-    return 0.5 * (lo + hi)
-
-
 def _bisect_levels(
     mus: np.ndarray,
     sds: np.ndarray,
@@ -220,8 +168,17 @@ def _bisect_levels(
     z / (b + h) where ``terminal[r]`` marks a horizon-final cycle; a CDF with
     zero sd steps at its mean. This is the only solver of that condition: the
     matrix passes one row per cycle, the re-optimising stage one row per
-    pooled block of cycles. The caller's bracket ``lo``..``hi`` is expanded
-    until it holds the root, which is then bisected to ``tol``.
+    pooled block of cycles.
+
+    Each row's bracket ``lo``..``hi`` doubles its width and moves its
+    offending end, at most ``MAX_EXPAND`` times, until the condition changes
+    sign inside it; a row that cannot be bracketed raises
+    :class:`NumericalError` describing its interval and values. Bisection
+    then evaluates every row at each step, but a row whose bracket is no
+    wider than its tolerance keeps it, so each row follows exactly the
+    midpoints a one-row solve would. A row's tolerance is ``tol``, or two
+    ulps of its bracketed ends where that is wider (beyond 2**32), so a
+    midpoint always lies strictly inside a bracket still being halved.
     """
     n = mus.shape[1]
     target = (n * instance.b - np.where(terminal, instance.z, 0.0)) / (instance.b + instance.h)
@@ -229,27 +186,41 @@ def _bisect_levels(
     scale = np.where(pos, sds, 1.0)
     steps = not pos.all()
 
-    def g(y, rows):
+    def g(y):
         yy = y[:, None]
-        m = mus[rows]
-        vals = ndtr((yy - m) / scale[rows])
+        vals = ndtr((yy - mus) / scale)
         if steps:
-            vals = np.where(pos[rows], vals, yy >= m)
-        return vals.sum(axis=1) - target[rows]
+            vals = np.where(pos, vals, yy >= mus)
+        return vals.sum(axis=1) - target
 
-    return _bisect_roots(g, lo, hi, tol)
-
-
-def _cycle_levels(
-    mus: np.ndarray, sds: np.ndarray, instance, terminal: np.ndarray
-) -> np.ndarray:
-    """Optimal level of each row's cycle, bisected to ``Y_TOL`` from the cold
-    bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1, which holds
-    the root of every row."""
-    smax = sds.max(axis=1)
-    lo = mus.min(axis=1) - 12.0 * smax - 1.0
-    hi = mus.max(axis=1) + 12.0 * smax + 1.0
-    return _bisect_levels(mus, sds, instance, terminal, lo, hi, Y_TOL)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    g_lo, g_hi = g(lo), g(hi)
+    width = hi - lo
+    expansions = 0
+    bad = (g_lo > 0.0) | (g_hi < 0.0)
+    while bad.any():
+        if expansions >= MAX_EXPAND:
+            r = bad.argmax()
+            raise NumericalError(
+                f"could not bracket the optimum: g({lo[r]:.6g})={g_lo[r]:.6g}, "
+                f"g({hi[r]:.6g})={g_hi[r]:.6g} after {expansions} expansions"
+            )
+        width = np.where(bad, 2.0 * width, width)
+        lo = np.where(g_lo > 0.0, lo - width, lo)
+        hi = np.where(g_hi < 0.0, hi + width, hi)
+        g_lo, g_hi = g(lo), g(hi)
+        expansions += 1
+        bad = (g_lo > 0.0) | (g_hi < 0.0)
+    tol = np.maximum(tol, 2.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    active = hi - lo > tol
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        below = g(mid) < 0.0
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active = hi - lo > tol
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +517,11 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
         ends = rows + n - 1
         block_mus, block_sds = mus[rows, :n], sds[rows, :n]
         terminal = ends == T - 1
-        y = _cycle_levels(block_mus, block_sds, instance, terminal)
+        # the cold bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1 holds every root
+        smax = block_sds.max(axis=1)
+        lo = block_mus.min(axis=1) - 12.0 * smax - 1.0
+        hi = block_mus.max(axis=1) + 12.0 * smax + 1.0
+        y = _bisect_levels(block_mus, block_sds, instance, terminal, lo, hi, Y_TOL)
         level[rows, ends] = y
         cost[rows, ends] = _block_costs(y, block_mus, block_sds, instance, terminal)
         closing[rows, ends] = y - block_mus[:, -1]

@@ -207,7 +207,8 @@ def generate_instances(
 
     ``rho`` is the coefficient of variation applied to every period mean.
     Deterministic for a given seed; replicate r uses its own child stream so
-    the set is stable under reordering. ``count`` = 0 gives no instances.
+    the set is stable under reordering. ``count`` = 0 gives no instances; a
+    negative count is refused.
     """
     check_seed(seed)
     check_horizon(horizon)
@@ -215,6 +216,8 @@ def generate_instances(
         raise InputError(f"unknown demand pattern {pattern!r}")
     if isinstance(count, bool) or not isinstance(count, int):
         raise InputError(f"count must be an integer, got {count!r}")
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
     for what, v in (("rho", rho), ("K", K), ("b", b)):
         _number(f"{what} value", v)  # each instance's name formats them as numbers
     out = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .augment import check_feasibility, relaxed_path, reoptimise
-from .cycles import ConnectionMatrix, Plan, build_connection_matrix
+from .cycles import Plan, build_connection_matrix
 from .instances import InstanceSpec
 from .simulate import Policy
 
@@ -50,7 +50,11 @@ def policy_from_path(plan: Plan) -> Policy:
 
 @dataclass
 class Solution:
-    """Everything the solve produced, including the intermediate relaxation."""
+    """Everything the solve produced, including the intermediate relaxation.
+
+    ``spans_priced`` counts the spans the pruned matrix priced; the matrix
+    itself is not kept, so a held answer is O(horizon).
+    """
 
     instance: InstanceSpec
     policy: Policy
@@ -58,7 +62,7 @@ class Solution:
     relaxed_cost: float
     path: Plan
     relaxed_path: Plan
-    matrix: ConnectionMatrix
+    spans_priced: int
     relaxed_violations: int
     timings: Dict[str, float]
 
@@ -69,7 +73,7 @@ class Solution:
             "expected_cost": self.expected_cost,
             "relaxed_cost": self.relaxed_cost,
             "relaxed_violations": self.relaxed_violations,
-            "spans_priced": len(self.matrix),
+            "spans_priced": self.spans_priced,
             "path": list(self.path.node_labels),
             "relaxed_path": list(self.relaxed_path.node_labels),
             "timings": dict(self.timings),
@@ -81,9 +85,9 @@ def solve_instance(instance: InstanceSpec) -> Solution:
 
     Every cycle level is the root of its newsvendor fractile condition,
     bisected to ``lotpath.cycles.Y_TOL``. The matrix prices only the spans
-    that a plan within the re-optimising bound can use, so ``matrix`` holds
-    +inf for the others (``len(matrix)`` counts the priced ones); build the
-    complete matrix with :func:`build_connection_matrix` for the cycle graph.
+    that a plan within the re-optimising bound can use (``spans_priced``
+    counts them); build the complete matrix with
+    :func:`build_connection_matrix` for the cycle graph.
     The relaxed optimum is the cheapest plan over the matrix; when it
     expects a negative order, the re-optimising stage's plan is the answer,
     else the relaxed plan itself. ``path``, ``policy`` and ``expected_cost``
@@ -115,7 +119,7 @@ def solve_instance(instance: InstanceSpec) -> Solution:
         relaxed_cost=relaxed.cost - offset,
         path=path,
         relaxed_path=relaxed,
-        matrix=matrix,
+        spans_priced=len(matrix),
         relaxed_violations=relaxed_violations,
         timings={
             "t_matrix": t1 - t0,

@@ -537,14 +537,14 @@ class TestReoptimise:
         sol = lumpy_solution
         loop, _ = repetitive_augment(build_graph(build_connection_matrix(lumpy)))
         assert sol.relaxed_violations > 0
-        assert sol.path == reoptimise(sol.matrix)
+        assert sol.path == reoptimise(build_connection_matrix(lumpy, prune=True))
         assert loop.total_cost == pytest.approx(1425.41, abs=0.01)
         assert sol.expected_cost == pytest.approx(1258.11, abs=0.01)
 
     def test_path_policy_and_cost_describe_one_plan(self, lumpy, lumpy_solution):
         sol = lumpy_solution
         assert check_feasibility(sol.path) == []
-        assert sol.path == reoptimise(sol.matrix)
+        assert sol.path == reoptimise(build_connection_matrix(lumpy, prune=True))
         assert sol.policy.reviews == tuple(s + 1 for s, _ in sol.path.spans)
         assert sol.policy.levels == sol.path.levels
         trace = expected_trace(lumpy, sol.policy)
@@ -598,7 +598,7 @@ class TestReoptimise:
         )
         sol = solve_instance(inst)
         assert sol.relaxed_violations == 2
-        assert sol.path == reoptimise(sol.matrix)
+        assert sol.path == reoptimise(build_connection_matrix(inst, prune=True))
         assert check_feasibility(sol.path) == []
         assert expected_trace(inst, sol.policy).total_cost == pytest.approx(
             sol.expected_cost, rel=1e-12

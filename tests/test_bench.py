@@ -1,5 +1,7 @@
 """Factorial benchmark bookkeeping."""
 
+import inspect
+
 import pytest
 
 from lotpath.bench import (
@@ -103,6 +105,9 @@ class TestSummarize:
 class TestGrids:
     def test_desk_grid_size(self):
         assert DESK_GRID == dict(horizons=(10, 20), replicates=3, seed=7)
+        # run_benchmark's defaults are the desk grid
+        params = inspect.signature(run_benchmark).parameters
+        assert {k: params[k].default for k in DESK_GRID} == DESK_GRID
         # 2 patterns x 2 horizons x 3 rho x 3 K x 3 b x 3 replicates
         assert 2 * len(DESK_GRID["horizons"]) * 3 * 3 * 3 * DESK_GRID["replicates"] == 324
 

@@ -158,9 +158,18 @@ class TestSimulate:
 
     def test_broken_policy_file(self, golden_file, tmp_path, capsys):
         policy = tmp_path / "policy.json"
-        policy.write_text(json.dumps({"horizon": 5, "reviews": [1]}))
-        assert main(["simulate", golden_file, "--policy", str(policy)]) == 2
-        assert "missing policy field 'levels'" in capsys.readouterr().err
+        for text, message in (
+            (json.dumps({"horizon": 5, "reviews": [1]}), "missing policy field 'levels'"),
+            ('{"horizon": 5,,}', "invalid JSON at line 1 column 15"),
+            (json.dumps([5, [1], [100.0]]), "expected a JSON object"),
+            (
+                json.dumps({"horizon": 5, "reviews": "1", "levels": [100.0]}),
+                "'reviews' and 'levels' must be arrays",
+            ),
+        ):
+            policy.write_text(text)
+            assert main(["simulate", golden_file, "--policy", str(policy)]) == 2, text
+            assert message in capsys.readouterr().err
 
 
 class TestBench:
@@ -190,6 +199,10 @@ class TestBench:
     def test_empty_grid_is_input_error(self, capsys):
         assert main(["bench", "--replicates", "0", "--horizons", "5"]) == 2
         assert "empty" in capsys.readouterr().err
+
+    def test_negative_replicates_is_input_error(self, capsys):
+        assert main(["bench", "--replicates", "-1", "--horizons", "5"]) == 2
+        assert capsys.readouterr().err == "error: count must be >= 0, got -1\n"
 
 
 class TestExportGraph:

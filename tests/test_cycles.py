@@ -12,6 +12,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from lotpath import (
     reoptimise,
     solve_instance,
 )
-from lotpath.cycles import _bisect_levels, _bisect_roots
+from lotpath.cycles import _bisect_levels
 
 from conftest import golden_spec
 
@@ -101,29 +103,30 @@ class TestOptimizer:
         assert terminal - interior == pytest.approx(2.0 * (y - 70.0), rel=1e-9)
 
     def test_bracket_failure_raises(self):
-        with pytest.raises(NumericalError, match="bracket"):
-            _bisect_roots(lambda y, rows: np.ones_like(y), [0.0], [1.0], y_tol=1e-6)
+        # a terminal target of (b - z) / (b + h) = -2 lies below every CDF sum
+        costs = types.SimpleNamespace(b=1.0, h=1.0, z=5.0)
+        mus, sds, terminal = np.array([[10.0]]), np.array([[3.0]]), np.array([True])
+        with pytest.raises(NumericalError, match="bracket the optimum.* after 64 expansions"):
+            _bisect_levels(mus, sds, costs, terminal, [0.0], [1.0], 1e-6)
 
     def test_converged_rows_keep_their_bracket(self):
-        # a narrow bracket converges in 20 halvings, a 1e6-wide one in 40 and
-        # an expanding one later still; each batched root must be the root
-        # of a single-row bisection of its own function, exactly
-        slopes = np.array([1.0, 3.0, 0.5])
-        roots = np.array([0.3, 12345.678, -7.25])
-        lo = np.array([0.0, -5e5, -7.0])
-        hi = np.array([1.0, 5e5, -6.5])
-
-        def g_for(rows):
-            def g(y, sub):
-                return slopes[rows[sub]] * (y - roots[rows[sub]])
-
-            return g
-
-        every = np.arange(3)
-        batched = _bisect_roots(g_for(every), lo, hi, 1e-6)
-        for r in every:
-            one = np.array([r])
-            single = _bisect_roots(g_for(one), lo[one], hi[one], 1e-6)
+        # a narrow bracket converges in 20 halvings, a 1e6-wide one in 40; the
+        # last two rows' brackets lie above and below their roots, so they
+        # expand downward (7 times) and upward (9 times) first. Each batched
+        # root must be the root of a one-row solve, exactly
+        instance = golden_spec(z=2.0)  # K=50, h=1, b=19
+        mus = np.array([[100.0, 200.0], [1e3, 2.5e3], [40.0, 90.0], [500.0, 520.0]])
+        sds = np.array([[30.0, 42.0], [300.0, 500.0], [12.0, 20.0], [150.0, 151.0]])
+        terminal = np.array([False, True, False, True])
+        lo = np.array([253.5, -5e5, 300.0, 0.0])
+        hi = np.array([254.5, 5e5, 301.0, 1.0])
+        batched = _bisect_levels(mus, sds, instance, terminal, lo, hi, 1e-6)
+        assert batched[2] < lo[2] and batched[3] > hi[3]
+        for r in range(4):
+            row = slice(r, r + 1)
+            single = _bisect_levels(
+                mus[row], sds[row], instance, terminal[row], lo[row], hi[row], 1e-6
+            )
             assert batched[r] == single[0], r
 
     def test_converged_level_rows_keep_their_bracket(self):
@@ -356,9 +359,9 @@ PRUNE_CASES = [
 def test_pruned_matrix_gives_the_complete_matrix_answer(instance):
     sol = solve_instance(instance)
     dense = build_connection_matrix(instance)
-    pruned = sol.matrix
+    pruned = build_connection_matrix(instance, prune=True)
     priced = np.isfinite(pruned.cost)
-    assert len(pruned) == priced.sum() <= len(dense)
+    assert sol.spans_priced == len(pruned) == priced.sum() <= len(dense)
     for name in ("level", "cost", "closing"):
         assert np.array_equal(getattr(pruned, name)[priced], getattr(dense, name)[priced])
     assert np.isnan(pruned.level[np.isinf(pruned.cost)]).all()
@@ -380,6 +383,20 @@ def test_long_horizon_prices_a_tenth_of_the_spans():
     sol = solve_instance(inst)
     assert sol.expected_cost == pytest.approx(55577.90329937521, rel=1e-9, abs=0.0)
     assert sol.to_dict()["spans_priced"] <= 0.10 * 80_200
+
+
+def test_a_held_solution_keeps_no_matrix():
+    # the solve's (T, T) matrix arrays, 40 T^2 bytes, are freed once it
+    # returns: what a held Solution keeps is O(T)
+    inst = generate_instances("lumpy", 400, 0.3, 225.0, 10.0, count=1, seed=7)[0]
+    tracemalloc.start()
+    try:
+        sol = solve_instance(inst)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.10 * 40 * inst.horizon**2
+    assert sol.to_dict()["spans_priced"] > 0
 
 
 def test_horizon_beyond_the_matrix_budget_is_refused(monkeypatch):

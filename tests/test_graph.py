@@ -105,11 +105,12 @@ class TestBuildGraph:
         assert g.source == NodeId(1)
         assert g.sink == NodeId(6)
 
-    def test_rejects_a_matrix_with_unpriced_spans(self, golden_solution):
-        # the solve's matrix leaves span (1, 5) unpriced (cost +inf)
-        assert len(golden_solution.matrix) == 14
+    def test_rejects_a_matrix_with_unpriced_spans(self, golden, golden_solution):
+        # the solve's pruned matrix leaves span (1, 5) unpriced (cost +inf)
+        pruned = build_connection_matrix(golden, prune=True)
+        assert len(pruned) == golden_solution.spans_priced == 14
         with pytest.raises(LotpathError, match="prices 14 of 15 spans"):
-            build_graph(golden_solution.matrix)
+            build_graph(pruned)
 
     def test_arc_payload_matches_matrix(self, golden_matrix):
         g = build_graph(golden_matrix)

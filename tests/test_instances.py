@@ -113,6 +113,8 @@ class TestValidation:
             load_instance(data)
         with pytest.raises(InputError, match="instance: field 'name'"):
             load_instance(dict(data, seed=None))
+        with pytest.raises(InputError, match="instance: field 'means' must be an array"):
+            load_instance(dict(data, means="10, 20, 30"))
 
     def test_means_are_stored_as_floats(self):
         inst = InstanceSpec(**spec_kwargs(means=[10, 20, 30]))
@@ -254,6 +256,11 @@ class TestGenerators:
     def test_count_must_be_an_integer(self, count):
         with pytest.raises(InputError, match=f"count must be an integer, got {count!r}"):
             generate_instances("lumpy", 10, rho=0.2, K=10.0, b=2.0, count=count)
+
+    def test_count_must_not_be_negative(self):
+        with pytest.raises(InputError, match="count must be >= 0, got -2"):
+            generate_instances("lumpy", 10, rho=0.2, K=10.0, b=2.0, count=-2)
+        assert generate_instances("lumpy", 10, rho=0.2, K=10.0, b=2.0, count=0) == []
 
     @pytest.mark.parametrize("field", ["rho", "K", "b"])
     @pytest.mark.parametrize("value", ["0.3", None, False])

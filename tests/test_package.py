@@ -162,7 +162,7 @@ def test_no_unused_imports():
     tests = Path(__file__).resolve().parent
     unused = [
         f"{path.relative_to(SRC.parent)}:{line}: {name}"
-        for root in (SRC / "lotpath", tests, SRC.parent / "demos")
+        for root in (SRC / "lotpath", tests, SRC.parent / "demos", SRC.parent / "perfbench")
         for path in sorted(root.rglob("*.py"))
         for line, name in _unused_imports(path)
     ]

@@ -60,8 +60,13 @@ class TestPolicyValidation:
             (dict(levels=(True, 10.0)), "levels must be finite numbers, got True"),
             (dict(levels=("10", 10.0)), "levels must be finite numbers, got '10'"),
             (dict(levels=(10**400, 10.0)), "level out of range"),
+            (dict(horizon=0), "horizon must be >= 1, got 0"),
+            (dict(horizon=1, reviews=(), levels=()), "at least one review"),
         ],
-        ids=["bool-horizon", "float-horizon", "float-review", "bool-level", "str-level", "huge-level"],
+        ids=[
+            "bool-horizon", "float-horizon", "float-review", "bool-level", "str-level",
+            "huge-level", "zero-horizon", "no-reviews",
+        ],
     )
     def test_field_types(self, fields, message):
         base = dict(horizon=3, reviews=(1, 2), levels=(10.0, 10.0))
@@ -159,6 +164,8 @@ class TestSimulatePolicy:
         policy = Policy(horizon=3, reviews=(1,), levels=(100.0,))
         with pytest.raises(InputError, match="n_reps"):
             simulate_policy(inst, policy, n_reps=0)
+        # one replication, the fewest, has no spread to estimate
+        assert simulate_policy(inst, policy, n_reps=1).std_error == 0.0
 
     @pytest.mark.parametrize(
         "kwargs, message",
