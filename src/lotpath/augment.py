@@ -70,7 +70,7 @@ def relaxed_path(matrix: ConnectionMatrix) -> Plan:
     return Plan(
         tuple(spans),
         tuple(matrix.level[s, e].tolist()),
-        tuple(matrix.closing[s, e].tolist()),
+        tuple((matrix.level[s, e] - matrix.mus[s, e - s]).tolist()),
         tuple(matrix.cost[s, e].tolist()),
     )
 
@@ -104,9 +104,8 @@ def _admissible_spans(matrix: ConnectionMatrix, bound: float) -> np.ndarray:
     bound + e / 2, e = (b T + z) ``Y_TOL``, which the rule admits. The bound
     plan's own spans therefore pass it.
     """
-    with np.errstate(invalid="ignore"):  # NaN below the diagonal compares False
-        through = matrix.prefix[:-1, None] + matrix.cost + matrix.suffix[None, 1:]
-        return _within_bound(through, bound, matrix.instance)
+    through = matrix.prefix[:-1, None] + matrix.cost + matrix.suffix[None, 1:]
+    return _within_bound(through, bound, matrix.instance)
 
 
 def _grid_schedule(

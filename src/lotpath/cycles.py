@@ -97,8 +97,11 @@ BOUND_TOL = 1e-9
 LEVEL_TOL = 1e-9
 #: geometric expansions a bisection bracket gets before it gives up
 MAX_EXPAND = 64
-#: most bytes a matrix build may allocate for its five (horizon x horizon)
-#: float64 arrays, 40 horizon^2: 2 GiB admits horizons up to 7,327
+#: most bytes a matrix build may allocate, 40 horizon^2: its four (horizon x
+#: horizon) float64 tables plus the one copy :func:`_lower_bounds` makes; 2 GiB
+#: admits horizons up to 7,327. A solve peaks higher: the re-optimising
+#: stage's span-bound temporaries and grid DP arrays come on top, and
+#: tracemalloc reads 54.5 horizon^2 for lumpy T=1000, 74.4 for T=400 (seed 7 r0).
 MAX_MATRIX_BYTES = 2 * 2**30
 
 
@@ -254,14 +257,14 @@ class ConnectionMatrix:
     """Optimised cycles of ``instance`` as (horizon x horizon) arrays;
     ``horizon`` is their size.
 
-    ``level[i - 1, j - 1]``, ``cost[i - 1, j - 1]`` and ``closing[i - 1, j - 1]``
-    hold the order-up-to level, expected cost and expected closing inventory
-    of the cycle covering periods i..j (1 <= i <= j <= horizon); entries
-    below the diagonal are NaN. A span that a pruned build left unpriced
-    holds cost +inf, so no search or ``np.argmin`` takes it, and NaN level
-    and closing. ``len()`` counts the priced spans. Cycles ending at the
-    horizon are terminal and include the unit-cost term that depends on the
-    level.
+    ``level[i - 1, j - 1]`` and ``cost[i - 1, j - 1]`` hold the order-up-to
+    level and expected cost of the cycle covering periods i..j
+    (1 <= i <= j <= horizon); its expected closing inventory is that level
+    less ``mus[i - 1, j - i]``. Every unpriced cell, below the diagonal or a
+    span that a pruned build skipped, holds cost +inf, so no search or
+    ``np.argmin`` takes it, and NaN level: a finite cost marks a priced span.
+    ``len()`` counts the priced spans. Cycles ending at the horizon are
+    terminal and include the unit-cost term that depends on the level.
 
     ``mus`` and ``sds`` are the moment table the cycles were priced from:
     ``mus[i - 1, n - 1]`` and ``sds[i - 1, n - 1]`` are the mean and standard
@@ -285,7 +288,6 @@ class ConnectionMatrix:
         instance,
         level: np.ndarray,
         cost: np.ndarray,
-        closing: np.ndarray,
         mus: np.ndarray,
         sds: np.ndarray,
     ):
@@ -293,7 +295,6 @@ class ConnectionMatrix:
         self.horizon = len(level)
         self.level = level
         self.cost = cost
-        self.closing = closing
         self.mus = mus
         self.sds = sds
         self.bound_plan: Optional[Plan] = None
@@ -503,10 +504,8 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
         sds[i, : T - i] = np.sqrt(np.cumsum(var[i:]))
 
     level = np.full((T, T), np.nan)
-    cost = np.full((T, T), np.nan)
-    cost[np.triu_indices(T)] = np.inf
-    closing = np.full((T, T), np.nan)
-    matrix = ConnectionMatrix(instance, level, cost, closing, mus, sds)
+    cost = np.full((T, T), np.inf)
+    matrix = ConnectionMatrix(instance, level, cost, mus, sds)
 
     lengths = np.zeros(T, dtype=int)  # spans priced per start period
     rows = np.arange(T)  # start periods still growing
@@ -524,7 +523,6 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
         y = _bisect_levels(block_mus, block_sds, instance, terminal, lo, hi, Y_TOL)
         level[rows, ends] = y
         cost[rows, ends] = _block_costs(y, block_mus, block_sds, instance, terminal)
-        closing[rows, ends] = y - block_mus[:, -1]
         lengths[rows] = n
         if not prune or n == T:
             continue

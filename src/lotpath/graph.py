@@ -259,13 +259,13 @@ def build_graph(matrix: ConnectionMatrix) -> ReplenishmentGraph:
             "the cycle graph needs the complete matrix (build_connection_matrix(instance))"
         )
     g = ReplenishmentGraph(T, matrix)
-    level, closing, cost = matrix.level.tolist(), matrix.closing.tolist(), matrix.cost.tolist()
+    level, mus, cost = matrix.level.tolist(), matrix.mus.tolist(), matrix.cost.tolist()
     for i in range(1, T + 1):
         for j in range(i, T + 1):
             g.add_arc(Arc(
                 NodeId(i), NodeId(j + 1), "normal", start=i, end=j,
                 order_up_to=level[i - 1][j - 1],
-                closing=closing[i - 1][j - 1],
+                closing=level[i - 1][j - 1] - mus[i - 1][j - i],
                 cost=cost[i - 1][j - 1],
             ))
     return g
@@ -398,7 +398,7 @@ def augment_once(graph: ReplenishmentGraph, path: PathSolution, k: int) -> Augme
         graph.add_arc(Arc(
             w, NodeId(x), "recomputed", start=start, end=x - 1,
             order_up_to=float(matrix.level[start - 1, x - 2]),
-            closing=float(matrix.closing[start - 1, x - 2]),
+            closing=float(matrix.level[start - 1, x - 2] - matrix.mus[start - 1, x - 1 - start]),
             cost=float(matrix.cost[start - 1, x - 2]) + K * len(absorbed),
             absorbed=absorbed,
         ))
@@ -410,7 +410,7 @@ def augment_once(graph: ReplenishmentGraph, path: PathSolution, k: int) -> Augme
         graph.add_arc(Arc(
             w, NodeId(x), "duplicated", start=v.period, end=x - 1,
             order_up_to=float(matrix.level[row, x - 2]),
-            closing=float(matrix.closing[row, x - 2]),
+            closing=float(matrix.level[row, x - 2] - matrix.mus[row, x - 2 - row]),
             cost=float(matrix.cost[row, x - 2]),
         ))
         step.duplicated_targets.append(x)

@@ -174,14 +174,13 @@ def simulate_policy(
     for _ in policy.reviews:  # a running total, not K * reviews: the same rounding
         setup += instance.K
     rows = min(ROWS, n_reps)
-    # One allocation for the three block buffers, not three: the allocator
-    # keeps a single large block in its heap between calls, while three
-    # smaller ones are handed back to the OS at each return and page-faulted
-    # in again by the next call.
-    space = np.empty((3, rows * T))
+    # One allocation for the two block buffers: the allocator keeps a single
+    # large block in its heap between calls, while smaller ones are handed
+    # back to the OS at each return and page-faulted in again by the next call.
+    space = np.empty((2, rows * T))
     draws = space[0].reshape(rows, T)  # one block's standard normals, replication-major
     stock = space[1].reshape(T, rows)  # its closing stock, period-major
-    work = space[2].reshape(T, rows)
+    work = space[0].reshape(T, rows)  # cost work space: the normals are dead by then
 
     done = 0
     index = 0

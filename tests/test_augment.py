@@ -55,7 +55,8 @@ def plain_chain_optimum(matrix, horizon):
             else:
                 cand = math.inf
                 for m in range(1, start):
-                    if matrix.closing[m - 1, start - 2] <= matrix.level[start - 1, end - 1] + 1e-9:
+                    closing = matrix.level[m - 1, start - 2] - matrix.mus[m - 1, start - 1 - m]
+                    if closing <= matrix.level[start - 1, end - 1] + 1e-9:
                         cand = min(cand, best[(m, start - 1)] + cost)
             best[(start, end)] = cand
     return min(best[(s, horizon)] for s in range(1, horizon + 1))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import golden_spec
-from lotpath import graph, save_instance
+from lotpath import NumericalError, cli, graph, save_instance
 from lotpath.cli import main
 
 
@@ -79,6 +79,14 @@ class TestSolve:
         assert main(["solve", str(path)]) == 0
         echo = json.loads(capsys.readouterr().out)["instance"]
         assert type(echo["K"]) is int and type(echo["initial_inventory"]) is int
+
+    def test_internal_error_is_exit_1(self, golden_file, capsys, monkeypatch):
+        def fail(instance):
+            raise NumericalError("could not bracket the optimum")
+
+        monkeypatch.setattr(cli, "solve_instance", fail)
+        assert main(["solve", golden_file]) == 1
+        assert capsys.readouterr().err == "error: could not bracket the optimum\n"
 
     def test_high_cv_warning_on_stderr(self, golden_file, tmp_path, capsys):
         assert main(["solve", golden_file]) == 0

@@ -89,9 +89,9 @@ class TestOptimizer:
             assert at(y - delta) >= cost - 1e-9
 
     def test_expected_closing_is_level_minus_mean(self, golden_matrix):
-        assert golden_matrix.closing[1, 2] == pytest.approx(
-            golden_matrix.level[1, 2] - 150.0, rel=1e-9
-        )
+        # the closing stock of span (2, 3) is its level less mus[1, 1]
+        closing = golden_matrix.level[1, 2] - golden_matrix.mus[1, 1]
+        assert closing == pytest.approx(golden_matrix.level[1, 2] - 150.0, rel=1e-9)
 
     def test_terminal_flag_adds_unit_cost_on_level(self):
         # interior cycles price z on the cycle mean, terminal ones on the level;
@@ -170,7 +170,8 @@ class TestConnectionMatrix:
             )
             want = terminal if j == 4 else interior
             assert matrix.cost[i, j] == pytest.approx(want, rel=1e-12), (i, j)
-            assert terminal - interior == pytest.approx(2.0 * matrix.closing[i, j], rel=1e-9)
+            closing = y - matrix.mus[i, j - i]
+            assert terminal - interior == pytest.approx(2.0 * closing, rel=1e-9)
 
     def test_levels_satisfy_first_order_condition(self, golden, golden_matrix):
         # stationarity: the cdf values of the cumulative demands, summed over
@@ -362,9 +363,13 @@ def test_pruned_matrix_gives_the_complete_matrix_answer(instance):
     pruned = build_connection_matrix(instance, prune=True)
     priced = np.isfinite(pruned.cost)
     assert sol.spans_priced == len(pruned) == priced.sum() <= len(dense)
-    for name in ("level", "cost", "closing"):
+    for name in ("level", "cost"):
         assert np.array_equal(getattr(pruned, name)[priced], getattr(dense, name)[priced])
-    assert np.isnan(pruned.level[np.isinf(pruned.cost)]).all()
+    # so the closing stocks, level less mean, are equal too
+    assert np.array_equal(pruned.mus, dense.mus, equal_nan=True)
+    # a cell is unpriced, below the diagonal included, exactly where it costs +inf
+    for matrix in (pruned, dense):
+        assert np.array_equal(np.isnan(matrix.level), np.isposinf(matrix.cost))
 
     relaxed = relaxed_path(dense)
     assert sol.relaxed_path == relaxed
@@ -386,7 +391,7 @@ def test_long_horizon_prices_a_tenth_of_the_spans():
 
 
 def test_a_held_solution_keeps_no_matrix():
-    # the solve's (T, T) matrix arrays, 40 T^2 bytes, are freed once it
+    # the solve's (T, T) matrix tables, 32 T^2 bytes, are freed once it
     # returns: what a held Solution keeps is O(T)
     inst = generate_instances("lumpy", 400, 0.3, 225.0, 10.0, count=1, seed=7)[0]
     tracemalloc.start()
@@ -399,9 +404,23 @@ def test_a_held_solution_keeps_no_matrix():
     assert sol.to_dict()["spans_priced"] > 0
 
 
+def test_pruned_build_peaks_near_its_tables():
+    # the four (T, T) float64 tables and the lower-bound graph's copy of
+    # cost take 40 T^2 bytes; a fifth stored table would add 8 T^2
+    inst = generate_instances("lumpy", 400, 0.3, 225.0, 10.0, count=1, seed=7)[0]
+    tracemalloc.start()
+    try:
+        build_connection_matrix(inst, prune=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44 * inst.horizon**2
+
+
 def test_horizon_beyond_the_matrix_budget_is_refused(monkeypatch):
-    # the five (T, T) float64 arrays take 40 T^2 bytes; with the budget set
-    # to exactly T = 49's, T = 50 is refused before anything is allocated
+    # the four (T, T) float64 tables and the lower-bound copy take 40 T^2
+    # bytes; with the budget set to exactly T = 49's, T = 50 is refused
+    # before anything is allocated
     monkeypatch.setattr(lotpath.cycles, "MAX_MATRIX_BYTES", 40 * 49 * 49)
 
     def flat(T):

@@ -117,8 +117,15 @@ class TestBuildGraph:
         arc = g.get_arc(NodeId(2), NodeId(4))
         assert arc.cost == golden_matrix.cost[1, 2]
         assert arc.order_up_to == golden_matrix.level[1, 2]
+        assert arc.closing == golden_matrix.level[1, 2] - golden_matrix.mus[1, 1]
         assert arc.start == 2 and arc.end == 3
         assert arc.kind == "normal"
+
+    def test_arc_to_a_missing_node_is_refused(self, golden_matrix):
+        g = build_graph(golden_matrix)
+        with pytest.raises(LotpathError, match="missing node"):
+            g.add_arc(plain_arc(2, 9, 1.0))
+        assert g.arc_count == 15
 
     def test_new_virtual_counts_copies(self, golden_matrix):
         g = build_graph(golden_matrix)
