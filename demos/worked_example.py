@@ -16,6 +16,7 @@ Run with:
 
 from lotpath import (
     InstanceSpec,
+    NodeId,
     build_connection_matrix,
     build_graph,
     check_feasibility,
@@ -91,7 +92,7 @@ def main():
         f"{step.recomputed_targets}, duplicated plain spans to "
         f"{step.duplicated_targets}"
     )
-    merged_arc = graph.get_arc(step.new_node, step.new_node.__class__(4))
+    merged_arc = graph.get_arc(step.new_node, NodeId(4))
     print(
         f"the merged option prices periods 2..3 as one order up to "
         f"{merged_arc.order_up_to:.4f} costing {merged_arc.cost:.4f} "

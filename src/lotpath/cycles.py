@@ -516,7 +516,9 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
         ends = rows + n - 1
         block_mus, block_sds = mus[rows, :n], sds[rows, :n]
         terminal = ends == T - 1
-        # the cold bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1 holds every root
+        # the cold bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1; at
+        # means of 2**53 and above the 1 rounds away, so a near-deterministic
+        # span's root can lie above it, and _bisect_levels' expansion finds it
         smax = block_sds.max(axis=1)
         lo = block_mus.min(axis=1) - 12.0 * smax - 1.0
         hi = block_mus.max(axis=1) + 12.0 * smax + 1.0

@@ -14,7 +14,8 @@ class InputError(LotpathError, ValueError):
 
 
 class NumericalError(LotpathError):
-    """Quadrature or root bracketing could not reach the requested tolerance."""
+    """A fractile root could not be bracketed within
+    :data:`lotpath.cycles.MAX_EXPAND` expansions."""
 
 
 class NonTerminationError(LotpathError):

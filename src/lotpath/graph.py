@@ -259,16 +259,25 @@ def build_graph(matrix: ConnectionMatrix) -> ReplenishmentGraph:
             "the cycle graph needs the complete matrix (build_connection_matrix(instance))"
         )
     g = ReplenishmentGraph(T, matrix)
-    level, mus, cost = matrix.level.tolist(), matrix.mus.tolist(), matrix.cost.tolist()
     for i in range(1, T + 1):
         for j in range(i, T + 1):
-            g.add_arc(Arc(
-                NodeId(i), NodeId(j + 1), "normal", start=i, end=j,
-                order_up_to=level[i - 1][j - 1],
-                closing=level[i - 1][j - 1] - mus[i - 1][j - i],
-                cost=cost[i - 1][j - 1],
-            ))
+            g.add_arc(_span_arc(matrix, NodeId(i), NodeId(j + 1), "normal", i, j))
     return g
+
+
+def _span_arc(
+    matrix: ConnectionMatrix, u: NodeId, v: NodeId, kind: str, start: int, end: int,
+    absorbed: Tuple[int, ...] = (),
+) -> Arc:
+    """The arc u -> v pricing the matrix cycle of periods ``start..end``;
+    each absorbed review adds one K to its cost."""
+    level = float(matrix.level[start - 1, end - 1])
+    return Arc(
+        u, v, kind, start=start, end=end, order_up_to=level,
+        closing=level - float(matrix.mus[start - 1, end - start]),
+        cost=float(matrix.cost[start - 1, end - 1]) + matrix.instance.K * len(absorbed),
+        absorbed=absorbed,
+    )
 
 
 def shortest_path(graph: ReplenishmentGraph) -> PathSolution:
@@ -359,23 +368,19 @@ def augment_once(graph: ReplenishmentGraph, path: PathSolution, k: int) -> Augme
     matrix = graph.matrix
     if matrix is None:
         raise LotpathError("graph carries no connection matrix; cannot augment")
-    plan = path.plan
-
-    start = inbound.start
+    outbound = path.cycles[k]
     absorbed = inbound.absorbed + (v.period,)
-    closing = inbound.closing
-    K = matrix.instance.K
 
     # furthest span starting here whose level the carried stock still exceeds;
     # every such span becomes a merged cycle, never a duplicate that would
     # violate the same pairing. The matrix row holds every span, including
     # those whose arcs earlier splits removed from node v.
     row = v.period - 1
-    ends = v.period + np.flatnonzero(matrix.level[row, row:] < closing - FEAS_TOL)
-    j = max(plan.spans[k][1] + 1, *ends.tolist())
+    ends = v.period + np.flatnonzero(matrix.level[row, row:] < inbound.closing - FEAS_TOL)
+    j = max(outbound.end, *ends.tolist())
 
     w = graph.new_virtual(v.period)
-    gap = plan.closings[k - 1] - plan.levels[k]
+    gap = inbound.closing - outbound.order_up_to
     step = AugmentationStep(node=v, new_node=w, gap=gap, redirected_from=inbound.u)
 
     graph.remove_arc(inbound)
@@ -392,28 +397,16 @@ def augment_once(graph: ReplenishmentGraph, path: PathSolution, k: int) -> Augme
         ):
             graph.remove_arc(other)
 
-    for x in range(v.period + 1, j + 2):
-        if not graph.has_node(NodeId(x)):
+    for x in range(v.period + 1, graph.horizon + 2):
+        node = NodeId(x)
+        if not graph.has_node(node):
             continue
-        graph.add_arc(Arc(
-            w, NodeId(x), "recomputed", start=start, end=x - 1,
-            order_up_to=float(matrix.level[start - 1, x - 2]),
-            closing=float(matrix.level[start - 1, x - 2] - matrix.mus[start - 1, x - 1 - start]),
-            cost=float(matrix.cost[start - 1, x - 2]) + K * len(absorbed),
-            absorbed=absorbed,
-        ))
-        step.recomputed_targets.append(x)
-
-    for x in range(j + 2, graph.horizon + 2):
-        if not graph.has_node(NodeId(x)):
-            continue
-        graph.add_arc(Arc(
-            w, NodeId(x), "duplicated", start=v.period, end=x - 1,
-            order_up_to=float(matrix.level[row, x - 2]),
-            closing=float(matrix.level[row, x - 2] - matrix.mus[row, x - 2 - row]),
-            cost=float(matrix.cost[row, x - 2]),
-        ))
-        step.duplicated_targets.append(x)
+        if x <= j + 1:
+            graph.add_arc(_span_arc(matrix, w, node, "recomputed", inbound.start, x - 1, absorbed))
+            step.recomputed_targets.append(x)
+        else:
+            graph.add_arc(_span_arc(matrix, w, node, "duplicated", v.period, x - 1))
+            step.duplicated_targets.append(x)
 
     graph.cleanup_isolated()
     return step

@@ -28,8 +28,10 @@ from lotpath import (
     InstanceSpec,
     NumericalError,
     build_connection_matrix,
+    check_feasibility,
     complementary_loss,
     cycle_cost_at,
+    expected_trace,
     generate_instances,
     loss,
     relaxed_path,
@@ -298,6 +300,32 @@ def test_large_means_solve_like_small_ones():
             # position, which exceeds the level by the demand before it
             assert got[1] == pytest.approx([r * y for y in levels], rel=1e-7)
             assert got[2] == pytest.approx(r * cost, rel=1e-12)
+
+
+def test_huge_means_find_roots_above_the_cold_bracket():
+    # at means of 2**53 and above the cold bracket's "+ 1.0" rounds away, so
+    # with a negligible sd its top is the span's total mean, where the last
+    # CDF is 1/2. Spans 1..4 and 1..5 fall short of their target there and
+    # have their roots above the bracket; only its expansion finds them.
+    inst = InstanceSpec(
+        horizon=6,
+        means=(
+            3114550910611854.5, 4270355986475995.5, 641189594100671.8,
+            2770322115517595.0, 2067020202731092.5, 962366292596298.5,
+        ),
+        cv=1.438564097804857e-157, K=5368665918430136.0, z=5.0, h=1.0, b=10.0,
+    )
+    matrix = build_connection_matrix(inst)
+    for n in (4, 5):
+        top = matrix.mus[0, n - 1] + 12.0 * matrix.sds[0, n - 1] + 1.0
+        assert top == matrix.mus[0, n - 1]
+        assert matrix.level[0, n - 1] >= top
+    sol = solve_instance(inst)
+    assert sol.policy.reviews == (1, 4)
+    assert check_feasibility(sol.path) == []
+    assert expected_trace(inst, sol.policy).total_cost == pytest.approx(
+        sol.expected_cost, rel=1e-9
+    )
 
 
 def test_only_cycles_and_oracle_import_scipy_special():

@@ -263,6 +263,33 @@ class TestResumedSearch:
         assert self.repair_step_by_step(build_connection_matrix(inst)) == 19
 
 
+def test_every_arc_of_a_split_graph_prices_its_matrix_cycle():
+    # after many splits each arc still carries the matrix cycle of its
+    # start..end; a merged (recomputed) arc adds one K per absorbed review,
+    # the last of which is its origin's period
+    kinds = set()
+    for inst in generate_instances(
+        pattern="lumpy", horizon=30, rho=0.3, K=225.0, b=10.0, count=2, seed=3
+    ):
+        matrix = build_connection_matrix(inst)
+        g = build_graph(matrix)
+        _, steps = repetitive_augment(g)
+        assert steps
+        for arc in g.arcs():
+            s, e = arc.start - 1, arc.end - 1
+            assert arc.v.period == arc.end + 1
+            assert arc.order_up_to == matrix.level[s, e]
+            assert arc.closing == matrix.level[s, e] - matrix.mus[s, e - s]
+            if arc.kind == "recomputed":
+                assert arc.absorbed[-1] == arc.u.period
+                assert arc.cost == matrix.cost[s, e] + inst.K * len(arc.absorbed)
+            else:
+                assert arc.absorbed == ()
+                assert arc.cost == matrix.cost[s, e]
+            kinds.add(arc.kind)
+    assert kinds == {"normal", "duplicated", "recomputed"}
+
+
 class TestAugmentOnceIndex:
     @pytest.mark.parametrize("k", [0, 4, -1], ids=["zero", "past-last", "negative"])
     def test_out_of_range_cycle_raises_and_leaves_graph(self, golden_matrix, k):
