@@ -19,7 +19,7 @@ from .augment import FEAS_TOL
 from .bench import DESK_GRID, FULL_GRID, bench_to_csv, run_benchmark, summarize
 from .cycles import build_connection_matrix
 from .errors import InputError, LotpathError, NonTerminationError
-from .instances import generate_instances, load_instance, save_instance
+from .instances import PATTERNS, generate_instances, load_instance, save_instance
 from .simulate import Policy, expected_trace, simulate_policy
 from .solver import solve_instance
 
@@ -52,13 +52,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the report JSON here instead of stdout")
 
     p = sub.add_parser("bench", help="run the factorial benchmark")
-    p.add_argument("--patterns", nargs="+", default=["erratic", "lumpy"])
-    p.add_argument("--horizons", nargs="+", type=int, default=None)
-    p.add_argument("--rhos", nargs="+", type=float, default=None)
-    p.add_argument("--fixed-costs", nargs="+", type=float, default=None)
-    p.add_argument("--penalties", nargs="+", type=float, default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--patterns", nargs="+")
+    p.add_argument("--horizons", nargs="+", type=int)
+    p.add_argument("--rhos", nargs="+", type=float)
+    p.add_argument("--fixed-costs", nargs="+", type=float)
+    p.add_argument("--penalties", nargs="+", type=float)
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--full", action="store_true", help="larger default grid")
     p.add_argument("--summary", action="store_true", help="print factor-cell means")
     p.add_argument("-o", "--output", help="write the per-instance CSV here")
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the CSV here instead of stdout")
 
     p = sub.add_parser("gen", help="generate benchmark instances")
-    p.add_argument("--pattern", choices=("erratic", "lumpy"), required=True)
+    p.add_argument("--pattern", choices=PATTERNS, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--fixed-cost", type=float, required=True)
@@ -154,19 +154,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_bench(args) -> int:
     grid = dict(FULL_GRID if args.full else DESK_GRID)
-    kwargs = dict(
-        patterns=args.patterns,
-        horizons=tuple(args.horizons) if args.horizons else grid["horizons"],
-        replicates=args.replicates if args.replicates is not None else grid["replicates"],
-        seed=args.seed if args.seed is not None else grid["seed"],
-    )
-    if args.rhos:
-        kwargs["rhos"] = tuple(args.rhos)
-    if args.fixed_costs:
-        kwargs["fixed_costs"] = tuple(args.fixed_costs)
-    if args.penalties:
-        kwargs["penalties"] = tuple(args.penalties)
-    records = run_benchmark(**kwargs)
+    grid.update((k, v) for k, v in vars(args).items() if k in grid and v is not None)
+    records = run_benchmark(**grid)
     if not records:
         raise InputError("benchmark grid is empty (check factor lists and --replicates)")
     csv_text = bench_to_csv(records)

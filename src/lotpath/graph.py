@@ -54,7 +54,7 @@ cycles (:attr:`PathSolution.cycles`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -156,17 +156,17 @@ class PathSolution:
 
 
 class ReplenishmentGraph:
-    """Directed acyclic graph over period nodes with cycle-cost arcs."""
+    """Directed acyclic graph over period nodes with cycle-cost arcs, stored
+    head first (node -> tail -> arc) as the search reads them."""
 
     def __init__(self, horizon: int, matrix: Optional[ConnectionMatrix] = None):
         self.horizon = horizon
         self.matrix = matrix
         self.source = NodeId(1)
         self.sink = NodeId(horizon + 1)
-        self._out: Dict[NodeId, Dict[NodeId, Arc]] = {
+        self._in: Dict[NodeId, Dict[NodeId, Arc]] = {
             NodeId(p): {} for p in range(1, horizon + 2)
         }
-        self._in: Dict[NodeId, Dict[NodeId, Arc]] = {n: {} for n in self._out}
         self._copies: Dict[int, int] = {}
 
     # -- structure ---------------------------------------------------------
@@ -174,43 +174,40 @@ class ReplenishmentGraph:
     def new_virtual(self, period: int) -> NodeId:
         self._copies[period] = self._copies.get(period, 0) + 1
         node = NodeId(period, self._copies[period])
-        self._out[node], self._in[node] = {}, {}
+        self._in[node] = {}
         return node
 
     def has_node(self, node: NodeId) -> bool:
-        return node in self._out
+        return node in self._in
 
     @property
     def nodes(self) -> List[NodeId]:
-        return sorted(self._out)
+        return sorted(self._in)
 
     def add_arc(self, arc: Arc) -> None:
-        if arc.u not in self._out or arc.v not in self._out:
+        if arc.u not in self._in or arc.v not in self._in:
             raise LotpathError(f"arc {arc} references a missing node")
-        self._out[arc.u][arc.v] = arc
         self._in[arc.v][arc.u] = arc
 
     def remove_arc(self, arc: Arc) -> None:
-        del self._out[arc.u][arc.v]
         del self._in[arc.v][arc.u]
-
-    def out_arcs(self, node: NodeId) -> List[Arc]:
-        return list(self._out[node].values())
 
     def in_arcs(self, node: NodeId) -> List[Arc]:
         return list(self._in[node].values())
 
     def get_arc(self, u: NodeId, v: NodeId) -> Optional[Arc]:
-        return self._out.get(u, {}).get(v)
+        return self._in.get(v, {}).get(u)
 
-    def arcs(self) -> Iterable[Arc]:
-        for node in sorted(self._out):
-            for v in sorted(self._out[node]):
-                yield self._out[node][v]
+    def arcs(self) -> List[Arc]:
+        """Every arc, ordered by (tail, head)."""
+        return sorted(
+            (arc for inbound in self._in.values() for arc in inbound.values()),
+            key=lambda arc: (arc.u, arc.v),
+        )
 
     @property
     def arc_count(self) -> int:
-        return sum(len(d) for d in self._out.values())
+        return sum(len(d) for d in self._in.values())
 
     # -- traversal weights ---------------------------------------------------
 
@@ -232,15 +229,16 @@ class ReplenishmentGraph:
         """Cascade-remove nodes that lost all inbound arcs (except the source)."""
         while True:
             dead = [
-                n for n in self._out
-                if n != self.source and not self._in[n] and n != self.sink
+                n for n, inbound in self._in.items()
+                if not inbound and n != self.source and n != self.sink
             ]
             if not dead:
                 return
             for n in dead:
-                for v in self._out.pop(n):
-                    del self._in[v][n]
                 del self._in[n]
+            for inbound in self._in.values():
+                for n in dead:
+                    inbound.pop(n, None)
 
 
 # ---------------------------------------------------------------------------

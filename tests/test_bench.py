@@ -1,6 +1,7 @@
 """Factorial benchmark bookkeeping."""
 
 import inspect
+import math
 
 import pytest
 
@@ -102,15 +103,30 @@ class TestSummarize:
         assert row["n_augmented"] == len(augmented)
 
 
+FACTORS = ("patterns", "horizons", "rhos", "fixed_costs", "penalties")
+
+
+def grid_size(grid):
+    return math.prod(len(grid[k]) for k in FACTORS) * grid["replicates"]
+
+
 class TestGrids:
     def test_desk_grid_size(self):
-        assert DESK_GRID == dict(horizons=(10, 20), replicates=3, seed=7)
-        # run_benchmark's defaults are the desk grid
+        assert DESK_GRID == dict(
+            patterns=("erratic", "lumpy"),
+            horizons=(10, 20),
+            rhos=(0.1, 0.2, 0.3),
+            fixed_costs=(225.0, 900.0, 2500.0),
+            penalties=(2.0, 5.0, 10.0),
+            replicates=3,
+            seed=7,
+        )
+        # the grid holds every design keyword, and run_benchmark's defaults are it
         params = inspect.signature(run_benchmark).parameters
-        assert {k: params[k].default for k in DESK_GRID} == DESK_GRID
-        # 2 patterns x 2 horizons x 3 rho x 3 K x 3 b x 3 replicates
-        assert 2 * len(DESK_GRID["horizons"]) * 3 * 3 * 3 * DESK_GRID["replicates"] == 324
+        assert {k: p.default for k, p in params.items() if k != "progress"} == DESK_GRID
+        assert grid_size(DESK_GRID) == 324
 
     def test_full_grid_size(self):
-        assert FULL_GRID == dict(horizons=(20, 30, 40), replicates=10, seed=7)
-        assert 2 * len(FULL_GRID["horizons"]) * 3 * 3 * 3 * FULL_GRID["replicates"] == 1620
+        assert FULL_GRID == dict(DESK_GRID, horizons=(20, 30, 40), replicates=10)
+        assert FULL_GRID.keys() == DESK_GRID.keys()
+        assert grid_size(FULL_GRID) == 1620

@@ -30,13 +30,14 @@ def enumerated_optimum(graph):
     relaxation, only the sum of ``effective_cost`` along each path.
     """
     best = float("inf")
+    arcs = graph.arcs()
     stack = [(graph.source, 0.0)]
     while stack:
         node, cost = stack.pop()
         if node == graph.sink:
             best = min(best, cost)
             continue
-        for arc in graph.out_arcs(node):
+        for arc in (a for a in arcs if a.u == node):
             stack.append((arc.v, cost + graph.effective_cost(arc)))
     return best
 
@@ -62,11 +63,12 @@ def full_push_pass(graph):
     """
     dist = {graph.source: 0.0}
     pred = {}
+    arcs = graph.arcs()
     for u in graph.nodes:
         d = dist.get(u)
         if d is None:
             continue
-        for arc in graph.out_arcs(u):
+        for arc in (a for a in arcs if a.u == u):
             nd = d + graph.effective_cost(arc)
             old = dist.get(arc.v)
             if old is None or nd < old:
@@ -182,6 +184,16 @@ class TestShortestPath:
         sol = shortest_path(g)
         assert sol.node_labels == ("1", "3")
         assert sol.total_cost == 2.0
+
+    def test_arc_from_an_unreached_tail_is_skipped(self):
+        # node 2 has no inbound arc, so neither it nor node 3 gets a label;
+        # their arcs are passed over and the direct arc wins
+        g = ReplenishmentGraph(3)
+        for u, v, cost in ((2, 3, 1.0), (3, 4, 1.0), (1, 4, 5.0)):
+            g.add_arc(plain_arc(u, v, cost))
+        sol = shortest_path(g)
+        assert sol.node_labels == ("1", "4")
+        assert sol.total_cost == 5.0
 
     def test_negative_weight_is_an_error(self):
         g = ReplenishmentGraph(1)
@@ -300,6 +312,23 @@ class TestAugmentOnceIndex:
         with pytest.raises(LotpathError, match="out of range"):
             augment_once(g, path, k)
         assert graph_dump(g) == before
+
+
+def test_split_skips_a_target_that_cleanup_deleted(golden_matrix):
+    g = build_graph(golden_matrix)
+    for arc in g.in_arcs(NodeId(5)):
+        g.remove_arc(arc)
+    g.cleanup_isolated()
+    assert not g.has_node(NodeId(5))
+    path = shortest_path(g)
+    (k,) = check_feasibility(path.plan)
+    assert k == 2 and path.cycles[k - 1].v == NodeId(3)
+    step = augment_once(g, path, k)
+    # the split recomputes targets up to j + 1 = 5 and duplicates beyond;
+    # target 5 is passed over because cleanup deleted node 5
+    assert step.recomputed_targets == [4]
+    assert step.duplicated_targets == [6]
+    assert all(NodeId(5) not in (arc.u, arc.v) for arc in g.arcs())
 
 
 class TestGraphDump:

@@ -1,11 +1,15 @@
-"""The benchmark's Monte Carlo workloads run and pass their own checks."""
+"""The benchmark's Monte Carlo workloads run and pass their own checks, and
+its desk grid is the package's."""
 
+import ast
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from lotpath.bench import DESK_GRID
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,3 +31,15 @@ def test_monte_carlo_workload_passes_its_gate(workload):
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_benchmark_desk_grid_matches_the_package_grid():
+    # read perfbench's literal copy without importing run.py, which sets the
+    # process's thread-count variables on import
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    (call,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["DESK_GRID"]
+    ]
+    assert {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords} == DESK_GRID
