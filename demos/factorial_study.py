@@ -8,9 +8,9 @@ shortest path contained and how much the repaired plan costs on top of the
 relaxed lower bound.
 
 The factor levels come from lotpath.bench: DESK_GRID (default) solves 324
-instances, about 3 s on a 2-core Intel Xeon. Pass --full for FULL_GRID, the
+instances, 2.1-2.3 s on a 2-core Intel Xeon. Pass --full for FULL_GRID, the
 1,620-instance design with horizons 20/30/40 and ten replicates; it took
-23-24 s on the same machine.
+17-22 s on the same machine.
 
 Run with:
   $ python3 demos/factorial_study.py [--full]

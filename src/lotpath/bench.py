@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .errors import InputError
 from .instances import PATTERNS, generate_instances
 from .solver import solve_instance
 
@@ -76,7 +77,18 @@ def run_benchmark(
 
     The design defaults to ``DESK_GRID``; cells come pattern-major, penalty
     innermost, and each cell's replicates in order. Every instance has
-    holding cost 1 and no unit cost, the generator's defaults."""
+    holding cost 1 and no unit cost, the generator's defaults. A factor that
+    lists a level twice raises :class:`InputError` before anything is
+    solved: its cells would be the same draws, solved and counted twice."""
+    factors = dict(
+        patterns=patterns, horizons=horizons, rhos=rhos, fixed_costs=fixed_costs,
+        penalties=penalties,
+    )
+    for name, levels in factors.items():
+        levels = list(levels)
+        for k, level in enumerate(levels):
+            if level in levels[:k]:
+                raise InputError(f"factor {name!r} repeats level {level!r}")
     records: List[BenchRecord] = []
     for pattern, T, rho, K, b in product(patterns, horizons, rhos, fixed_costs, penalties):
         for inst in generate_instances(

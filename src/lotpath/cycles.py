@@ -41,9 +41,9 @@ the convex period loss L; Jensen's inequality over D[i..m], independent of
 the later demand, bounds it below by the cycle (m + 1, j) at y - mu(i..m).
 The z terms telescope.
 
-:func:`build_connection_matrix` with ``prune=True`` prices spans length by
-length and stops extending a start period once no plan within a bound can
-use its longer spans. It keeps a lower-bound graph: the priced spans, with
+:func:`build_connection_matrix` with ``prune=True`` prices spans by length
+and stops extending a start period once no plan within a bound can use its
+longer spans. It keeps a lower-bound graph: the priced spans, with
 the longest priced span (i, i + n - 1) of every start period that still has
 unpriced spans charged c - K. By the lemma, c - K plus the lower-bound
 distance from i + n to j + 1 bounds every unpriced span (i, j) from below,
@@ -59,7 +59,8 @@ spans by it too.
 U is the bound of the re-optimising stage: the relaxed schedule at its exact
 constrained levels. It is known once the relaxed optimum over the priced
 spans is certified, i.e. every path through a reduced span costs more than
-that optimum, which is checked at power-of-two lengths. The relaxed path,
+that optimum, which is checked at power-of-two lengths (the lengths between
+two checks are priced in one fused bisection). The relaxed path,
 the stage's admissible spans and hence the plan are those of the complete
 matrix, bit for bit: every span either is priced exactly as the complete
 matrix prices it or lies on no plan within the bound.
@@ -103,6 +104,11 @@ MAX_EXPAND = 64
 #: stage's span-bound temporaries and grid DP arrays come on top, and
 #: tracemalloc reads 54.5 horizon^2 for lumpy T=1000, 74.4 for T=400 (seed 7 r0).
 MAX_MATRIX_BYTES = 2 * 2**30
+#: most numbers one fused level bisection lays end to end (see
+#: :func:`_price_spans`), 32 KiB per float64 working array; a length whose
+#: block alone holds more is bisected by itself. With it a complete lumpy
+#: T=100 build (seed 7 r0) peaks at 66.0 horizon^2 under tracemalloc
+MAX_FUSED_NUMBERS = 2**12
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +121,8 @@ MAX_MATRIX_BYTES = 2 * 2**30
 # levels equal those of a per-cycle scalar bisection bit for bit (the tests
 # keep one as the reference). Blocks are therefore cut by cycle length, not
 # by start period: zero-padded rows of mixed length sum in another order,
-# which moves a few levels in the last bit.
+# which moves a few levels in the last bit. A fused bisection puts whole
+# length blocks side by side and sums each one alone, so it pads nothing.
 # ---------------------------------------------------------------------------
 
 
@@ -158,20 +165,28 @@ def _block_costs(
 def _bisect_levels(
     mus: np.ndarray,
     sds: np.ndarray,
-    instance,
+    shapes: Sequence[Tuple[int, int]],
     terminal: np.ndarray,
+    instance,
     lo,
     hi,
     tol: float,
 ) -> np.ndarray:
-    """Levels solving the summed-fractile condition, one per row of a block.
+    """Levels solving the summed-fractile condition, one per row of each block.
 
-    Row r's level y makes the Normal CDFs of its cumulative demands
-    ``(mus[r], sds[r])`` sum to the newsvendor target n * b / (b + h), less
-    z / (b + h) where ``terminal[r]`` marks a horizon-final cycle; a CDF with
-    zero sd steps at its mean. This is the only solver of that condition: the
-    matrix passes one row per cycle, the re-optimising stage one row per
-    pooled block of cycles.
+    ``shapes`` lists the blocks as (rows, n) pairs, and ``mus`` and ``sds``
+    hold their (rows x n) arrays raveled end to end. Each row holds the
+    cumulative demands of one cycle. Its level y makes their Normal CDFs sum
+    to the newsvendor target n * b / (b + h), less z / (b + h) where
+    ``terminal`` marks a horizon-final cycle; a CDF with zero sd steps at its
+    mean. ``terminal``, ``lo``, ``hi`` and the levels run over the blocks'
+    rows in order. This is the only solver of that condition: the matrix
+    passes one row per cycle, the re-optimising stage one row per pooled
+    block of cycles.
+
+    The elementwise work runs once over all the numbers, but each block's
+    CDF sums are ``.sum(axis=1)`` of a contiguous (rows x n) view, so every
+    row's level is bit for bit that of a call with its block alone.
 
     Each row's bracket ``lo``..``hi`` doubles its width and moves its
     offending end, at most ``MAX_EXPAND`` times, until the condition changes
@@ -183,18 +198,33 @@ def _bisect_levels(
     ulps of its bracketed ends where that is wider (beyond 2**32), so a
     midpoint always lies strictly inside a bracket still being halved.
     """
-    n = mus.shape[1]
-    target = (n * instance.b - np.where(terminal, instance.z, 0.0)) / (instance.b + instance.h)
+    rows, ns = zip(*shapes)
+    lengths = np.repeat(ns, rows)
+    target = (lengths * instance.b - np.where(terminal, instance.z, 0.0)) / (
+        instance.b + instance.h
+    )
     pos = sds > 0.0
     scale = np.where(pos, sds, 1.0)
-    steps = not pos.all()
+    steps = None if pos.all() else ~pos
+    owner = np.repeat(np.arange(lengths.size), lengths)  # the row of each number
+    # each block's CDFs are a (rows x n) view of one buffer, summed into its
+    # rows' slice of the sums
+    vals, sums = np.empty(mus.size), np.empty(lengths.size)
+    views, first, row = [], 0, 0
+    for r, n in shapes:
+        views.append((vals[first : first + r * n].reshape(r, n), sums[row : row + r]))
+        first, row = first + r * n, row + r
 
     def g(y):
-        yy = y[:, None]
-        vals = ndtr((yy - mus) / scale)
-        if steps:
-            vals = np.where(pos, vals, yy >= mus)
-        return vals.sum(axis=1) - target
+        yy = y.take(owner)
+        np.subtract(yy, mus, out=vals)
+        np.divide(vals, scale, out=vals)
+        ndtr(vals, out=vals)
+        if steps is not None:
+            np.copyto(vals, yy >= mus, where=steps)
+        for block, out in views:
+            np.add.reduce(block, 1, None, out)
+        return sums - target
 
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -217,13 +247,55 @@ def _bisect_levels(
         bad = (g_lo > 0.0) | (g_hi < 0.0)
     tol = np.maximum(tol, 2.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     active = hi - lo > tol
-    while active.any():
+    while np.count_nonzero(active):
         mid = 0.5 * (lo + hi)
         below = g(mid) < 0.0
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
+        np.copyto(lo, mid, where=active & below)
+        np.copyto(hi, mid, where=active & ~below)
         active = hi - lo > tol
     return 0.5 * (lo + hi)
+
+
+def _price_spans(matrix: ConnectionMatrix, blocks) -> None:
+    """Set the level and cost of every span in ``blocks``: pairs of a cycle
+    length n and the 0-based start periods to price at it, by increasing n.
+
+    Consecutive lengths share one level bisection while their numbers come
+    to at most ``MAX_FUSED_NUMBERS``; a length with more runs by itself.
+    Costs are priced one block per length.
+    """
+    T, instance = matrix.horizon, matrix.instance
+    groups, size = [[]], 0
+    for n, rows in blocks:
+        if groups[-1] and size + n * rows.size > MAX_FUSED_NUMBERS:
+            groups.append([])
+            size = 0
+        groups[-1].append((n, rows))
+        size += n * rows.size
+    for group in groups:
+        shapes = [(rows.size, n) for n, rows in group]
+        mus = np.concatenate([matrix.mus[rows, :n].ravel() for n, rows in group])
+        sds = np.concatenate([matrix.sds[rows, :n].ravel() for n, rows in group])
+        terminal = np.concatenate([rows + n == T for n, rows in group])
+        # the cold bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1; at
+        # means of 2**53 and above the 1 rounds away, so a near-deterministic
+        # span's root can lie above it, and _bisect_levels' expansion finds it
+        lengths = np.repeat([n for n, _ in group], [rows.size for _, rows in group])
+        heads = np.cumsum(lengths) - lengths  # each row's first number
+        smax = np.maximum.reduceat(sds, heads)
+        lo = np.minimum.reduceat(mus, heads) - 12.0 * smax - 1.0
+        hi = np.maximum.reduceat(mus, heads) + 12.0 * smax + 1.0
+        ys = _bisect_levels(mus, sds, shapes, terminal, instance, lo, hi, Y_TOL)
+        k = a = 0
+        for n, rows in group:
+            r = rows.size
+            block = slice(a, a + r * n)
+            y, flags = ys[k : k + r], terminal[k : k + r]
+            matrix.level[rows, rows + n - 1] = y
+            matrix.cost[rows, rows + n - 1] = _block_costs(
+                y, mus[block].reshape(r, n), sds[block].reshape(r, n), instance, flags
+            )
+            k, a = k + r, a + r * n
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +441,7 @@ def _schedule_levels(matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int
         terminal = np.array([members[-1][1] == T - 1])
         tol = LEVEL_TOL * max(1.0, abs(lo), abs(hi))
         x = _bisect_levels(
-            mus[None, :], sds[None, :], matrix.instance, terminal, [lo - 1.0], [hi + 1.0], tol
+            mus, sds, [(1, mus.size)], terminal, matrix.instance, [lo - 1.0], [hi + 1.0], tol
         )
         return float(x[0])
 
@@ -476,13 +548,16 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     ``instance`` needs ``horizon``, ``means``, ``cv``, ``K``, ``z``, ``h``
     and ``b`` attributes: period t's demand is Normal with mean
     ``means[t - 1]`` and standard deviation ``cv * means[t - 1]``.
-    Spans are priced in one batch per cycle length: one bisection for the
-    levels, one pass for the costs. By default all horizon * (horizon + 1) / 2
-    spans are priced; the split loop, ``export-graph`` and the worked example
-    need them all. With ``prune=True`` a start period stops growing once no
-    plan within the re-optimising stage's bound can use its longer spans (see
-    the module docstring): the solve's relaxed path and plan are those of the
-    complete matrix, and ``bound_plan`` holds the plan that set the bound.
+    Spans are priced one block per cycle length. The bisection that sets
+    their levels fuses the blocks of consecutive lengths that no pruning
+    separates, side by side, and sums each block alone (see
+    :func:`_price_spans`); costs take one pass per block. By default all
+    horizon * (horizon + 1) / 2 spans are priced; the split loop,
+    ``export-graph`` and the worked example need them all. With
+    ``prune=True`` a start period stops growing once no plan within the
+    re-optimising stage's bound can use its longer spans (see the module
+    docstring): the solve's relaxed path and plan are those of the complete
+    matrix, and ``bound_plan`` holds the plan that set the bound.
     Every priced span equals the complete matrix's bit for bit. A horizon
     whose arrays exceed ``MAX_MATRIX_BYTES`` raises :class:`InputError`
     before any is allocated.
@@ -503,36 +578,35 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
         mus[i, : T - i] = np.cumsum(means[i:])
         sds[i, : T - i] = np.sqrt(np.cumsum(var[i:]))
 
-    level = np.full((T, T), np.nan)
     cost = np.full((T, T), np.inf)
-    matrix = ConnectionMatrix(instance, level, cost, mus, sds)
+    matrix = ConnectionMatrix(instance, np.full((T, T), np.nan), cost, mus, sds)
 
     lengths = np.zeros(T, dtype=int)  # spans priced per start period
     rows = np.arange(T)  # start periods still growing
-    for n in range(1, T + 1):
-        rows = rows[rows <= T - n]
-        if not rows.size:
+    n = 0  # spans are priced up to this length
+    while True:
+        # a certified build prunes after every length, one still certifying
+        # only at the next power of two, and a complete build never: the
+        # lengths up to that checkpoint lose only starts past the horizon,
+        # so they are priced together
+        if not prune:
+            last = T
+        elif matrix.bound_plan is None:
+            last = min(2 * n or 1, T)
+        else:
+            last = n + 1
+        blocks = [(m, rows[rows <= T - m]) for m in range(n + 1, last + 1)]
+        blocks = [(m, r) for m, r in blocks if r.size]
+        if not blocks:
             break
-        ends = rows + n - 1
-        block_mus, block_sds = mus[rows, :n], sds[rows, :n]
-        terminal = ends == T - 1
-        # the cold bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1; at
-        # means of 2**53 and above the 1 rounds away, so a near-deterministic
-        # span's root can lie above it, and _bisect_levels' expansion finds it
-        smax = block_sds.max(axis=1)
-        lo = block_mus.min(axis=1) - 12.0 * smax - 1.0
-        hi = block_mus.max(axis=1) + 12.0 * smax + 1.0
-        y = _bisect_levels(block_mus, block_sds, instance, terminal, lo, hi, Y_TOL)
-        level[rows, ends] = y
-        cost[rows, ends] = _block_costs(y, block_mus, block_sds, instance, terminal)
-        lengths[rows] = n
-        if not prune or n == T:
-            continue
-        certify = matrix.bound_plan is None
-        if certify and n & (n - 1):
-            continue  # certify at power-of-two lengths only
+        _price_spans(matrix, blocks)
+        for m, r in blocks:
+            lengths[r] = m
+        n, rows = blocks[-1]
+        if n < last or n == T:
+            break  # every start period has reached the horizon
         through, optimum, pred = _lower_bounds(matrix, lengths)
-        if certify:
+        if matrix.bound_plan is None:
             # certified once every path through a reduced span costs more
             # than the graph's optimum: that optimum then takes priced spans
             # only and is the relaxed optimum of the complete matrix

@@ -2,7 +2,7 @@
 
 The matrix prices each cycle at the bisected root of its newsvendor
 fractile condition; there is no other level method. The solve prices only
-the spans that can matter: span lengths grow one at a time, and a start
+the spans that can matter: span lengths grow in order, and a start
 period stops growing once a lower bound shows that none of its longer spans
 lies on a plan within the re-optimising stage's bound
 (:func:`lotpath.cycles.build_connection_matrix` with ``prune=True``). The

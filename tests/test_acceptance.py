@@ -249,6 +249,12 @@ def test_final_policies_feasible_and_trends(criterion, desk_sweep):
         assert bound is None or bound.spans == sol.relaxed_path.spans
 
 
+def test_desk_grid_spans_priced(desk_sweep):
+    # pricing the lengths up to each certification checkpoint together
+    # prunes exactly as pricing them one at a time: no extra span is priced
+    assert sum(sol.spans_priced for *_, sol in desk_sweep) == 40_313
+
+
 def test_cost_inflation_band(criterion, desk_sweep):
     pct = [
         100.0 * (sol.expected_cost - sol.relaxed_cost) / sol.relaxed_cost

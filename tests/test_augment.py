@@ -490,6 +490,7 @@ class TestReoptimise:
     }
 
     def test_lumpy_long_answers(self):
+        priced = 0
         for r, inst in enumerate(
             generate_instances("lumpy", 100, 0.3, 225.0, 10.0, count=3, seed=7)
         ):
@@ -497,6 +498,9 @@ class TestReoptimise:
             sol = solve_instance(inst)
             assert sol.path.spans == tuple(zip(starts, [s - 1 for s in starts[1:]] + [99]))
             assert sol.expected_cost == pytest.approx(cost, rel=1e-12), inst.name
+            priced += sol.spans_priced
+        # fusing the lengths between certification checkpoints prices no extra span
+        assert priced == 4_444
 
     @pytest.mark.parametrize(
         "case",

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from lotpath import InputError
 from lotpath.bench import (
     DESK_GRID,
     FULL_GRID,
@@ -68,6 +69,29 @@ class TestRunBenchmark:
             progress=seen.append,
         )
         assert seen == records
+
+    @pytest.mark.parametrize(
+        "factor, levels, shown",
+        [
+            ("patterns", ("lumpy", "erratic", "lumpy"), "'lumpy'"),
+            ("horizons", (5, 5), "5"),
+            ("rhos", (0.3, 0.2, 0.3), "0.3"),
+            ("fixed_costs", (225.0, 225), "225"),
+            ("penalties", (2.0, 2.0), "2.0"),
+        ],
+    )
+    def test_repeated_level_is_refused_before_solving(self, factor, levels, shown):
+        # a repeated level would solve the same draws twice and weigh their
+        # cell double in the summary
+        grid = dict(
+            patterns=("lumpy",), horizons=(5,), rhos=(0.3,), fixed_costs=(225.0,),
+            penalties=(10.0,), replicates=1, seed=7,
+        )
+        seen = []
+        with pytest.raises(InputError) as exc:
+            run_benchmark(**dict(grid, **{factor: levels}), progress=seen.append)
+        assert str(exc.value) == f"factor {factor!r} repeats level {shown}"
+        assert seen == []
 
 
 class TestCsv:

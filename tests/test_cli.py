@@ -212,6 +212,16 @@ class TestBench:
         assert main(["bench", "--replicates", "-1", "--horizons", "5"]) == 2
         assert capsys.readouterr().err == "error: count must be >= 0, got -1\n"
 
+    def test_repeated_level_is_input_error(self, capsys):
+        rc = main([
+            "bench", "--patterns", "lumpy", "--horizons", "5", "--rhos", "0.3",
+            "--fixed-costs", "225", "--penalties", "2", "2", "--replicates", "1",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: factor 'penalties' repeats level 2.0\n"
+        assert captured.out == ""
+
 
 class TestExportGraph:
     def test_full_graph(self, golden_file, capsys):

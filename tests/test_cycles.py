@@ -107,9 +107,9 @@ class TestOptimizer:
     def test_bracket_failure_raises(self):
         # a terminal target of (b - z) / (b + h) = -2 lies below every CDF sum
         costs = types.SimpleNamespace(b=1.0, h=1.0, z=5.0)
-        mus, sds, terminal = np.array([[10.0]]), np.array([[3.0]]), np.array([True])
+        mus, sds, terminal = np.array([10.0]), np.array([3.0]), np.array([True])
         with pytest.raises(NumericalError, match="bracket the optimum.* after 64 expansions"):
-            _bisect_levels(mus, sds, costs, terminal, [0.0], [1.0], 1e-6)
+            _bisect_levels(mus, sds, [(1, 1)], terminal, costs, [0.0], [1.0], 1e-6)
 
     def test_converged_rows_keep_their_bracket(self):
         # a narrow bracket converges in 20 halvings, a 1e6-wide one in 40; the
@@ -122,12 +122,14 @@ class TestOptimizer:
         terminal = np.array([False, True, False, True])
         lo = np.array([253.5, -5e5, 300.0, 0.0])
         hi = np.array([254.5, 5e5, 301.0, 1.0])
-        batched = _bisect_levels(mus, sds, instance, terminal, lo, hi, 1e-6)
+        batched = _bisect_levels(
+            mus.ravel(), sds.ravel(), [(4, 2)], terminal, instance, lo, hi, 1e-6
+        )
         assert batched[2] < lo[2] and batched[3] > hi[3]
         for r in range(4):
             row = slice(r, r + 1)
             single = _bisect_levels(
-                mus[row], sds[row], instance, terminal[row], lo[row], hi[row], 1e-6
+                mus[r], sds[r], [(1, 2)], terminal[row], instance, lo[row], hi[row], 1e-6
             )
             assert batched[r] == single[0], r
 
@@ -139,14 +141,55 @@ class TestOptimizer:
         terminal = np.array([False, True, False])
         lo = np.array([250.0, -5e5, 0.0])
         hi = np.array([450.0, 5e5, 64.0])
-        batched = _bisect_levels(mus, sds, instance, terminal, lo, hi, 1e-6)
+        batched = _bisect_levels(
+            mus.ravel(), sds.ravel(), [(3, 3)], terminal, instance, lo, hi, 1e-6
+        )
         assert batched[2] == pytest.approx(30.0, abs=1e-6)  # the step of its last CDF
         for r in range(3):
             row = slice(r, r + 1)
             single = _bisect_levels(
-                mus[row], sds[row], instance, terminal[row], lo[row], hi[row], 1e-6
+                mus[r], sds[r], [(1, 3)], terminal[row], instance, lo[row], hi[row], 1e-6
             )
             assert batched[r] == single[0], r
+
+    def test_fused_blocks_match_one_call_per_block(self):
+        # one call over blocks of lengths 1, 3, 8, 9 and 17 laid end to end
+        # gives every row the level of a call with its block alone, exactly.
+        # 8 and 9 sit either side of numpy's 8-wide pairwise-sum unroll. The
+        # length-9 block has a step (zero-sd) row, the length-17 block a
+        # terminal row, and a length-8 row's bracket lies above its root.
+        # A zero tolerance bisects to two ulps, where the rounding of each
+        # CDF sum decides the last midpoints, so a sum in another order shows
+        instance = golden_spec(z=2.0)  # K=50, h=1, b=19
+        rng = np.random.default_rng(11)
+        blocks = []
+        for n in (1, 3, 8, 9, 17):
+            means = rng.uniform(0.0, 100.0, size=(3, n))
+            mus = np.cumsum(means, axis=1)
+            sds = np.sqrt(np.cumsum((0.3 * means) ** 2, axis=1))
+            if n == 9:
+                sds[0] = 0.0
+            terminal = np.array([False, False, n == 17])
+            smax = sds.max(axis=1)
+            lo = mus.min(axis=1) - 12.0 * smax - 1.0
+            hi = mus.max(axis=1) + 12.0 * smax + 1.0
+            if n == 8:
+                lo[1], hi[1] = hi[1] + 1e3, hi[1] + 1e3 + 1.0
+            blocks.append((mus, sds, terminal, lo, hi))
+        mus, sds, terminal, lo, hi = (
+            np.concatenate([block[k].ravel() for block in blocks]) for k in range(5)
+        )
+        shapes = [(3, n) for n in (1, 3, 8, 9, 17)]
+        fused = _bisect_levels(mus, sds, shapes, terminal, instance, lo, hi, 0.0)
+        assert fused[7] < lo[7]  # the length-8 row expanded its bracket downward
+        assert fused[9] == pytest.approx(blocks[3][0][0, -1], abs=1e-6)  # its last step
+        alone = [
+            _bisect_levels(
+                mus.ravel(), sds.ravel(), [mus.shape], terminal, instance, lo, hi, 0.0
+            )
+            for mus, sds, terminal, lo, hi in blocks
+        ]
+        assert fused.tolist() == np.concatenate(alone).tolist()
 
 
 class TestConnectionMatrix:
@@ -443,6 +486,20 @@ def test_pruned_build_peaks_near_its_tables():
     finally:
         tracemalloc.stop()
     assert peak <= 44 * inst.horizon**2
+
+
+def test_complete_build_peaks_near_its_tables():
+    # the complete build fuses the most lengths per bisection: 48 T^2 bytes,
+    # above the 47.4 T^2 it peaked at pricing one length per bisection, plus
+    # eight float64 working arrays of the fused cap
+    inst = generate_instances("lumpy", 100, 0.3, 225.0, 10.0, count=1, seed=7)[0]
+    tracemalloc.start()
+    try:
+        build_connection_matrix(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * inst.horizon**2 + 64 * lotpath.cycles.MAX_FUSED_NUMBERS
 
 
 def test_horizon_beyond_the_matrix_budget_is_refused(monkeypatch):
