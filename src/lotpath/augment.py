@@ -46,6 +46,7 @@ from .cycles import (
     Plan,
     _constrained_plan,
     _loss_pair,
+    _plan,
     _relaxed_spans,
     _within_bound,
 )
@@ -65,14 +66,8 @@ def relaxed_path(matrix: ConnectionMatrix) -> Plan:
     """The relaxed optimum at the matrix levels: the same schedule, levels
     and cost as ``shortest_path(build_graph(matrix))``, without building the
     graph."""
-    spans = _relaxed_spans(matrix.pred)
-    s, e = np.array(spans).T
-    return Plan(
-        tuple(spans),
-        tuple(matrix.level[s, e].tolist()),
-        tuple((matrix.level[s, e] - matrix.mus[s, e - s]).tolist()),
-        tuple(matrix.cost[s, e].tolist()),
-    )
+    s, e = np.array(_relaxed_spans(matrix.pred)).T
+    return _plan(matrix, s, e, matrix.level[s, e], matrix.cost[s, e])
 
 
 def check_feasibility(plan: Plan) -> List[int]:

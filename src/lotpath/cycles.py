@@ -123,6 +123,9 @@ MAX_FUSED_NUMBERS = 2**12
 # by start period: zero-padded rows of mixed length sum in another order,
 # which moves a few levels in the last bit. A fused bisection puts whole
 # length blocks side by side and sums each one alone, so it pads nothing.
+# The kernel takes one fractile target per row, so rows under different
+# costs may share a block, and the costs of a fused bisection's rows take
+# one pass over the numbers it gathered, summed block by block the same way.
 # ---------------------------------------------------------------------------
 
 
@@ -148,26 +151,49 @@ def _loss_pair(y, mus, sds):
     return lo, hi
 
 
-def _block_costs(
-    y: np.ndarray, mus: np.ndarray, sds: np.ndarray, instance, terminal: np.ndarray
-) -> np.ndarray:
-    """Expected cost of each row's cycle at its level ``y``, under the costs
-    of ``instance``.
+def _row_views(vals: np.ndarray, sums: np.ndarray, shapes: Sequence[Tuple[int, int]]):
+    """Pairs of each block's (rows x n) view of the raveled ``vals`` and its
+    rows' slice of ``sums``; ``np.add.reduce(view, 1, None, out)`` sums one
+    block's rows in the order numpy sums that block alone."""
+    views, first, row = [], 0, 0
+    for r, n in shapes:
+        views.append((vals[first : first + r * n].reshape(r, n), sums[row : row + r]))
+        first, row = first + r * n, row + r
+    return views
+
+
+def _fractile_target(instance, lengths, terminal):
+    """The newsvendor target of cycles of ``lengths`` periods under the costs
+    of ``instance``: n b / (b + h), less z / (b + h) where ``terminal`` marks a
+    horizon-final cycle."""
+    return (lengths * instance.b - np.where(terminal, instance.z, 0.0)) / (
+        instance.b + instance.h
+    )
+
+
+def _block_costs(ys, mus, sds, shapes, instance, terminal) -> np.ndarray:
+    """Expected cost of each row's cycle at its level ``ys``, under the costs
+    of ``instance``, in one pass over blocks laid out as
+    :func:`_bisect_levels` reads them.
 
     ``terminal`` flags the rows whose cycle ends at the horizon; they carry
     the unit cost on the level instead of on the cycle mean.
     """
-    lo, hi = _loss_pair(y[:, None], mus, sds)
-    base = instance.K + np.where(terminal, instance.z * y, instance.z * mus[:, -1])
-    return base + (instance.h * hi + instance.b * lo).sum(axis=1)
+    rows, ns = zip(*shapes)
+    lengths = np.repeat(ns, rows)
+    lo, hi = _loss_pair(np.repeat(ys, lengths), mus, sds)
+    vals, sums = instance.h * hi + instance.b * lo, np.empty(ys.size)
+    for block, out in _row_views(vals, sums, shapes):
+        np.add.reduce(block, 1, None, out)
+    last = mus[np.cumsum(lengths) - 1]  # each row's cycle mean
+    return instance.K + np.where(terminal, instance.z * ys, instance.z * last) + sums
 
 
 def _bisect_levels(
     mus: np.ndarray,
     sds: np.ndarray,
     shapes: Sequence[Tuple[int, int]],
-    terminal: np.ndarray,
-    instance,
+    target: np.ndarray,
     lo,
     hi,
     tol: float,
@@ -177,16 +203,16 @@ def _bisect_levels(
     ``shapes`` lists the blocks as (rows, n) pairs, and ``mus`` and ``sds``
     hold their (rows x n) arrays raveled end to end. Each row holds the
     cumulative demands of one cycle. Its level y makes their Normal CDFs sum
-    to the newsvendor target n * b / (b + h), less z / (b + h) where
-    ``terminal`` marks a horizon-final cycle; a CDF with zero sd steps at its
-    mean. ``terminal``, ``lo``, ``hi`` and the levels run over the blocks'
-    rows in order. This is the only solver of that condition: the matrix
-    passes one row per cycle, the re-optimising stage one row per pooled
-    block of cycles.
+    to the row's ``target`` (see :func:`_fractile_target`); a CDF with zero
+    sd steps at its mean. ``target``, ``lo``, ``hi`` and the levels run over
+    the blocks' rows in order. This is the only solver of that condition:
+    the matrix passes one row per cycle, the re-optimising stage one row per
+    pooled block of cycles.
 
     The elementwise work runs once over all the numbers, but each block's
-    CDF sums are ``.sum(axis=1)`` of a contiguous (rows x n) view, so every
-    row's level is bit for bit that of a call with its block alone.
+    CDF sums are a row sum of its contiguous (rows x n) view (see
+    :func:`_row_views`), so every row's level is bit for bit that of a call
+    with its block alone.
 
     Each row's bracket ``lo``..``hi`` doubles its width and moves its
     offending end, at most ``MAX_EXPAND`` times, until the condition changes
@@ -200,20 +226,12 @@ def _bisect_levels(
     """
     rows, ns = zip(*shapes)
     lengths = np.repeat(ns, rows)
-    target = (lengths * instance.b - np.where(terminal, instance.z, 0.0)) / (
-        instance.b + instance.h
-    )
     pos = sds > 0.0
     scale = np.where(pos, sds, 1.0)
     steps = None if pos.all() else ~pos
     owner = np.repeat(np.arange(lengths.size), lengths)  # the row of each number
-    # each block's CDFs are a (rows x n) view of one buffer, summed into its
-    # rows' slice of the sums
     vals, sums = np.empty(mus.size), np.empty(lengths.size)
-    views, first, row = [], 0, 0
-    for r, n in shapes:
-        views.append((vals[first : first + r * n].reshape(r, n), sums[row : row + r]))
-        first, row = first + r * n, row + r
+    views = _row_views(vals, sums, shapes)
 
     def g(y):
         yy = y.take(owner)
@@ -262,7 +280,7 @@ def _price_spans(matrix: ConnectionMatrix, blocks) -> None:
 
     Consecutive lengths share one level bisection while their numbers come
     to at most ``MAX_FUSED_NUMBERS``; a length with more runs by itself.
-    Costs are priced one block per length.
+    Each bisection's costs take one pass over the numbers it gathered.
     """
     T, instance = matrix.horizon, matrix.instance
     groups, size = [[]], 0
@@ -276,26 +294,21 @@ def _price_spans(matrix: ConnectionMatrix, blocks) -> None:
         shapes = [(rows.size, n) for n, rows in group]
         mus = np.concatenate([matrix.mus[rows, :n].ravel() for n, rows in group])
         sds = np.concatenate([matrix.sds[rows, :n].ravel() for n, rows in group])
-        terminal = np.concatenate([rows + n == T for n, rows in group])
+        starts = np.concatenate([rows for _, rows in group])
+        lengths = np.repeat([n for n, _ in group], [rows.size for _, rows in group])
+        ends = starts + lengths - 1
+        terminal = ends == T - 1
         # the cold bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1; at
         # means of 2**53 and above the 1 rounds away, so a near-deterministic
         # span's root can lie above it, and _bisect_levels' expansion finds it
-        lengths = np.repeat([n for n, _ in group], [rows.size for _, rows in group])
         heads = np.cumsum(lengths) - lengths  # each row's first number
         smax = np.maximum.reduceat(sds, heads)
         lo = np.minimum.reduceat(mus, heads) - 12.0 * smax - 1.0
         hi = np.maximum.reduceat(mus, heads) + 12.0 * smax + 1.0
-        ys = _bisect_levels(mus, sds, shapes, terminal, instance, lo, hi, Y_TOL)
-        k = a = 0
-        for n, rows in group:
-            r = rows.size
-            block = slice(a, a + r * n)
-            y, flags = ys[k : k + r], terminal[k : k + r]
-            matrix.level[rows, rows + n - 1] = y
-            matrix.cost[rows, rows + n - 1] = _block_costs(
-                y, mus[block].reshape(r, n), sds[block].reshape(r, n), instance, flags
-            )
-            k, a = k + r, a + r * n
+        target = _fractile_target(instance, lengths, terminal)
+        ys = _bisect_levels(mus, sds, shapes, target, lo, hi, Y_TOL)
+        matrix.level[starts, ends] = ys
+        matrix.cost[starts, ends] = _block_costs(ys, mus, sds, shapes, instance, terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +451,9 @@ def _schedule_levels(matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int
             [matrix.mus[s, : e - s + 1] + offsets[first + k] for k, (s, e) in enumerate(members)]
         )
         sds = np.concatenate([matrix.sds[s, : e - s + 1] for s, e in members])
-        terminal = np.array([members[-1][1] == T - 1])
+        target = _fractile_target(matrix.instance, mus.size, members[-1][1] == T - 1)
         tol = LEVEL_TOL * max(1.0, abs(lo), abs(hi))
-        x = _bisect_levels(
-            mus, sds, [(1, mus.size)], terminal, matrix.instance, [lo - 1.0], [hi + 1.0], tol
-        )
+        x = _bisect_levels(mus, sds, [(1, mus.size)], target, [lo - 1.0], [hi + 1.0], tol)
         return float(x[0])
 
     blocks: List[List[float]] = []  # [first, last, x, lowest member x, highest member x]
@@ -493,22 +504,28 @@ class Plan:
         return tuple(str(s + 1) for s, _ in self.spans) + (str(self.spans[-1][1] + 2),)
 
 
+def _plan(matrix: ConnectionMatrix, starts, ends, levels, costs) -> Plan:
+    """The cycles ``starts``..``ends`` (0-based arrays) at ``levels`` and
+    ``costs``; each closing is its level less the cycle's mean demand."""
+    return Plan(
+        tuple(zip(starts.tolist(), ends.tolist())),
+        tuple(levels.tolist()),
+        tuple((levels - matrix.mus[starts, ends - starts]).tolist()),
+        tuple(costs.tolist()),
+    )
+
+
 def _constrained_plan(matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]]) -> Plan:
-    """``schedule`` at its exact constrained levels, its cycles priced from
-    the matrix's moment rows in one block per cycle length, as the matrix
-    prices its own."""
-    levels = _schedule_levels(matrix, schedule)
+    """``schedule`` at its exact constrained levels, each cycle priced from
+    the matrix's moment rows as a (1 x n) block, as the matrix prices its
+    own."""
+    ys = np.array(_schedule_levels(matrix, schedule))
     starts, ends = np.array(schedule).T
-    lengths = ends - starts + 1
-    ys = np.array(levels)
-    costs = np.empty(len(schedule))
-    for n in np.unique(lengths).tolist():
-        k = np.flatnonzero(lengths == n)
-        rows, terminal = starts[k], ends[k] == matrix.horizon - 1
-        mus, sds = matrix.mus[rows, :n], matrix.sds[rows, :n]
-        costs[k] = _block_costs(ys[k], mus, sds, matrix.instance, terminal)
-    closings = ys - matrix.mus[starts, lengths - 1]
-    return Plan(tuple(schedule), tuple(levels), tuple(closings.tolist()), tuple(costs.tolist()))
+    mus = np.concatenate([matrix.mus[s, : e - s + 1] for s, e in schedule])
+    sds = np.concatenate([matrix.sds[s, : e - s + 1] for s, e in schedule])
+    shapes = [(1, n) for n in (ends - starts + 1).tolist()]
+    costs = _block_costs(ys, mus, sds, shapes, matrix.instance, ends == matrix.horizon - 1)
+    return _plan(matrix, starts, ends, ys, costs)
 
 
 def _lower_bounds(
@@ -551,8 +568,8 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     Spans are priced one block per cycle length. The bisection that sets
     their levels fuses the blocks of consecutive lengths that no pruning
     separates, side by side, and sums each block alone (see
-    :func:`_price_spans`); costs take one pass per block. By default all
-    horizon * (horizon + 1) / 2 spans are priced; the split loop,
+    :func:`_price_spans`); their costs take one pass per bisection. By
+    default all horizon * (horizon + 1) / 2 spans are priced; the split loop,
     ``export-graph`` and the worked example need them all. With
     ``prune=True`` a start period stops growing once no plan within the
     re-optimising stage's bound can use its longer spans (see the module

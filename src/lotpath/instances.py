@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -93,23 +93,12 @@ class InstanceSpec:
                 raise InputError(f"field '{name}' must be a string, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "means": list(self.means),
-            "cv": self.cv,
-            "K": self.K,
-            "z": self.z,
-            "h": self.h,
-            "b": self.b,
-            "seed": self.seed,
-            "initial_inventory": self.initial_inventory,
-            "pattern": self.pattern,
-            "name": self.name,
-        }
+        """The fields in declaration order, ``means`` as a list: the JSON form."""
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"means": list(self.means)}
 
 
-_REQUIRED = ("horizon", "means", "cv", "K", "z", "h", "b")
-_OPTIONAL = {"seed": None, "initial_inventory": 0.0, "pattern": "explicit", "name": ""}
+_REQUIRED = tuple(f.name for f in fields(InstanceSpec) if f.default is MISSING)
+_OPTIONAL = {f.name: f.default for f in fields(InstanceSpec) if f.default is not MISSING}
 
 
 def _number(what: str, v) -> float:

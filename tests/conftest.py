@@ -44,6 +44,24 @@ def golden_solution(golden):
 
 
 @pytest.fixture(scope="session")
+def desk_sweep():
+    """The desk grid's 324 solves as (pattern, rho, K, b, solution); the
+    acceptance criteria and the answer corpus read the same solves."""
+    out = []
+    for pattern in ("erratic", "lumpy"):
+        for T in (10, 20):
+            for rho in (0.1, 0.2, 0.3):
+                for K in (225.0, 900.0, 2500.0):
+                    for b in (2.0, 5.0, 10.0):
+                        for inst in generate_instances(
+                            pattern=pattern, horizon=T, rho=rho, K=K, b=b,
+                            count=3, seed=7,
+                        ):
+                            out.append((pattern, rho, K, b, solve_instance(inst)))
+    return out
+
+
+@pytest.fixture(scope="session")
 def repaired_oracle_runs():
     """Criterion 10's instances: every lumpy T=8 seed 7 instance (rho 0.2 and
     0.3, b 5 and 10, K 225) whose relaxed plan violates, as (instance,

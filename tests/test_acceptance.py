@@ -194,23 +194,7 @@ def test_oracle_equivalence(criterion):
 
 # ---------------------------------------------------------------------------
 # 7 & 8. desk-scale factorial study: feasibility and cost-inflation trend
-# (one sweep, two verdicts)
-
-
-@pytest.fixture(scope="module")
-def desk_sweep():
-    out = []
-    for pattern in ("erratic", "lumpy"):
-        for T in (10, 20):
-            for rho in (0.1, 0.2, 0.3):
-                for K in (225.0, 900.0, 2500.0):
-                    for b in (2.0, 5.0, 10.0):
-                        for inst in generate_instances(
-                            pattern=pattern, horizon=T, rho=rho, K=K, b=b,
-                            count=3, seed=7,
-                        ):
-                            out.append((pattern, rho, K, b, solve_instance(inst)))
-    return out
+# (one sweep, two verdicts; the sweep is conftest's ``desk_sweep``)
 
 
 def test_final_policies_feasible_and_trends(criterion, desk_sweep):

@@ -6,8 +6,10 @@ quoted to 4 decimals, costs to 4 decimals.
 """
 
 import dataclasses
+import functools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -38,7 +40,7 @@ from lotpath import (
     reoptimise,
     solve_instance,
 )
-from lotpath.cycles import _bisect_levels
+from lotpath.cycles import _bisect_levels, _fractile_target
 
 from conftest import golden_spec
 
@@ -107,9 +109,10 @@ class TestOptimizer:
     def test_bracket_failure_raises(self):
         # a terminal target of (b - z) / (b + h) = -2 lies below every CDF sum
         costs = types.SimpleNamespace(b=1.0, h=1.0, z=5.0)
-        mus, sds, terminal = np.array([10.0]), np.array([3.0]), np.array([True])
+        mus, sds = np.array([10.0]), np.array([3.0])
+        target = _fractile_target(costs, np.array([1]), np.array([True]))
         with pytest.raises(NumericalError, match="bracket the optimum.* after 64 expansions"):
-            _bisect_levels(mus, sds, [(1, 1)], terminal, costs, [0.0], [1.0], 1e-6)
+            _bisect_levels(mus, sds, [(1, 1)], target, [0.0], [1.0], 1e-6)
 
     def test_converged_rows_keep_their_bracket(self):
         # a narrow bracket converges in 20 halvings, a 1e6-wide one in 40; the
@@ -119,17 +122,15 @@ class TestOptimizer:
         instance = golden_spec(z=2.0)  # K=50, h=1, b=19
         mus = np.array([[100.0, 200.0], [1e3, 2.5e3], [40.0, 90.0], [500.0, 520.0]])
         sds = np.array([[30.0, 42.0], [300.0, 500.0], [12.0, 20.0], [150.0, 151.0]])
-        terminal = np.array([False, True, False, True])
+        target = _fractile_target(instance, np.full(4, 2), np.array([False, True, False, True]))
         lo = np.array([253.5, -5e5, 300.0, 0.0])
         hi = np.array([254.5, 5e5, 301.0, 1.0])
-        batched = _bisect_levels(
-            mus.ravel(), sds.ravel(), [(4, 2)], terminal, instance, lo, hi, 1e-6
-        )
+        batched = _bisect_levels(mus.ravel(), sds.ravel(), [(4, 2)], target, lo, hi, 1e-6)
         assert batched[2] < lo[2] and batched[3] > hi[3]
         for r in range(4):
             row = slice(r, r + 1)
             single = _bisect_levels(
-                mus[r], sds[r], [(1, 2)], terminal[row], instance, lo[row], hi[row], 1e-6
+                mus[r], sds[r], [(1, 2)], target[row], lo[row], hi[row], 1e-6
             )
             assert batched[r] == single[0], r
 
@@ -138,17 +139,15 @@ class TestOptimizer:
         instance = golden_spec(z=2.0)  # K=50, h=1, b=19
         mus = np.array([[100.0, 200.0, 300.0], [1e3, 2e3, 3e3], [10.0, 20.0, 30.0]])
         sds = np.array([[30.0, 42.0, 52.0], [100.0, 141.0, 173.0], [0.0, 0.0, 0.0]])
-        terminal = np.array([False, True, False])
+        target = _fractile_target(instance, np.full(3, 3), np.array([False, True, False]))
         lo = np.array([250.0, -5e5, 0.0])
         hi = np.array([450.0, 5e5, 64.0])
-        batched = _bisect_levels(
-            mus.ravel(), sds.ravel(), [(3, 3)], terminal, instance, lo, hi, 1e-6
-        )
+        batched = _bisect_levels(mus.ravel(), sds.ravel(), [(3, 3)], target, lo, hi, 1e-6)
         assert batched[2] == pytest.approx(30.0, abs=1e-6)  # the step of its last CDF
         for r in range(3):
             row = slice(r, r + 1)
             single = _bisect_levels(
-                mus[r], sds[r], [(1, 3)], terminal[row], instance, lo[row], hi[row], 1e-6
+                mus[r], sds[r], [(1, 3)], target[row], lo[row], hi[row], 1e-6
             )
             assert batched[r] == single[0], r
 
@@ -169,25 +168,23 @@ class TestOptimizer:
             sds = np.sqrt(np.cumsum((0.3 * means) ** 2, axis=1))
             if n == 9:
                 sds[0] = 0.0
-            terminal = np.array([False, False, n == 17])
+            target = _fractile_target(instance, np.full(3, n), np.array([False, False, n == 17]))
             smax = sds.max(axis=1)
             lo = mus.min(axis=1) - 12.0 * smax - 1.0
             hi = mus.max(axis=1) + 12.0 * smax + 1.0
             if n == 8:
                 lo[1], hi[1] = hi[1] + 1e3, hi[1] + 1e3 + 1.0
-            blocks.append((mus, sds, terminal, lo, hi))
-        mus, sds, terminal, lo, hi = (
+            blocks.append((mus, sds, target, lo, hi))
+        mus, sds, target, lo, hi = (
             np.concatenate([block[k].ravel() for block in blocks]) for k in range(5)
         )
         shapes = [(3, n) for n in (1, 3, 8, 9, 17)]
-        fused = _bisect_levels(mus, sds, shapes, terminal, instance, lo, hi, 0.0)
+        fused = _bisect_levels(mus, sds, shapes, target, lo, hi, 0.0)
         assert fused[7] < lo[7]  # the length-8 row expanded its bracket downward
         assert fused[9] == pytest.approx(blocks[3][0][0, -1], abs=1e-6)  # its last step
         alone = [
-            _bisect_levels(
-                mus.ravel(), sds.ravel(), [mus.shape], terminal, instance, lo, hi, 0.0
-            )
-            for mus, sds, terminal, lo, hi in blocks
+            _bisect_levels(mus.ravel(), sds.ravel(), [mus.shape], target, lo, hi, 0.0)
+            for mus, sds, target, lo, hi in blocks
         ]
         assert fused.tolist() == np.concatenate(alone).tolist()
 
@@ -285,6 +282,45 @@ def test_batched_matrix_matches_scalar_bisection(instance):
         assert matrix.level[s, e] == level, (i, j)
         cost = cycle_cost_at(level, i, j, instance, terminal=j == T)
         assert matrix.cost[s, e] == pytest.approx(cost, rel=1e-12, abs=0.0), (i, j)
+
+
+def exact_level(mus, sds, target, lo, hi, total=np.sum):
+    """One row's root at tolerance 0, with the kernel's midpoint rule: halve
+    until the bracket is two ulps wide. ``total`` adds the row's CDFs."""
+    g = lambda y: total(ndtr((y - mus) / sds)) - target
+    assert g(lo) <= 0.0 <= g(hi)
+    tol = 2.0 * np.spacing(max(abs(lo), abs(hi)))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_kernel_sums_each_row_as_numpy_sums_it_alone():
+    # at tolerance 0 the last bit of each CDF sum decides the last midpoints,
+    # so a kernel that sums a row in any other order than numpy's sum of the
+    # row alone moves some of these levels. Each block of lengths 8..17 mixes
+    # rows of two instances with different b and z, and its last row is
+    # terminal: one target per row lets rows of any costs share a block
+    costs = [golden_spec(z=2.0), golden_spec(b=5.0, z=0.5)]  # h = 1
+    rng = np.random.default_rng(54)
+    blocks = []
+    for n in range(8, 18):
+        means = rng.uniform(0.0, 100.0, size=(4, n))
+        mus = np.cumsum(means, axis=1)
+        sds = np.sqrt(np.cumsum((0.3 * means) ** 2, axis=1))
+        target = np.array([_fractile_target(costs[r % 2], n, r == 3) for r in range(4)])
+        blocks.append((mus, sds, target, mus[:, 0] - 200.0, mus[:, -1] + 200.0))
+    mus, sds, target, lo, hi = (
+        np.concatenate([block[k].ravel() for block in blocks]) for k in range(5)
+    )
+    levels = _bisect_levels(mus, sds, [(4, n) for n in range(8, 18)], target, lo, hi, 0.0)
+    rows = [row for block in blocks for row in zip(*block)]
+    assert len(rows) == 40
+    assert levels.tolist() == [exact_level(*row) for row in rows]
+    # the rows tell the orders apart: a sequential sum moves some of them
+    sequential = lambda v: functools.reduce(operator.add, v.tolist())
+    assert levels.tolist() != [exact_level(*row, total=sequential) for row in rows]
 
 
 def test_zero_mean_periods_emit_no_warning():

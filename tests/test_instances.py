@@ -164,6 +164,18 @@ class TestJsonRoundTrip:
         inst = InstanceSpec(**spec_kwargs())
         assert load_instance(inst.to_dict()) == inst
 
+    def test_json_form_lists_the_fields_in_order(self):
+        # the benchmark hashes this text, so its keys, order and values are fixed
+        inst = InstanceSpec(**spec_kwargs(means=(1, 2.5, 0), cv=1, seed=7))
+        assert json.dumps(inst.to_dict()) == (
+            '{"horizon": 3, "means": [1.0, 2.5, 0.0], "cv": 1, "K": 5.0, "z": 0.0, '
+            '"h": 1.0, "b": 4.0, "seed": 7, "initial_inventory": 0.0, '
+            '"pattern": "explicit", "name": ""}'
+        )
+        optional = {"seed": None, "initial_inventory": 0.0, "pattern": "explicit", "name": ""}
+        data = {k: v for k, v in inst.to_dict().items() if k not in optional}
+        assert load_instance(data) == InstanceSpec(**spec_kwargs(means=(1, 2.5, 0), cv=1))
+
     def test_missing_field(self, tmp_path):
         data = InstanceSpec(**spec_kwargs()).to_dict()
         del data["cv"]
