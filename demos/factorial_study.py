@@ -7,29 +7,18 @@ instance the script records how many negative-order pairings the relaxed
 shortest path contained and how much the repaired plan costs on top of the
 relaxed lower bound.
 
-The factor levels come from lotpath.bench: DESK_GRID (default) solves 324
-instances, 2.1-2.3 s on a 2-core Intel Xeon. Pass --full for FULL_GRID, the
-1,620-instance design with horizons 20/30/40 and ten replicates; it took
-17-22 s on the same machine.
+The instances come from lotpath.bench.design_instances: DESK_GRID (default)
+solves 324 instances, 3.3-4.1 s on a shared 2-vCPU Intel Xeon VM. Pass
+--full for FULL_GRID, the 1,620-instance design with horizons 20/30/40 and
+ten replicates; it took 24-26 s on the same machine.
 
 Run with:
   $ python3 demos/factorial_study.py [--full]
 """
 
 import argparse
-import math
-import sys
 
-from lotpath.bench import DESK_GRID, FULL_GRID, run_benchmark, summarize
-
-
-def trend(records, field, levels):
-    counts = []
-    for level in levels:
-        counts.append(
-            sum(1 for r in records if getattr(r, field) == level and r.negative_order_count > 0)
-        )
-    return counts
+from lotpath.bench import DESK_GRID, FULL_GRID, design_instances, run_benchmark, summarize
 
 
 def main():
@@ -38,9 +27,7 @@ def main():
     args = parser.parse_args()
 
     grid = FULL_GRID if args.full else DESK_GRID
-    total = math.prod(
-        len(grid[k]) for k in ("patterns", "horizons", "rhos", "fixed_costs", "penalties")
-    ) * grid["replicates"]
+    total = len(design_instances(**grid))
     print(f"solving {total} instances (horizons {grid['horizons']}, "
           f"{grid['replicates']} replicates, seed {grid['seed']}) ...")
 
@@ -49,8 +36,7 @@ def main():
     def tick(record):
         done[0] += 1
         if done[0] % 50 == 0:
-            sys.stdout.write(f"  {done[0]}/{total}\n")
-            sys.stdout.flush()
+            print(f"  {done[0]}/{total}", flush=True)
 
     records = run_benchmark(**grid, progress=tick)
 
@@ -63,9 +49,10 @@ def main():
         )
 
     print("\nnegative-order instance counts by factor level:")
-    for field, key in (("rho", "rhos"), ("b", "penalties"), ("K", "fixed_costs")):
-        label = f"{field:3s} " + "/".join(f"{v:g}" for v in grid[key])
-        print(f"  {label:16s}: {trend(records, field, grid[key])}")
+    for field in ("rho", "b", "K"):
+        rows = summarize(records, by=(field,))
+        label = f"{field:3s} " + "/".join(f"{row[field]:g}" for row in rows)
+        print(f"  {label:16s}: {[row['n_augmented'] for row in rows]}")
 
     lumpy_aug = [r for r in records if r.pattern == "lumpy" and r.negative_order_count > 0]
     if lumpy_aug:

@@ -19,19 +19,20 @@ from itertools import product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .instances import PATTERNS, generate_instances
+from .instances import PATTERNS, InstanceSpec, generate_instances
 from .solver import solve_instance
 
 __all__ = [
     "BenchRecord",
     "DESK_GRID",
     "FULL_GRID",
+    "design_instances",
     "run_benchmark",
     "bench_to_csv",
     "summarize",
 ]
 
-# the factorial design: every run_benchmark design keyword. The desk grid
+# the factorial design: every design_instances keyword. The desk grid
 # solves 324 instances, the full grid the paper's count of 1,620.
 DESK_GRID = dict(
     patterns=PATTERNS,
@@ -63,6 +64,31 @@ class BenchRecord:
     spans_priced: int
 
 
+def design_instances(
+    patterns: Sequence[str], horizons: Sequence[int], rhos: Sequence[float],
+    fixed_costs: Sequence[float], penalties: Sequence[float], replicates: int, seed: int,
+) -> List[InstanceSpec]:
+    """The factorial design's instances, in run order: cells pattern-major,
+    penalty innermost, and each cell's replicates in order.
+
+    Every instance has holding cost 1 and no unit cost, the generator's
+    defaults. A factor that is not a list or tuple of levels, or that lists
+    a level twice, raises :class:`InputError` before anything is drawn: a
+    repeated level's cells would be the same draws, solved and counted
+    twice."""
+    factors = dict(patterns=patterns, horizons=horizons, rhos=rhos,
+                   fixed_costs=fixed_costs, penalties=penalties)
+    for name, levels in factors.items():
+        if not isinstance(levels, (list, tuple)):
+            raise InputError(f"factor {name!r} must be a list or tuple of levels, got {levels!r}")
+        for k, level in enumerate(levels):
+            if level in levels[:k]:
+                raise InputError(f"factor {name!r} repeats level {level!r}")
+    # a cell is generate_instances' leading (pattern, horizon, rho, K, b)
+    return [inst for cell in product(*factors.values())
+            for inst in generate_instances(*cell, count=replicates, seed=seed)]
+
+
 def run_benchmark(
     patterns: Sequence[str] = DESK_GRID["patterns"],
     horizons: Sequence[int] = DESK_GRID["horizons"],
@@ -73,47 +99,31 @@ def run_benchmark(
     seed: int = DESK_GRID["seed"],
     progress: Optional[Callable[[BenchRecord], None]] = None,
 ) -> List[BenchRecord]:
-    """Solve the factorial design and return one record per instance.
-
-    The design defaults to ``DESK_GRID``; cells come pattern-major, penalty
-    innermost, and each cell's replicates in order. Every instance has
-    holding cost 1 and no unit cost, the generator's defaults. A factor that
-    lists a level twice raises :class:`InputError` before anything is
-    solved: its cells would be the same draws, solved and counted twice."""
-    factors = dict(
-        patterns=patterns, horizons=horizons, rhos=rhos, fixed_costs=fixed_costs,
-        penalties=penalties,
-    )
-    for name, levels in factors.items():
-        levels = list(levels)
-        for k, level in enumerate(levels):
-            if level in levels[:k]:
-                raise InputError(f"factor {name!r} repeats level {level!r}")
+    """Solve :func:`design_instances` (``DESK_GRID`` by default) in order and
+    return one record per instance, its factors read off the instance."""
+    design = (patterns, horizons, rhos, fixed_costs, penalties, replicates, seed)
     records: List[BenchRecord] = []
-    for pattern, T, rho, K, b in product(patterns, horizons, rhos, fixed_costs, penalties):
-        for inst in generate_instances(
-            pattern=pattern, horizon=T, rho=rho, K=K, b=b, count=replicates, seed=seed
-        ):
-            sol = solve_instance(inst)
-            rel = sol.relaxed_cost
-            aug = sol.expected_cost
-            rec = BenchRecord(
-                instance_id=inst.name,
-                pattern=pattern,
-                T=T,
-                rho=rho,
-                b=b,
-                K=K,
-                negative_order_count=sol.relaxed_violations,
-                relaxed_cost=rel,
-                augmented_cost=aug,
-                pct_increase=100.0 * (aug - rel) / rel if rel else 0.0,
-                **sol.timings,
-                spans_priced=sol.spans_priced,
-            )
-            records.append(rec)
-            if progress is not None:
-                progress(rec)
+    for inst in design_instances(*design):
+        sol = solve_instance(inst)
+        rel = sol.relaxed_cost
+        aug = sol.expected_cost
+        rec = BenchRecord(
+            instance_id=inst.name,
+            pattern=inst.pattern,
+            T=inst.horizon,
+            rho=inst.cv,
+            b=inst.b,
+            K=inst.K,
+            negative_order_count=sol.relaxed_violations,
+            relaxed_cost=rel,
+            augmented_cost=aug,
+            pct_increase=100.0 * (aug - rel) / rel if rel else 0.0,
+            **sol.timings,
+            spans_priced=sol.spans_priced,
+        )
+        records.append(rec)
+        if progress is not None:
+            progress(rec)
     return records
 
 

@@ -52,13 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the report JSON here instead of stdout")
 
     p = sub.add_parser("bench", help="run the factorial benchmark")
-    p.add_argument("--patterns", nargs="+")
-    p.add_argument("--horizons", nargs="+", type=int)
-    p.add_argument("--rhos", nargs="+", type=float)
-    p.add_argument("--fixed-costs", nargs="+", type=float)
-    p.add_argument("--penalties", nargs="+", type=float)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int)
+    for key, default in DESK_GRID.items():  # one flag per design keyword, typed as its levels
+        many = isinstance(default, tuple)
+        p.add_argument(f"--{key.replace('_', '-')}", nargs="+" if many else None,
+                       type=type(default[0] if many else default))
     p.add_argument("--full", action="store_true", help="larger default grid")
     p.add_argument("--summary", action="store_true", help="print factor-cell means")
     p.add_argument("-o", "--output", help="write the per-instance CSV here")

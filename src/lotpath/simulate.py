@@ -134,6 +134,12 @@ class SimulationReport:
         }
 
 
+def _check_horizon(instance, policy: Policy) -> None:
+    """:class:`InputError` unless ``policy`` covers ``instance``'s horizon."""
+    if policy.horizon != instance.horizon:
+        raise InputError(f"policy horizon {policy.horizon} != instance horizon {instance.horizon}")
+
+
 def simulate_policy(
     instance,
     policy: Policy,
@@ -156,10 +162,7 @@ def simulate_policy(
     if n_reps < 1:
         raise InputError(f"n_reps must be >= 1, got {n_reps}")
     check_seed(seed)
-    if policy.horizon != instance.horizon:
-        raise InputError(
-            f"policy horizon {policy.horizon} != instance horizon {instance.horizon}"
-        )
+    _check_horizon(instance, policy)
     T = instance.horizon
     means = np.array(instance.means, dtype=float)[:, None]
     stds = instance.cv * means
@@ -298,10 +301,7 @@ def expected_trace(instance, policy: Policy) -> ExpectedTrace:
     mean and variance (sd = cv * mean per period) are running sums from the
     review.
     """
-    if policy.horizon != instance.horizon:
-        raise InputError(
-            f"policy horizon {policy.horizon} != instance horizon {instance.horizon}"
-        )
+    _check_horizon(instance, policy)
     T = instance.horizon
     level_at = policy.level_by_period()
 

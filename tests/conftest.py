@@ -8,7 +8,8 @@ period 3, so the solver performs exactly one repair split.
 import pytest
 
 import lotpath
-from lotpath import InstanceSpec, build_connection_matrix, generate_instances, solve_instance
+from lotpath import InstanceSpec, build_connection_matrix, solve_instance
+from lotpath.bench import DESK_GRID, design_instances
 
 GOLDEN_MEANS = (100.0, 125.0, 25.0, 40.0, 30.0)
 
@@ -47,18 +48,10 @@ def golden_solution(golden):
 def desk_sweep():
     """The desk grid's 324 solves as (pattern, rho, K, b, solution); the
     acceptance criteria and the answer corpus read the same solves."""
-    out = []
-    for pattern in ("erratic", "lumpy"):
-        for T in (10, 20):
-            for rho in (0.1, 0.2, 0.3):
-                for K in (225.0, 900.0, 2500.0):
-                    for b in (2.0, 5.0, 10.0):
-                        for inst in generate_instances(
-                            pattern=pattern, horizon=T, rho=rho, K=K, b=b,
-                            count=3, seed=7,
-                        ):
-                            out.append((pattern, rho, K, b, solve_instance(inst)))
-    return out
+    return [
+        (inst.pattern, inst.cv, inst.K, inst.b, solve_instance(inst))
+        for inst in design_instances(**DESK_GRID)
+    ]
 
 
 @pytest.fixture(scope="session")
@@ -66,16 +59,14 @@ def repaired_oracle_runs():
     """Criterion 10's instances: every lumpy T=8 seed 7 instance (rho 0.2 and
     0.3, b 5 and 10, K 225) whose relaxed plan violates, as (instance,
     solution, constrained enumeration oracle result)."""
-    runs = []
-    for rho in (0.2, 0.3):
-        for b in (5.0, 10.0):
-            for inst in generate_instances(
-                pattern="lumpy", horizon=8, rho=rho, K=225.0, b=b, count=12, seed=7
-            ):
-                sol = solve_instance(inst)
-                if sol.relaxed_violations > 0:
-                    runs.append((inst, sol, lotpath.schedule_enumeration_oracle(inst)))
-    return runs
+    solves = [(inst, solve_instance(inst)) for inst in design_instances(
+        patterns=("lumpy",), horizons=(8,), rhos=(0.2, 0.3), fixed_costs=(225.0,),
+        penalties=(5.0, 10.0), replicates=12, seed=7,
+    )]
+    return [
+        (inst, sol, lotpath.schedule_enumeration_oracle(inst))
+        for inst, sol in solves if sol.relaxed_violations > 0
+    ]
 
 
 # ---------------------------------------------------------------------------

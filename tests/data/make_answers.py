@@ -23,7 +23,6 @@ import hashlib
 import json
 import subprocess
 import sys
-from itertools import product
 from pathlib import Path
 
 import numpy
@@ -37,7 +36,7 @@ from lotpath import (
     repetitive_augment,
     solve_instance,
 )
-from lotpath.bench import DESK_GRID
+from lotpath.bench import DESK_GRID, design_instances
 from lotpath.graph import graph_dump
 
 HERE = Path(__file__).resolve().parent
@@ -61,13 +60,7 @@ def key(instance) -> str:
 
 def desk_instances() -> list:
     """The desk grid's instances, in ``run_benchmark``'s order."""
-    g = DESK_GRID
-    out = []
-    for pattern, T, rho, K, b in product(
-        g["patterns"], g["horizons"], g["rhos"], g["fixed_costs"], g["penalties"]
-    ):
-        out += generate_instances(pattern, T, rho, K, b, count=g["replicates"], seed=g["seed"])
-    return out
+    return design_instances(**DESK_GRID)
 
 
 def other_instances() -> list:

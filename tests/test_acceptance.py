@@ -25,6 +25,7 @@ from lotpath import (
     simulate_policy,
     solve_instance,
 )
+from lotpath.bench import DESK_GRID
 from lotpath.graph import NodeId
 
 
@@ -206,14 +207,14 @@ def test_final_policies_feasible_and_trends(criterion, desk_sweep):
     big_k_aug = sum(
         sol.relaxed_violations for _, _, K, _, sol in desk_sweep if K == 2500.0
     )
-    by_rho = {r: 0 for r in (0.1, 0.2, 0.3)}
-    by_b = {v: 0 for v in (2.0, 5.0, 10.0)}
+    by_rho = dict.fromkeys(DESK_GRID["rhos"], 0)
+    by_b = dict.fromkeys(DESK_GRID["penalties"], 0)
     for _, rho, _, b, sol in desk_sweep:
         if sol.relaxed_violations > 0:
             by_rho[rho] += 1
             by_b[b] += 1
-    rho_counts = [by_rho[r] for r in (0.1, 0.2, 0.3)]
-    b_counts = [by_b[v] for v in (2.0, 5.0, 10.0)]
+    rho_counts = list(by_rho.values())
+    b_counts = list(by_b.values())
     rho_trend = rho_counts == sorted(rho_counts)
     b_trend = b_counts == sorted(b_counts)
     ok = residual == 0 and erratic_aug == 0 and big_k_aug == 0 and rho_trend and b_trend

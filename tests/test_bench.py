@@ -21,17 +21,16 @@ EXPECTED_COLUMNS = (
 )
 
 
+#: one design cell of one instance
+ONE_CELL = dict(
+    patterns=("lumpy",), horizons=(5,), rhos=(0.3,), fixed_costs=(225.0,), penalties=(10.0,),
+    replicates=1, seed=7,
+)
+
+
 @pytest.fixture(scope="module")
 def tiny_records():
-    return run_benchmark(
-        patterns=("lumpy",),
-        horizons=(6,),
-        rhos=(0.3,),
-        fixed_costs=(225.0,),
-        penalties=(2.0, 10.0),
-        replicates=2,
-        seed=7,
-    )
+    return run_benchmark(**dict(ONE_CELL, horizons=(6,), penalties=(2.0, 10.0), replicates=2))
 
 
 class TestRunBenchmark:
@@ -83,14 +82,24 @@ class TestRunBenchmark:
     def test_repeated_level_is_refused_before_solving(self, factor, levels, shown):
         # a repeated level would solve the same draws twice and weigh their
         # cell double in the summary
-        grid = dict(
-            patterns=("lumpy",), horizons=(5,), rhos=(0.3,), fixed_costs=(225.0,),
-            penalties=(10.0,), replicates=1, seed=7,
-        )
         seen = []
         with pytest.raises(InputError) as exc:
-            run_benchmark(**dict(grid, **{factor: levels}), progress=seen.append)
+            run_benchmark(**dict(ONE_CELL, **{factor: levels}), progress=seen.append)
         assert str(exc.value) == f"factor {factor!r} repeats level {shown}"
+        assert seen == []
+
+    @pytest.mark.parametrize(
+        "factor, value, shown",
+        [("patterns", "lumpy", "'lumpy'"), ("horizons", 6, "6"), ("rhos", 0.3, "0.3"),
+         ("fixed_costs", 225.0, "225.0"), ("penalties", 10, "10")],
+    )
+    def test_factor_that_is_not_a_list_of_levels_is_refused(self, factor, value, shown):
+        # a scalar would fail untyped mid-loop, and a string would be read as
+        # a list of one-letter patterns
+        seen = []
+        with pytest.raises(InputError) as exc:
+            run_benchmark(**dict(ONE_CELL, **{factor: value}), progress=seen.append)
+        assert str(exc.value) == f"factor {factor!r} must be a list or tuple of levels, got {shown}"
         assert seen == []
 
 

@@ -3,7 +3,10 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
+
+import pytest
 
 import lotpath
 
@@ -11,17 +14,33 @@ SRC = Path(lotpath.__file__).resolve().parent.parent
 DEMOS = SRC.parent / "demos"
 
 
-def run_demo(name):
+@lru_cache(maxsize=None)
+def run_python(*args):
+    """The stdout of ``python *args`` against this tree's package, which
+    must exit 0; each command runs once per test run."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, str(DEMOS / name)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
     return out.stdout
+
+
+def run_demo(name):
+    return run_python(str(DEMOS / name))
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in DEMOS.glob("*.py")))
+def test_demo_exits_zero(name):
+    run_demo(name)
+
+
+def test_factorial_study():
+    out = run_demo("factorial_study.py")
+    assert "solving 324 instances" in out
+    assert "  rho 0.1/0.2/0.3 : [0, 7, 12]\n" in out
+    assert "  b   2/5/10      : [4, 6, 9]\n" in out
+    assert "  K   225/900/2500: [19, 0, 0]\n" in out
 
 
 def test_worked_example():
@@ -40,12 +59,7 @@ def test_readme_quick_start():
     readme = (SRC.parent / "README.md").read_text()
     section = readme.split("## Quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    printed = out.stdout.splitlines()
+    printed = run_python("-c", code).splitlines()
     prints = [line for line in code.splitlines() if line.startswith("print(")]
     commented = [
         (k, line.split("#", 1)[1].strip().split("  ")[0])
