@@ -24,7 +24,9 @@ and a hand-off is feasible exactly when positions do not decrease:
 with V(T + 1, .) = 0 and x the position of the previous cycle (the stock
 carried into period i, plus M(i)). It runs on one grid of positions, keeps
 only the spans that a relaxed bound admits below a feasible plan's cost,
-recovers a schedule forward with non-decreasing positions, and then sets
+prices each start only at the positions its cycle can take at exact
+constrained levels, recovers a schedule forward with non-decreasing
+positions, and then sets
 that schedule's levels to their exact constrained optimum off the grid. The
 stage prices every span from the matrix's moment table
 (``ConnectionMatrix.mus``/``sds``) and finds pooled levels with the matrix's
@@ -37,7 +39,7 @@ stage's feasible plan is the one that set that bound.
 from __future__ import annotations
 
 import logging
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -47,7 +49,9 @@ from .cycles import (
     _constrained_plan,
     _loss_pair,
     _plan,
+    _priced_plan,
     _relaxed_spans,
+    _schedule_levels,
     _within_bound,
 )
 
@@ -59,6 +63,10 @@ FEAS_TOL = 1e-9
 #: the re-optimising stage's level grid: spacing mean period demand / 25,
 #: widened where needed to keep it at most MAX_GRID points (long horizons)
 GRID_PER_MEAN = 25.0
+#: the cap on the grid's n points. Each start prices only its window of them
+#: (:func:`_windows`), but the cap bounds n: lumpy seed 7 r0 has n = 779 at
+#: T=1000 and 1,140 at T=2000, far below it. T=5000 was not measured (its
+#: matrix alone takes 1 GB). A capped grid logs a warning.
 MAX_GRID = 8192
 
 
@@ -103,48 +111,157 @@ def _admissible_spans(matrix: ConnectionMatrix, bound: float) -> np.ndarray:
     return _within_bound(through, bound, matrix.instance)
 
 
+def _windows(
+    matrix: ConnectionMatrix, keep: np.ndarray, lo: float, step: float, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The grid positions each node prices: arrays ``low`` and ``width`` over
+    the nodes 0..T, where node t's window is the ``width[t]`` global grid
+    indices from ``low[t]`` (position lo + step g at index g).
+
+    Start s has the n indices shift[s] .. shift[s] + n - 1, shift[s] =
+    rint(M(s) / step) (see :func:`_grid_schedule`). At the exact constrained
+    levels of a schedule over the spans ``keep`` admits, its cycle has its
+    position between the lowest stand-alone position (matrix level plus
+    M(s)) of an admissible span starting at or after s and the highest of
+    one starting at or before s (see :func:`reoptimise`). Its window holds
+    the grid points between the two, widened by one point on each side and
+    cut to its n indices; a start without admissible spans has none. The
+    sink, node T, holds all n of its indices.
+    """
+    T = matrix.horizon
+    M = np.concatenate(([0.0], matrix.mus[0]))
+    shift = np.rint(M / step).astype(int)
+    low = np.min(matrix.level, axis=1, initial=np.inf, where=keep) + M[:T]
+    high = np.max(matrix.level, axis=1, initial=-np.inf, where=keep) + M[:T]
+    low = np.minimum.accumulate(low[::-1])[::-1]
+    high = np.maximum.accumulate(high)
+    first = np.clip(np.floor((low - lo) / step) - shift[:T] - 1, 0, n - 1).astype(int)
+    last = np.clip(np.ceil((high - lo) / step) - shift[:T] + 1, 0, n - 1).astype(int)
+    width = np.where(keep.any(axis=1), last - first + 1, 0)
+    return shift + np.append(first, 0), np.append(width, n)
+
+
+def _price_windows(
+    matrix: ConnectionMatrix,
+    starts: List[int],
+    depth: np.ndarray,
+    low: np.ndarray,
+    width: np.ndarray,
+    lo: float,
+    step: float,
+) -> Dict[int, np.ndarray]:
+    """The costs of the cycles from ``starts`` at each position of their
+    start's window (see :func:`_windows`), all but the hand-off's value: per
+    start s, a (window x ``depth[s]``) array whose column k holds the cycle
+    of k + 1 periods' running holding and backorder cost plus (K + unit
+    cost), as :func:`_grid_schedule` adds them. The arrays are views of one
+    store.
+
+    The (start, position) pairs run by decreasing depth, so the pairs that
+    reach k + 1 periods are a prefix, and one pass per length adds that
+    period's expected loss to each pair's running sum, in the order a
+    cumulative sum over the lengths adds it.
+    """
+    inst, T = matrix.instance, matrix.horizon
+    order = np.array(sorted(starts, key=lambda s: -depth[s]))
+    w, d = width[order], depth[order]
+    pairs = np.cumsum(w)  # the pairs of the first j + 1 starts
+    head, block = pairs - w, np.cumsum(w * d) - w * d  # each start's first pair and number
+    index = np.arange(pairs[-1])
+    before = np.concatenate(([0.0], matrix.mus[0]))  # M(s), the mean demand before s
+    levels = lo + step * (np.repeat(low[order] - head, w) + index) - np.repeat(before[order], w)
+    slot = np.repeat(block - head * d, w) + index * np.repeat(d, w)  # each pair's first number
+    store = np.empty(int(block[-1] + w[-1] * d[-1]))
+    for k, count in enumerate(np.searchsorted(-d, -np.arange(d[0])).tolist()):
+        # the first count starts reach k + 1 periods, over their first p pairs
+        p = int(pairs[count - 1])
+        y = levels[:p]
+        mus = np.repeat(matrix.mus[order[:count], k], w[:count])
+        short, on_hand = _loss_pair(y, mus, np.repeat(matrix.sds[order[:count], k], w[:count]))
+        cost = inst.h * on_hand + inst.b * short
+        del short, on_hand  # free before the next length's pass
+        if k == 0:
+            running = cost
+        else:
+            running[:p] += cost
+        terminal = np.repeat(order[:count] + k == T - 1, w[:count])
+        store[slot[:p] + k] = running[:p] + (inst.K + inst.z * np.where(terminal, y, mus))
+    return {
+        s: store[b : b + n * m].reshape(n, m)
+        for s, b, n, m in zip(order.tolist(), block.tolist(), w.tolist(), d.tolist())
+    }
+
+
 def _grid_schedule(
     matrix: ConnectionMatrix, keep: np.ndarray, lo: float, step: float, n: int
 ) -> List[Tuple[int, int]]:
     """Cheapest feasible schedule with every position on one grid.
 
-    Start s prices the n positions lo + step (shift[s] + i), i < n, with
+    Start s has the n positions lo + step (shift[s] + i), i < n, with
     shift[s] = rint(M(s) / step): its levels run from lo on the grid step,
     and a hand-off to start e + 1 is the index shift shift[e + 1] - shift[s].
-    Backward pass: ``value[s, i]`` is V(s, x) at start s's i-th position x.
-    One block per start prices all its admissible ends from the matrix's
-    moment rows; the first (smallest) end wins a tie. The schedule is
-    recovered forward with non-decreasing positions, so it is feasible.
+    It prices only the positions of its window (:func:`_windows`).
+    Backward pass: ``value`` holds each node's V(t, x) at its window
+    positions x, then +inf, so a position below the window reads the
+    window's least value and one above it +inf; the sink holds 0. ``best``
+    holds, at each window position of a start, the cheapest cost with that
+    position, and ``best_end`` its end; the first (smallest) end wins a tie.
+    The schedule is recovered forward with non-decreasing positions, so it
+    is feasible.
+
+    A cycle's cost at a position does not depend on ``value``, so the
+    backward pass takes the starts in chunks, the latest first, and prices
+    each chunk before it visits its starts (:func:`_price_windows`). A chunk
+    stores at most as many costs as all the starts' windows hold positions,
+    or one start's if that start alone stores more. The backward pass adds
+    ``value`` to the stored costs and takes the cheapest end at each
+    position and the suffix minimum.
     """
-    inst = matrix.instance
     T = matrix.horizon
-    M = np.concatenate(([0.0], matrix.mus[0]))
-    shift = np.rint(M / step).astype(int)
-    i = np.arange(n)
-    value = np.vstack([np.full((T, n), np.inf), np.zeros(n)])
-    best, best_end = np.full((T, n), np.inf), np.zeros((T, n), dtype=int)
-    for s in range(T - 1, -1, -1):
-        ends = np.flatnonzero(keep[s] & np.isfinite(value[1:, 0]))
-        if ends.size == 0:
-            continue
-        ys = lo + step * (shift[s] + i) - M[s]
-        m = ends[-1] - s + 1  # the rows of the start's window
-        short, on_hand = _loss_pair(ys, matrix.mus[s, :m, None], matrix.sds[s, :m, None])
-        running = np.cumsum(inst.h * on_hand + inst.b * short, axis=0)[ends - s]
-        unit = inst.z * np.where(ends[:, None] == T - 1, ys, matrix.mus[s, ends - s, None])
-        after = np.maximum(i - (shift[ends + 1] - shift[s])[:, None], 0)
-        w = running + (inst.K + unit) + value[ends[:, None] + 1, after]
-        k = np.argmin(w, axis=0)
-        best[s], best_end[s] = w[k, i], ends[k]
-        value[s] = np.minimum.accumulate(best[s, ::-1])[::-1]
+    low, width = _windows(matrix, keep, lo, step, n)
+    # depth: the cycle length of each start's last admissible end (0: none)
+    depth = np.where(keep.any(axis=1), T - np.argmax(keep[:, ::-1], axis=1) - np.arange(T), 0)
+    # node t's values from value[at[t]], then +inf; best and best_end alike
+    at = np.cumsum(width + 1) - width - 1
+    nodes = np.stack([low, width, at])
+    value = np.full(at[T] + n + 1, np.inf)
+    value[at[T] : at[T] + n] = 0.0
+    reached = np.append(np.zeros(T, dtype=bool), True)  # nodes with a finite value
+    best, best_end = np.full(value.size, np.inf), np.zeros(value.size, dtype=int)
+    grid = np.arange(low.max() + n)
+
+    chunks, size, budget = [[]], 0, int(width[:T].sum())  # starts with spans, latest first
+    for s in np.flatnonzero(depth)[::-1].tolist():
+        if chunks[-1] and size + depth[s] * width[s] > budget:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(s)
+        size += depth[s] * width[s]
+    windows = list(zip(depth.tolist(), width.tolist(), low.tolist(), at.tolist()))
+    for chunk in chunks:
+        prices = _price_windows(matrix, chunk, depth, low, width, lo, step)
+        for s in chunk:
+            m, wd, g, a = windows[s]
+            rel = (keep[s, s : s + m] & reached[s + 1 : s + m + 1]).nonzero()[0]
+            if rel.size == 0:
+                continue
+            ends = s + rel
+            to_low, to_width, to_at = nodes[:, ends + 1, None]
+            ahead = np.maximum(grid[g : g + wd] - to_low, 0)
+            total = prices[s][:, rel].T + value[to_at + np.minimum(ahead, to_width)]
+            k = total.argmin(axis=0)
+            best[a : a + wd], best_end[a : a + wd] = total[k, grid[:wd]], ends[k]
+            np.minimum.accumulate(best[a : a + wd][::-1], out=value[a : a + wd][::-1])
+            reached[s] = value[a] < np.inf
 
     schedule: List[Tuple[int, int]] = []
     s = g = 0
     while s < T:
-        first = max(g - shift[s], 0)
-        j = first + int(np.argmin(best[s, first:]))
-        schedule.append((s, int(best_end[s, j])))
-        s, g = schedule[-1][1] + 1, shift[s] + j
+        _, wd, first, a = windows[s]
+        j = a + max(g - first, 0)  # the first window position at or above g
+        j += int(best[j : a + wd].argmin())
+        schedule.append((s, int(best_end[j])))
+        s, g = schedule[-1][1] + 1, first + j - a
     return schedule
 
 
@@ -161,12 +278,21 @@ def reoptimise(matrix: ConnectionMatrix) -> Plan:
     to the highest, hi, which hold every exact constrained level of a
     schedule over them: in a pooled block of :func:`~lotpath.cycles._schedule_levels`
     every prefix's root is at or above the block's position and every
-    suffix's at or below it, so each member's level lies between the last
-    and the first member's stand-alone optima. The recovered schedule then
-    gets its exact constrained levels. Returns the cheaper of the two plans.
+    suffix's at or below it. So a cycle starting at s has its position at
+    or above the root of the block's suffix from s, hence at or above the
+    lowest stand-alone position of an admissible span starting at or after
+    s, and at or below the highest of one starting at or before s; the
+    dynamic program prices only the grid points between the two, and one
+    more on each side (:func:`_windows`). The recovered schedule then gets
+    its exact constrained levels. Returns the cheaper of the two plans.
     Both price their spans from the matrix's moment table
     (``matrix.mus``/``matrix.sds``); the span bound reads the matrix's
     relaxed distances (``matrix.prefix``/``matrix.suffix``).
+
+    One debug line on this module's logger gives the grid's n, the
+    positions priced against n times the starts with admissible spans, the
+    admissible spans, and the recovered schedule's pooling rounds and
+    merges, or that it is the bound plan's schedule.
     """
     T = matrix.horizon
     bound = matrix.bound_plan or _constrained_plan(matrix, _relaxed_spans(matrix.pred))
@@ -183,7 +309,20 @@ def reoptimise(matrix: ConnectionMatrix) -> Plan:
             "cheapest plan",
             MAX_GRID, step, GRID_PER_MEAN, mean_step,
         )
-    schedule = _grid_schedule(matrix, keep, lo, step, int(np.ceil((hi - lo) / step)) + 1)
+    n = int(np.ceil((hi - lo) / step)) + 1
+    schedule = _grid_schedule(matrix, keep, lo, step, n)
     if tuple(schedule) == bound.spans:
-        return bound
-    return min(bound, _constrained_plan(matrix, schedule), key=lambda plan: plan.cost)
+        plan, pooling = bound, "the bound plan's schedule"
+    else:
+        ys, rounds, merges = _schedule_levels(matrix, schedule)
+        plan = min(bound, _priced_plan(matrix, schedule, ys), key=lambda plan: plan.cost)
+        pooling = f"schedule pooled in {rounds} rounds with {merges} merges"
+    if _log.isEnabledFor(logging.DEBUG):
+        _, width = _windows(matrix, keep, lo, step, n)
+        starts = int(np.count_nonzero(width[:T]))
+        _log.debug(
+            "re-optimising: grid n=%d, %d positions priced of n x %d starts = %d, "
+            "%d admissible spans, %s",
+            n, int(width[:T].sum()), starts, n * starts, int(np.count_nonzero(keep)), pooling,
+        )
+    return plan

@@ -101,8 +101,10 @@ MAX_EXPAND = 64
 #: most bytes a matrix build may allocate, 40 horizon^2: its four (horizon x
 #: horizon) float64 tables plus the one copy :func:`_lower_bounds` makes; 2 GiB
 #: admits horizons up to 7,327. A solve peaks higher: the re-optimising
-#: stage's span-bound temporaries and grid DP arrays come on top, and
-#: tracemalloc reads 54.5 horizon^2 for lumpy T=1000, 74.4 for T=400 (seed 7 r0).
+#: stage's span-bound temporaries, or its grid DP's window tables and one
+#: chunk of stored costs, come on top. tracemalloc reads 61.2 horizon^2 for
+#: lumpy T=400 (seed 7 r0), in the grid DP, and 49.1 for T=1000, in the span
+#: bound.
 MAX_MATRIX_BYTES = 2 * 2**30
 #: most numbers one fused level bisection lays end to end (see
 #: :func:`_price_spans`), 32 KiB per float64 working array; a length whose
@@ -430,49 +432,92 @@ def _relaxed_spans(pred: np.ndarray) -> List[Tuple[int, int]]:
     return spans[::-1]
 
 
-def _schedule_levels(matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]]) -> List[float]:
+def _schedule_levels(
+    matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]]
+) -> Tuple[List[float], int, int]:
     """Exact cheapest levels of one schedule under the hand-off constraints.
 
     With x_k = y_k + (mean demand before cycle k), the constraint that cycle
     k + 1 absorbs the stock cycle k carries, y_{k+1} >= y_k - mu_k, reads
     x_{k+1} >= x_k. The cycle costs are convex, so pooling adjacent violators
-    solves this isotonic problem exactly: a pooled block shares one x, the
-    root of its summed cost derivatives, found by the matrix's own fractile
-    kernel on the block's moment rows as one cycle. Singleton blocks keep
-    their matrix level. The first cycle starts unconstrained.
+    solves this isotonic problem exactly (Best & Chakravarti 1990): a pooled
+    block shares one x, the root of its summed cost derivatives, found by
+    the matrix's own fractile kernel on the block's moment rows as one
+    cycle. Singleton blocks keep their matrix level. The first cycle starts
+    unconstrained.
+
+    The pooling runs in rounds. A round pools every maximal run of blocks
+    whose positions strictly descend, each into one block, and bisects all
+    of the round's roots in one kernel call; rounds repeat until no two
+    neighbouring blocks violate. Pooling a descending run's first two
+    blocks gives a root at or above the second one's position, so still
+    above the third's: one merge at a time pools the whole run too, and
+    pooling reaches one solution in any order. A block's
+    root depends only on its members: their moment rows, and its bracket
+    [lo - 1, hi + 1] and tolerance ``LEVEL_TOL`` * max(1, |lo|, |hi|) over
+    their stand-alone extremes lo and hi. The kernel solves each row as a
+    call with that row alone, so equal final blocks get equal levels bit for
+    bit, in whatever order they were pooled. A schedule that needs no
+    pooling makes no kernel call.
+
+    Returns the levels, the pooling rounds (kernel calls) and the merges
+    (cycles less final blocks).
     """
     T = matrix.horizon
-    means = [float(matrix.mus[s, e - s]) for s, e in schedule]
+    starts, ends = np.array(schedule).reshape(-1, 2).T
+    lengths = ends - starts + 1
+    means = matrix.mus[starts, lengths - 1]
     offsets = np.concatenate(([0.0], np.cumsum(means)))
-
-    def pooled_root(first: int, last: int, lo: float, hi: float) -> float:
-        members = schedule[first : last + 1]
-        mus = np.concatenate(
-            [matrix.mus[s, : e - s + 1] + offsets[first + k] for k, (s, e) in enumerate(members)]
+    xs = (matrix.level[starts, ends] + offsets[:-1]).tolist()
+    # blocks as [first, last, x, lowest member x, highest member x]
+    blocks = [[k, k, x, x, x] for k, x in enumerate(xs)]
+    rounds = 0
+    while True:
+        runs, b = [], 0  # (first, last) block of each maximal descending run
+        while b < len(blocks) - 1:
+            c = b
+            while c < len(blocks) - 1 and blocks[c][2] > blocks[c + 1][2]:
+                c += 1
+            if c > b:
+                runs.append((b, c))
+            b = c + 1
+        if not runs:
+            break
+        if not rounds:
+            # every cycle's moment rows end to end, each shifted to positions
+            rows = np.repeat(starts, lengths)
+            cols = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            flat_mus = matrix.mus[rows, cols] + np.repeat(offsets[:-1], lengths)
+            flat_sds = matrix.sds[rows, cols]
+            heads = np.concatenate(([0], np.cumsum(lengths)))  # each cycle's first number
+        rounds += 1
+        pooled = [
+            (blocks[b][0], blocks[c][1],
+             min(block[3] for block in blocks[b : c + 1]),
+             max(block[4] for block in blocks[b : c + 1]))
+            for b, c in runs
+        ]
+        first, last, lo, hi = (np.array(column) for column in zip(*pooled))
+        cuts = list(zip(heads[first].tolist(), heads[last + 1].tolist()))
+        tol = LEVEL_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        roots = _bisect_levels(
+            np.concatenate([flat_mus[i:j] for i, j in cuts]),
+            np.concatenate([flat_sds[i:j] for i, j in cuts]),
+            [(1, j - i) for i, j in cuts],
+            _fractile_target(matrix.instance, heads[last + 1] - heads[first], ends[last] == T - 1),
+            lo - 1.0, hi + 1.0, tol,
         )
-        sds = np.concatenate([matrix.sds[s, : e - s + 1] for s, e in members])
-        target = _fractile_target(matrix.instance, mus.size, members[-1][1] == T - 1)
-        tol = LEVEL_TOL * max(1.0, abs(lo), abs(hi))
-        x = _bisect_levels(mus, sds, [(1, mus.size)], target, [lo - 1.0], [hi + 1.0], tol)
-        return float(x[0])
-
-    blocks: List[List[float]] = []  # [first, last, x, lowest member x, highest member x]
-    for k, (s, e) in enumerate(schedule):
-        x = float(matrix.level[s, e]) + offsets[k]
-        blocks.append([k, k, x, x, x])
-        while len(blocks) > 1 and blocks[-2][2] > blocks[-1][2]:
-            right = blocks.pop()
-            left = blocks.pop()
-            lo, hi = min(left[3], right[3]), max(left[4], right[4])
-            blocks.append([left[0], right[1], pooled_root(left[0], right[1], lo, hi), lo, hi])
+        for (b, c), (f, l, low, high), x in reversed(list(zip(runs, pooled, roots.tolist()))):
+            blocks[b : c + 1] = [[f, l, x, low, high]]
 
     levels: List[float] = []
     for first, last, x, _, _ in blocks:
         levels += [float(x - offsets[k]) for k in range(first, last + 1)]
     # the carried stock as the plan computes it; closes rounding gaps only
+    means = means.tolist()
     for k in range(1, len(levels)):
         levels[k] = max(levels[k], levels[k - 1] - means[k - 1])
-    return levels
+    return levels, rounds, len(schedule) - len(blocks)
 
 
 @dataclass(frozen=True)
@@ -516,10 +561,16 @@ def _plan(matrix: ConnectionMatrix, starts, ends, levels, costs) -> Plan:
 
 
 def _constrained_plan(matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]]) -> Plan:
-    """``schedule`` at its exact constrained levels, each cycle priced from
-    the matrix's moment rows as a (1 x n) block, as the matrix prices its
-    own."""
-    ys = np.array(_schedule_levels(matrix, schedule))
+    """``schedule`` at its exact constrained levels (:func:`_schedule_levels`)."""
+    return _priced_plan(matrix, schedule, _schedule_levels(matrix, schedule)[0])
+
+
+def _priced_plan(
+    matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]], levels: Sequence[float]
+) -> Plan:
+    """``schedule`` at ``levels``, each cycle priced from the matrix's moment
+    rows as a (1 x n) block, as the matrix prices its own."""
+    ys = np.array(levels)
     starts, ends = np.array(schedule).T
     mus = np.concatenate([matrix.mus[s, : e - s + 1] for s, e in schedule])
     sds = np.concatenate([matrix.sds[s, : e - s + 1] for s, e in schedule])

@@ -1,7 +1,9 @@
 """Feasibility checking and the repetitive repair loop."""
 
 import itertools
+import logging
 import math
+import re
 import sys
 import warnings
 
@@ -30,8 +32,8 @@ from lotpath import (
     shortest_path,
     solve_instance,
 )
-from lotpath import augment
-from lotpath.cycles import LEVEL_TOL, _relaxed_distances
+from lotpath import augment, cycles
+from lotpath.cycles import LEVEL_TOL, _fractile_target, _relaxed_distances
 from lotpath import graph
 from lotpath.graph import NodeId, ReplenishmentGraph, augment_once
 
@@ -110,6 +112,43 @@ def enumerated_grid_schedule(matrix, keep, lo, step, n):
         if chain[-1] < best_cost:
             best_cost, best_schedule = chain[-1], schedule
     return best_schedule
+
+
+def stack_pooled_levels(matrix, schedule):
+    """Reference for ``cycles._schedule_levels``: the stack pooling, which
+    pushes the cycles in order and merges the top two blocks while they
+    violate, bisecting each merged block's root in its own kernel call."""
+    T = matrix.horizon
+    means = [float(matrix.mus[s, e - s]) for s, e in schedule]
+    offsets = np.concatenate(([0.0], np.cumsum(means)))
+
+    def pooled_root(first, last, lo, hi):
+        members = schedule[first : last + 1]
+        mus = np.concatenate(
+            [matrix.mus[s, : e - s + 1] + offsets[first + k] for k, (s, e) in enumerate(members)]
+        )
+        sds = np.concatenate([matrix.sds[s, : e - s + 1] for s, e in members])
+        target = _fractile_target(matrix.instance, mus.size, members[-1][1] == T - 1)
+        tol = LEVEL_TOL * max(1.0, abs(lo), abs(hi))
+        x = cycles._bisect_levels(mus, sds, [(1, mus.size)], target, [lo - 1.0], [hi + 1.0], tol)
+        return float(x[0])
+
+    blocks = []  # [first, last, x, lowest member x, highest member x]
+    for k, (s, e) in enumerate(schedule):
+        x = float(matrix.level[s, e]) + offsets[k]
+        blocks.append([k, k, x, x, x])
+        while len(blocks) > 1 and blocks[-2][2] > blocks[-1][2]:
+            right = blocks.pop()
+            left = blocks.pop()
+            lo, hi = min(left[3], right[3]), max(left[4], right[4])
+            blocks.append([left[0], right[1], pooled_root(left[0], right[1], lo, hi), lo, hi])
+
+    levels = []
+    for first, last, x, _, _ in blocks:
+        levels += [float(x - offsets[k]) for k in range(first, last + 1)]
+    for k in range(1, len(levels)):
+        levels[k] = max(levels[k], levels[k - 1] - means[k - 1])
+    return levels, len(schedule) - len(blocks)
 
 
 #: relaxed plans that expect negative orders: the golden instance, five
@@ -504,7 +543,12 @@ class TestReoptimise:
 
     @pytest.mark.parametrize(
         "case",
-        [*(f"lumpy-r{r}" for r in range(6)), "zero-means", "spans-switched-off"],
+        [
+            *(f"lumpy-r{r}" for r in range(6)),
+            "zero-means",
+            "spans-switched-off",
+            "narrow-windows",
+        ],
     )
     def test_grid_schedule_matches_enumeration(self, case):
         if case == "zero-means":
@@ -512,6 +556,8 @@ class TestReoptimise:
                 horizon=6, means=(0.0, 0.0, 50.0, 0.0, 80.0, 3.0), cv=0.3,
                 K=20.0, z=1.0, h=1.0, b=9.0,
             )
+        elif case == "narrow-windows":
+            inst = LUMPY_T8[6]
         else:
             r = 0 if case == "spans-switched-off" else int(case[-1])
             inst = generate_instances("lumpy", 6, 0.3, 225.0, 10.0, count=6, seed=7)[r]
@@ -528,6 +574,64 @@ class TestReoptimise:
         assert got == enumerated_grid_schedule(matrix, keep, *grid)
         if case == "spans-switched-off":
             assert got != full
+        if case == "narrow-windows":
+            # every start prices fewer than half of its grid positions (the
+            # sink, the last node, holds them all)
+            _, width = augment._windows(matrix, keep, *grid)
+            assert width[:-1].max() < grid[2] / 2 < width[-1]
+
+    @pytest.mark.parametrize(
+        "r, calls", [(0, [3, 2, 1]), (5, [4, 2, 1]), (3, [2]), ("flat", [])]
+    )
+    def test_pooling_rounds_match_stack_pooling(self, r, calls, monkeypatch):
+        # every cycle on its own: lumpy r0 and r5 pool several disjoint runs
+        # in their first round, and a pooled run then violates its left
+        # neighbour; r3 pools once; flat demand never violates
+        if r == "flat":
+            inst = InstanceSpec(
+                horizon=6, means=(50.0,) * 6, cv=0.2, K=10.0, z=0.0, h=1.0, b=9.0
+            )
+        else:
+            inst = generate_instances("lumpy", 12, 0.3, 225.0, 10.0, count=6, seed=7)[r]
+        matrix = build_connection_matrix(inst)
+        schedule = [(t, t) for t in range(inst.horizon)]
+        want, want_merges = stack_pooled_levels(matrix, schedule)
+        rows = []
+        kernel = cycles._bisect_levels
+
+        def counted(mus, sds, shapes, *args):
+            rows.append(len(shapes))
+            return kernel(mus, sds, shapes, *args)
+
+        monkeypatch.setattr(cycles, "_bisect_levels", counted)
+        levels, rounds, merges = cycles._schedule_levels(matrix, schedule)
+        assert levels == want
+        assert (rows, rounds, merges) == (calls, len(calls), want_merges)
+
+    @pytest.mark.parametrize("r, pooled", [(0, False), (4, True)])
+    def test_debug_line_describes_the_stage(self, r, pooled, caplog):
+        inst = generate_instances("lumpy", 30, 0.3, 225.0, 10.0, count=10, seed=7)[r]
+        matrix = build_connection_matrix(inst, prune=True)
+        keep = augment._admissible_spans(matrix, matrix.bound_plan.cost)
+        with caplog.at_level(logging.DEBUG, logger="lotpath.augment"):
+            plan = reoptimise(matrix)
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("lotpath.augment", logging.DEBUG)
+        found = re.fullmatch(
+            r"re-optimising: grid n=(\d+), (\d+) positions priced of n x (\d+) starts = (\d+), "
+            r"(\d+) admissible spans, (.*)",
+            record.getMessage(),
+        )
+        n, priced, starts, full, spans = map(int, found.groups()[:5])
+        assert priced < full == n * starts
+        assert starts == np.count_nonzero(keep.any(axis=1))
+        assert spans == np.count_nonzero(keep)
+        if pooled:
+            assert plan.spans != matrix.bound_plan.spans
+            assert found[6] == "schedule pooled in 1 rounds with 3 merges"
+        else:
+            assert plan is matrix.bound_plan
+            assert found[6] == "the bound plan's schedule"
 
     def test_golden_keeps_the_loop_plan(self, golden_matrix):
         loop, _ = repetitive_augment(build_graph(golden_matrix))

@@ -511,6 +511,22 @@ def test_a_held_solution_keeps_no_matrix():
     assert sol.to_dict()["spans_priced"] > 0
 
 
+def test_reoptimise_peaks_near_its_tables():
+    # the solve peaks in the re-optimising stage: the matrix's four (T, T)
+    # tables, then the span bound's working arrays or the grid dynamic
+    # program's tables over each start's window plus one chunk of stored
+    # costs, at most as many numbers as the windows hold
+    inst = generate_instances("lumpy", 400, 0.3, 225.0, 10.0, count=1, seed=7)[0]
+    tracemalloc.start()
+    try:
+        sol = solve_instance(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.relaxed_violations > 0
+    assert peak <= 76 * inst.horizon**2
+
+
 def test_pruned_build_peaks_near_its_tables():
     # the four (T, T) float64 tables and the lower-bound graph's copy of
     # cost take 40 T^2 bytes; a fifth stored table would add 8 T^2
