@@ -59,15 +59,21 @@ spans by it too.
 U is the bound of the re-optimising stage: the relaxed schedule at its exact
 constrained levels. It is known once the relaxed optimum over the priced
 spans is certified, i.e. every path through a reduced span costs more than
-that optimum, which is checked at power-of-two lengths (the lengths between
-two checks are priced in one fused bisection). The relaxed path,
-the stage's admissible spans and hence the plan are those of the complete
-matrix, bit for bit: every span either is priced exactly as the complete
-matrix prices it or lies on no plan within the bound.
+that optimum, which is checked at power-of-two lengths. Until then no start
+stops growing short of the horizon, so the build prices ahead: one fused
+bisection takes every length up to ``MAX_FUSED_NUMBERS`` numbers, cut back
+to the last checkpoint it reaches. The build still reaches the lengths one
+by one, and writes a length's spans only for the starts still growing then,
+so the bounds see the spans a build pricing length by length would, and a
+span priced ahead of a pruning that drops its start stays unpriced. The
+relaxed path, the stage's admissible spans and hence the plan are those of
+the complete matrix, bit for bit: every span either is priced exactly as the
+complete matrix prices it or lies on no plan within the bound.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -86,6 +92,8 @@ __all__ = [
     "cycle_cost_at",
     "build_connection_matrix",
 ]
+
+_log = logging.getLogger(__name__)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: absolute tolerance of the bisection that sets each matrix level
@@ -108,8 +116,9 @@ MAX_EXPAND = 64
 MAX_MATRIX_BYTES = 2 * 2**30
 #: most numbers one fused level bisection lays end to end (see
 #: :func:`_price_spans`), 32 KiB per float64 working array; a length whose
-#: block alone holds more is bisected by itself. With it a complete lumpy
-#: T=100 build (seed 7 r0) peaks at 66.0 horizon^2 under tracemalloc
+#: block alone holds more is bisected by itself. It also bounds what a pruned
+#: build prices ahead. With it a lumpy T=100 build (seed 7 r0) peaks at 62.8
+#: horizon^2 complete and 62.1 pruned under tracemalloc
 MAX_FUSED_NUMBERS = 2**12
 
 
@@ -276,41 +285,35 @@ def _bisect_levels(
     return 0.5 * (lo + hi)
 
 
-def _price_spans(matrix: ConnectionMatrix, blocks) -> None:
-    """Set the level and cost of every span in ``blocks``: pairs of a cycle
-    length n and the 0-based start periods to price at it, by increasing n.
-
-    Consecutive lengths share one level bisection while their numbers come
-    to at most ``MAX_FUSED_NUMBERS``; a length with more runs by itself.
-    Each bisection's costs take one pass over the numbers it gathered.
+def _price_spans(matrix: ConnectionMatrix, group):
+    """Price the spans of ``group``: pairs of a cycle length n and the 0-based
+    start periods to price at it, by increasing n, side by side in one level
+    bisection and one cost pass. Returns (n, starts, levels, costs) per
+    length; :func:`build_connection_matrix` chooses the groups and writes
+    the values into the matrix.
     """
     T, instance = matrix.horizon, matrix.instance
-    groups, size = [[]], 0
-    for n, rows in blocks:
-        if groups[-1] and size + n * rows.size > MAX_FUSED_NUMBERS:
-            groups.append([])
-            size = 0
-        groups[-1].append((n, rows))
-        size += n * rows.size
-    for group in groups:
-        shapes = [(rows.size, n) for n, rows in group]
-        mus = np.concatenate([matrix.mus[rows, :n].ravel() for n, rows in group])
-        sds = np.concatenate([matrix.sds[rows, :n].ravel() for n, rows in group])
-        starts = np.concatenate([rows for _, rows in group])
-        lengths = np.repeat([n for n, _ in group], [rows.size for _, rows in group])
-        ends = starts + lengths - 1
-        terminal = ends == T - 1
-        # the cold bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1; at
-        # means of 2**53 and above the 1 rounds away, so a near-deterministic
-        # span's root can lie above it, and _bisect_levels' expansion finds it
-        heads = np.cumsum(lengths) - lengths  # each row's first number
-        smax = np.maximum.reduceat(sds, heads)
-        lo = np.minimum.reduceat(mus, heads) - 12.0 * smax - 1.0
-        hi = np.maximum.reduceat(mus, heads) + 12.0 * smax + 1.0
-        target = _fractile_target(instance, lengths, terminal)
-        ys = _bisect_levels(mus, sds, shapes, target, lo, hi, Y_TOL)
-        matrix.level[starts, ends] = ys
-        matrix.cost[starts, ends] = _block_costs(ys, mus, sds, shapes, instance, terminal)
+    shapes = [(rows.size, n) for n, rows in group]
+    mus = np.concatenate([matrix.mus[rows, :n].ravel() for n, rows in group])
+    sds = np.concatenate([matrix.sds[rows, :n].ravel() for n, rows in group])
+    starts = np.concatenate([rows for _, rows in group])
+    lengths = np.repeat([n for n, _ in group], [rows.size for _, rows in group])
+    terminal = starts + lengths == T
+    # the cold bracket mu_min - 12 sd_max - 1 .. mu_max + 12 sd_max + 1; at
+    # means of 2**53 and above the 1 rounds away, so a near-deterministic
+    # span's root can lie above it, and _bisect_levels' expansion finds it
+    heads = np.cumsum(lengths) - lengths  # each row's first number
+    smax = np.maximum.reduceat(sds, heads)
+    lo = np.minimum.reduceat(mus, heads) - 12.0 * smax - 1.0
+    hi = np.maximum.reduceat(mus, heads) + 12.0 * smax + 1.0
+    target = _fractile_target(instance, lengths, terminal)
+    ys = _bisect_levels(mus, sds, shapes, target, lo, hi, Y_TOL)
+    costs = _block_costs(ys, mus, sds, shapes, instance, terminal)
+    cuts = np.cumsum([rows.size for _, rows in group])[:-1]
+    return [
+        (n, rows, y, c)
+        for (n, rows), y, c in zip(group, np.split(ys, cuts), np.split(costs, cuts))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -616,19 +619,24 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     ``instance`` needs ``horizon``, ``means``, ``cv``, ``K``, ``z``, ``h``
     and ``b`` attributes: period t's demand is Normal with mean
     ``means[t - 1]`` and standard deviation ``cv * means[t - 1]``.
-    Spans are priced one block per cycle length. The bisection that sets
-    their levels fuses the blocks of consecutive lengths that no pruning
-    separates, side by side, and sums each block alone (see
+    Spans are priced one block per cycle length. One level bisection fuses
+    the blocks of consecutive lengths, side by side, while they hold at most
+    ``MAX_FUSED_NUMBERS`` numbers, and sums each block alone (see
     :func:`_price_spans`); their costs take one pass per bisection. By
     default all horizon * (horizon + 1) / 2 spans are priced; the split loop,
     ``export-graph`` and the worked example need them all. With
     ``prune=True`` a start period stops growing once no plan within the
     re-optimising stage's bound can use its longer spans (see the module
     docstring): the solve's relaxed path and plan are those of the complete
-    matrix, and ``bound_plan`` holds the plan that set the bound.
-    Every priced span equals the complete matrix's bit for bit. A horizon
-    whose arrays exceed ``MAX_MATRIX_BYTES`` raises :class:`InputError`
-    before any is allocated.
+    matrix, and ``bound_plan`` holds the plan that set the bound. Until that
+    bound is set the build prices lengths ahead of its checkpoints, so a
+    horizon whose complete matrix fits one bisection (T <= 28) prices in one
+    call; afterwards it prices one length per call. The ``lotpath.cycles``
+    logger reports each build at debug level: spans priced, spans priced
+    ahead and dropped, the numbers and bisections, and the length at which
+    the bound was set. Every priced span equals the complete matrix's bit
+    for bit. A horizon whose arrays exceed ``MAX_MATRIX_BYTES`` raises
+    :class:`InputError` before any is allocated.
     """
     T = instance.horizon
     if 40 * T * T > MAX_MATRIX_BYTES:
@@ -652,27 +660,54 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     lengths = np.zeros(T, dtype=int)  # spans priced per start period
     rows = np.arange(T)  # start periods still growing
     n = 0  # spans are priced up to this length
+    ahead = []  # lengths priced but not yet reached: (n, starts, levels, costs)
+    calls = numbers = spans = 0
+    certified = None  # the length at which the bound was set
     while True:
-        # a certified build prunes after every length, one still certifying
-        # only at the next power of two, and a complete build never: the
-        # lengths up to that checkpoint lose only starts past the horizon,
-        # so they are priced together
-        if not prune:
-            last = T
-        elif matrix.bound_plan is None:
-            last = min(2 * n or 1, T)
-        else:
-            last = n + 1
-        blocks = [(m, rows[rows <= T - m]) for m in range(n + 1, last + 1)]
-        blocks = [(m, r) for m, r in blocks if r.size]
-        if not blocks:
+        if not ahead:
+            # an uncertified build loses only starts past the horizon until
+            # its next power-of-two checkpoint, so it prices as many lengths
+            # ahead as one fused bisection holds, cut back to the last
+            # checkpoint reached short of the horizon; a certified build
+            # prices one length at a time, and a complete build fills groups
+            group, size = [], 0
+            top = n + 1 if prune and matrix.bound_plan is not None else T
+            for m in range(n + 1, top + 1):
+                r = rows[rows <= T - m]
+                if not r.size or group and size + m * r.size > MAX_FUSED_NUMBERS:
+                    break
+                group.append((m, r))
+                size += m * r.size
+            if not group:
+                break
+            if prune and matrix.bound_plan is None and group[-1][0] < T:
+                marks = [k for k, (m, _) in enumerate(group) if not m & (m - 1)]
+                if marks:
+                    del group[marks[-1] + 1 :]
+            ahead = _price_spans(matrix, group)
+            calls += 1
+            numbers += sum(m * r.size for m, r in group)
+            spans += sum(r.size for _, r in group)
+        # reach the next length: write it for the starts still growing only,
+        # a subset of those priced, so the bounds see exactly the spans a
+        # build pricing length by length would, and spans priced ahead but
+        # pruned stay unpriced
+        n, starts, ys, cs = ahead.pop(0)
+        rows = rows[rows <= T - n]
+        if not rows.size:
             break
-        _price_spans(matrix, blocks)
-        for m, r in blocks:
-            lengths[r] = m
-        n, rows = blocks[-1]
-        if n < last or n == T:
+        if rows.size < starts.size:
+            keep = np.searchsorted(starts, rows)
+            ys, cs = ys[keep], cs[keep]
+        matrix.level[rows, rows + n - 1] = ys
+        cost[rows, rows + n - 1] = cs
+        lengths[rows] = n
+        if n == T:
             break  # every start period has reached the horizon
+        # a certified build prunes after every length, one still certifying
+        # only at the powers of two, and a complete build never
+        if not prune or matrix.bound_plan is None and n & (n - 1):
+            continue
         through, optimum, pred = _lower_bounds(matrix, lengths)
         if matrix.bound_plan is None:
             # certified once every path through a reduced span costs more
@@ -681,7 +716,16 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
             if _within_bound(through.min(), optimum, instance):
                 continue
             matrix.bound_plan = _constrained_plan(matrix, _relaxed_spans(pred))
+            certified = n
         bound = matrix.bound_plan.cost
         rows = rows[_within_bound(through[rows], bound, instance)]
+    if _log.isEnabledFor(logging.DEBUG):
+        priced = int(np.isfinite(cost).sum())
+        _log.debug(
+            "connection matrix T=%d: %d spans priced, %d priced ahead and dropped, "
+            "%d numbers in %d pricing bisections, %s",
+            T, priced, spans - priced, numbers, calls,
+            f"certified at length {certified}" if certified else "not certified",
+        )
     matrix.prefix, matrix.suffix, matrix.pred = _relaxed_distances(cost)
     return matrix

@@ -8,6 +8,7 @@ quoted to 4 decimals, costs to 4 decimals.
 import dataclasses
 import functools
 import json
+import logging
 import math
 import operator
 import os
@@ -40,7 +41,16 @@ from lotpath import (
     reoptimise,
     solve_instance,
 )
-from lotpath.cycles import _bisect_levels, _fractile_target
+from lotpath.bench import DESK_GRID, design_instances
+from lotpath.cycles import (
+    _bisect_levels,
+    _constrained_plan,
+    _fractile_target,
+    _lower_bounds,
+    _price_spans,
+    _relaxed_spans,
+    _within_bound,
+)
 
 from conftest import golden_spec
 
@@ -486,6 +496,116 @@ def test_pruned_matrix_gives_the_complete_matrix_answer(instance):
     assert bound is None or bound.spans == sol.relaxed_path.spans
     plan = reoptimise(dense) if sol.relaxed_violations else relaxed
     assert sol.path == plan
+
+
+def checkpoint_build(instance):
+    """The pruned build as it ran before it priced ahead: each round prices
+    the lengths up to the next certification checkpoint, then bounds and
+    prunes. Returns its priced mask, levels, costs and bound plan."""
+    T = instance.horizon
+    matrix = build_connection_matrix(instance)  # for the moment table
+    matrix.level[:], matrix.cost[:] = np.nan, np.inf
+    lengths = np.zeros(T, dtype=int)
+    rows = np.arange(T)
+    n = 0
+    while True:
+        last = min(2 * n or 1, T) if matrix.bound_plan is None else n + 1
+        blocks = [(m, rows[rows <= T - m]) for m in range(n + 1, last + 1)]
+        blocks = [(m, r) for m, r in blocks if r.size]
+        if not blocks:
+            break
+        for m, starts, ys, cs in _price_spans(matrix, blocks):
+            matrix.level[starts, starts + m - 1] = ys
+            matrix.cost[starts, starts + m - 1] = cs
+            lengths[starts] = m
+        n, rows = blocks[-1]
+        if n < last or n == T:
+            break
+        through, optimum, pred = _lower_bounds(matrix, lengths)
+        if matrix.bound_plan is None:
+            if _within_bound(through.min(), optimum, instance):
+                continue
+            matrix.bound_plan = _constrained_plan(matrix, _relaxed_spans(pred))
+        rows = rows[_within_bound(through[rows], matrix.bound_plan.cost, instance)]
+    return np.isfinite(matrix.cost), matrix.level, matrix.cost, matrix.bound_plan
+
+
+# lumpy T=10 r0 at b = 5 and 10 certifies at length 4 inside the one group
+# that prices all 55 spans and keeps 35 of them; lumpy T=8 K=0 r0 prunes
+# every row after length 3, with lengths up to 8 priced
+AHEAD_CASES = [
+    *(generate_instances("lumpy", 10, 0.3, 225.0, b, count=1, seed=7)[0] for b in (5.0, 10.0)),
+    generate_instances("lumpy", 8, 0.3, 0.0, 2.0, count=1, seed=7)[0],
+]
+
+
+@pytest.mark.parametrize("instance", PRUNE_CASES + AHEAD_CASES, ids=lambda inst: inst.name)
+def test_pricing_ahead_replays_the_checkpoint_build(instance):
+    priced, level, cost, bound = checkpoint_build(instance)
+    matrix = build_connection_matrix(instance, prune=True)
+    assert np.array_equal(np.isfinite(matrix.cost), priced)
+    assert np.array_equal(matrix.level, level, equal_nan=True)
+    assert np.array_equal(matrix.cost, cost)
+    assert matrix.bound_plan == bound
+
+
+def test_pricing_ahead_drops_what_pruning_leaves():
+    T = 10
+    for instance in AHEAD_CASES[:2]:
+        matrix = build_connection_matrix(instance, prune=True)
+        assert len(matrix) == 35 < T * (T + 1) // 2
+    # its one bisection prices lengths 1..8, and pruning leaves no row to
+    # grow past length 3
+    matrix = build_connection_matrix(AHEAD_CASES[2], prune=True)
+    spans = np.argwhere(np.isfinite(matrix.cost))
+    assert (spans[:, 1] - spans[:, 0] + 1).max() == 3
+
+
+def count_pricing_calls(monkeypatch, instances, prune):
+    """Calls of the fractile kernel per build that price matrix spans: the
+    matrix bisects to the absolute ``Y_TOL``, a pooled plan to a tolerance
+    per row."""
+    calls = []
+    kernel = lotpath.cycles._bisect_levels
+
+    def counted(mus, sds, shapes, target, lo, hi, tol):
+        calls[-1] += np.ndim(tol) == 0
+        return kernel(mus, sds, shapes, target, lo, hi, tol)
+
+    monkeypatch.setattr(lotpath.cycles, "_bisect_levels", counted)
+    for instance in instances:
+        calls.append(0)
+        build_connection_matrix(instance, prune=prune)
+    return calls
+
+
+def test_pruned_build_prices_in_few_bisections(monkeypatch):
+    # a horizon whose complete matrix fits one fused bisection, T(T+1)(T+2)/6
+    # numbers: 220 at T = 10 and 1,540 at T = 20, prices in one call
+    desk = design_instances(**DESK_GRID)
+    assert {inst.horizon for inst in desk} == {10, 20}
+    assert count_pricing_calls(monkeypatch, desk, prune=True) == [1] * len(desk)
+    # lumpy T=100 r0 prices lengths 1..8, 9..12, 13..15 and 16 (its group
+    # with 17 cut back to the checkpoint), certifies at 16, then prices 17 and
+    # 18 one at a time: 6 calls, where pricing checkpoint by checkpoint took 9
+    inst = generate_instances("lumpy", 100, 0.3, 225.0, 10.0, count=1, seed=7)[0]
+    assert count_pricing_calls(monkeypatch, [inst], prune=True) == [6]
+    # the complete build keeps its cap-filled groups
+    assert count_pricing_calls(monkeypatch, [inst], prune=False) == [64]
+
+
+def test_build_logs_its_pricing(caplog):
+    with caplog.at_level(logging.DEBUG, logger="lotpath.cycles"):
+        build_connection_matrix(AHEAD_CASES[0], prune=True)
+        build_connection_matrix(AHEAD_CASES[0])
+    pruned, complete = caplog.records
+    assert (pruned.name, pruned.levelno) == ("lotpath.cycles", logging.DEBUG)
+    assert pruned.getMessage() == (
+        "connection matrix T=10: 35 spans priced, 20 priced ahead and dropped, "
+        "220 numbers in 1 pricing bisections, certified at length 4"
+    )
+    assert complete.getMessage().endswith("55 spans priced, 0 priced ahead and dropped, "
+                                          "220 numbers in 1 pricing bisections, not certified")
 
 
 def test_long_horizon_prices_a_tenth_of_the_spans():
