@@ -6,14 +6,19 @@ need a negative order, re-optimise over all review schedules and levels
 under the no-negative-order constraint. Every plan the solve produces is a
 :class:`Plan`: spans, levels, closing stocks and costs.
 
-Two parts of the package are not on the solve path. Their names load their
-module on first access, so a process that never uses one never imports it:
+Importing the package, generating and reading instances, the analytic trace
+and Monte Carlo simulation load numpy alone. Three parts load on first use,
+so a process that never uses one never imports it:
 
-* the paper's stage 2 (``lotpath.graph``): the cycle graph
-  (``build_graph``, ``shortest_path``) and its split-and-re-solve loop
-  (``repetitive_augment``);
+* ``scipy.special`` (its Normal CDF ``ndtr``), on the first span pricing: a
+  solve, a matrix build or the re-optimising stage;
+* the paper's stage 2 (``lotpath.graph``), which is not on the solve path:
+  the cycle graph (``build_graph``, ``shortest_path``) and its
+  split-and-re-solve loop (``repetitive_augment``);
 * the schedule-enumeration oracle (``lotpath.oracle``, built on
   ``scipy.optimize``), an independent reference.
+
+The last two load their module on first access to one of their names.
 
 Warnings go to the ``lotpath`` logger, which has a
 :class:`logging.NullHandler` until the application configures logging.

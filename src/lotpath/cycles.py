@@ -81,7 +81,6 @@ from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .demand import complementary_loss, loss
 from .errors import InputError, NumericalError
@@ -147,6 +146,9 @@ def _loss_pair(y, mus, sds):
     The closed form is evaluated only where sd > 0 (a unit divisor stands in
     elsewhere, so no 0 * inf arises); a zero sd is a point mass at its mean.
     """
+    # imported on first pricing, so a process that prices no span never loads scipy.special
+    from scipy.special import ndtr
+
     pos = sds > 0.0
     u = (y - mus) / np.where(pos, sds, 1.0)
     # beyond |u| ~ 1e154 (a level far out on a near-deterministic demand)
@@ -235,6 +237,8 @@ def _bisect_levels(
     ulps of its bracketed ends where that is wider (beyond 2**32), so a
     midpoint always lies strictly inside a bracket still being halved.
     """
+    from scipy.special import ndtr  # imported on first pricing, as in _loss_pair
+
     rows, ns = zip(*shapes)
     lengths = np.repeat(ns, rows)
     pos = sds > 0.0

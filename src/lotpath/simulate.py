@@ -170,7 +170,11 @@ def simulate_policy(
 
     t0 = time.perf_counter()
     total = 0.0
-    total_sq = 0.0
+    # squared deviations about the running mean of the chunks so far, merged
+    # chunk by chunk (Chan, Golub & LeVeque): a sum of squared costs less
+    # n * mean^2 cancels once the costs dwarf their spread
+    run_mean = 0.0
+    sq_dev = 0.0
     comp = {"setup": 0.0, "order": 0.0, "holding": 0.0, "penalty": 0.0}
     closing_sum = np.zeros(T)
     setup = 0.0
@@ -225,8 +229,13 @@ def simulate_policy(
             _period_sums(w, penalty[lo:lo + n])
             closing_sum += block.sum(axis=1)
         cost = setup + order + holding + penalty
-        total += float(cost.sum())
-        total_sq += float((cost * cost).sum())
+        chunk_sum = float(cost.sum())
+        total += chunk_sum
+        chunk_mean = chunk_sum / c
+        dev = cost - chunk_mean
+        delta = chunk_mean - run_mean
+        sq_dev += float((dev * dev).sum()) + delta * delta * done * c / (done + c)
+        run_mean += delta * c / (done + c)
         comp["setup"] += setup * c
         comp["order"] += float(order.sum())
         comp["holding"] += float(holding.sum())
@@ -236,8 +245,7 @@ def simulate_policy(
 
     mean = total / n_reps
     if n_reps > 1:
-        var = max(0.0, (total_sq - n_reps * mean * mean) / (n_reps - 1))
-        se = math.sqrt(var / n_reps)
+        se = math.sqrt(sq_dev / (n_reps - 1) / n_reps)
     else:
         se = 0.0
     return SimulationReport(

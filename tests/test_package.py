@@ -19,15 +19,44 @@ from conftest import golden_spec
 SRC = Path(lotpath.__file__).resolve().parent.parent
 
 # run in a fresh interpreter: the test process has long since imported
-# scipy.optimize and the paper's stage 2 (lotpath.graph)
+# scipy.optimize, scipy.special and the paper's stage 2 (lotpath.graph)
 PROBE = """
 import json, sys
+from pathlib import Path
+special = {}
+def step(name):
+    special[name] = "scipy.special" in sys.modules
 import lotpath
 package = "scipy.optimize" in sys.modules
+step("import")
 import lotpath.cli
 cli = "scipy.optimize" in sys.modules
+step("cli import")
+tmp = Path(sys.argv[4])
+[generated] = lotpath.generate_instances("lumpy", 6, 0.2, 50.0, 9.0, seed=1)
+lotpath.save_instance(generated, tmp / "generated.json")
+lotpath.load_instance(tmp / "generated.json")
+step("instances")
 spec = lotpath.load_instance(json.loads(sys.argv[1]))
+policy = lotpath.Policy(horizon=spec.horizon, reviews=(1, 3), levels=(60.0, 80.0))
+lotpath.expected_trace(spec, policy)
+step("expected_trace")
+lotpath.simulate_policy(spec, policy, n_reps=100, allow_negative_orders=True)
+lotpath.simulate_policy(spec, policy, n_reps=100)
+step("simulate_policy")
+lotpath.cli.main([
+    "gen", "--pattern", "erratic", "--horizon", "4", "--rho", "0.2",
+    "--fixed-cost", "50", "--penalty", "9", "-o", str(tmp / "gen"),
+])
+step("cli gen")
+(tmp / "policy.json").write_text(json.dumps(policy.to_dict()))
+lotpath.cli.main([
+    "simulate", sys.argv[2], "--policy", str(tmp / "policy.json"), "--reps", "100",
+    "-o", str(tmp / "report.json"),
+])
+step("cli simulate --policy")
 lotpath.solve_instance(spec)
+step("solve")
 lotpath.cli.main(["solve", sys.argv[2], "-o", sys.argv[3]])
 graph_after_solve = "lotpath.graph" in sys.modules
 lotpath.build_graph
@@ -37,6 +66,7 @@ res = lotpath.schedule_enumeration_oracle(spec, constrained=False)
 print(json.dumps({
     "package": package,
     "cli": cli,
+    "special": special,
     "graph_after_solve": graph_after_solve,
     "graph": graph,
     "dir_lists_graph": listed,
@@ -49,14 +79,15 @@ print(json.dumps({
 
 def test_import_leaves_the_oracle_unloaded_until_first_use(golden_solution, tmp_path):
     # the same holds for the graph module: neither the import, the CLI nor a
-    # solve loads it, and its first name loads it
+    # solve loads it, and its first name loads it. scipy.special loads on the
+    # first span pricing: instances, the trace and Monte Carlo never load it
     instance = tmp_path / "golden.json"
     save_instance(golden_spec(), instance)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [
             sys.executable, "-c", PROBE, json.dumps(golden_spec().to_dict()),
-            str(instance), str(tmp_path / "solution.json"),
+            str(instance), str(tmp_path / "solution.json"), str(tmp_path),
         ],
         env=env,
         capture_output=True,
@@ -64,9 +95,19 @@ def test_import_leaves_the_oracle_unloaded_until_first_use(golden_solution, tmp_
         timeout=120,
         check=True,
     )
-    probe = json.loads(out.stdout)
+    probe = json.loads(out.stdout.splitlines()[-1])  # after the line `gen` prints
     assert probe["package"] is False
     assert probe["cli"] is False
+    assert probe["special"] == {
+        "import": False,
+        "cli import": False,
+        "instances": False,
+        "expected_trace": False,
+        "simulate_policy": False,
+        "cli gen": False,
+        "cli simulate --policy": False,
+        "solve": True,
+    }
     assert probe["graph_after_solve"] is False
     assert probe["graph"] is True
     assert probe["dir_lists_graph"] is True

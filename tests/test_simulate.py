@@ -114,6 +114,25 @@ class TestSimulatePolicy:
         assert whole.mean_cost != split.mean_cost  # different layouts
         assert whole.mean_cost == wide.mean_cost  # single chunk either way
 
+    @pytest.mark.parametrize("chunk", [None, 4_096], ids=["one-chunk", "three-chunks"])
+    def test_cost_shift_leaves_the_std_error(self, monkeypatch, chunk):
+        # a review cost adds a constant to every replication, so the spread
+        # must not move; a sum of squares less n * mean^2 cancels at K = 1e12
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "CHUNK", chunk)
+        policy = Policy(horizon=8, reviews=(1, 4), levels=(60.0, 70.0))
+
+        def se(K):
+            inst = InstanceSpec(
+                horizon=8, means=(10.0, 0.0, 30.0, 5.0, 0.0, 60.0, 1.0, 2.0),
+                cv=0.3, K=K, z=0.0, h=1.0, b=5.0,
+            )
+            return simulate_policy(inst, policy, n_reps=10_000, seed=3).std_error
+
+        base = se(0.0)
+        assert base > 0.5
+        assert se(1e12) == pytest.approx(base, rel=1e-6)
+
     def test_near_deterministic_demand(self):
         # vanishing variance: ordering up to the period means leaves nothing
         # on hand and nothing short, so only the fixed costs remain
