@@ -59,16 +59,16 @@ spans by it too.
 U is the bound of the re-optimising stage: the relaxed schedule at its exact
 constrained levels. It is known once the relaxed optimum over the priced
 spans is certified, i.e. every path through a reduced span costs more than
-that optimum, which is checked at power-of-two lengths. Until then no start
-stops growing short of the horizon, so the build prices ahead: one fused
-bisection takes every length up to ``MAX_FUSED_NUMBERS`` numbers, cut back
-to the last checkpoint it reaches. The build still reaches the lengths one
-by one, and writes a length's spans only for the starts still growing then,
-so the bounds see the spans a build pricing length by length would, and a
-span priced ahead of a pruning that drops its start stays unpriced. The
-relaxed path, the stage's admissible spans and hence the plan are those of
-the complete matrix, bit for bit: every span either is priced exactly as the
-complete matrix prices it or lies on no plan within the bound.
+that optimum. The build prices the next lengths of the growing starts in
+groups, each one fused bisection of up to ``MAX_FUSED_NUMBERS`` numbers,
+and writes every span it prices. It bounds only after a group's last
+length, while a start still grows: until certification only at a power of
+two, each group cut back to the last one it reaches, and after it at every
+group end. Bounding at fewer lengths only prunes later, so every span a plan
+within the bound can use is priced, exactly as the complete matrix prices
+it, and a span priced past a finer build's pruning fails the rule above.
+The relaxed path, the stage's admissible spans and hence the plan are those
+of the complete matrix, bit for bit.
 """
 
 from __future__ import annotations
@@ -109,15 +109,16 @@ MAX_EXPAND = 64
 #: horizon) float64 tables plus the one copy :func:`_lower_bounds` makes; 2 GiB
 #: admits horizons up to 7,327. A solve peaks higher: the re-optimising
 #: stage's span-bound temporaries, or its grid DP's window tables and one
-#: chunk of stored costs, come on top. tracemalloc reads 61.2 horizon^2 for
+#: chunk of stored costs, come on top. tracemalloc reads 61.4 horizon^2 for
 #: lumpy T=400 (seed 7 r0), in the grid DP, and 49.1 for T=1000, in the span
 #: bound.
 MAX_MATRIX_BYTES = 2 * 2**30
 #: most numbers one fused level bisection lays end to end (see
 #: :func:`_price_spans`), 32 KiB per float64 working array; a length whose
-#: block alone holds more is bisected by itself. It also bounds what a pruned
-#: build prices ahead. With it a lumpy T=100 build (seed 7 r0) peaks at 62.8
-#: horizon^2 complete and 62.1 pruned under tracemalloc
+#: block alone holds more is bisected by itself. Every build fills its groups
+#: to it, so it also sets how often a certified pruned build bounds. With it
+#: a lumpy T=100 build (seed 7 r0) peaks at 62.3 horizon^2 complete and 62.0
+#: pruned under tracemalloc
 MAX_FUSED_NUMBERS = 2**12
 
 
@@ -632,14 +633,14 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     ``prune=True`` a start period stops growing once no plan within the
     re-optimising stage's bound can use its longer spans (see the module
     docstring): the solve's relaxed path and plan are those of the complete
-    matrix, and ``bound_plan`` holds the plan that set the bound. Until that
-    bound is set the build prices lengths ahead of its checkpoints, so a
-    horizon whose complete matrix fits one bisection (T <= 28) prices in one
-    call; afterwards it prices one length per call. The ``lotpath.cycles``
-    logger reports each build at debug level: spans priced, spans priced
-    ahead and dropped, the numbers and bisections, and the length at which
-    the bound was set. Every priced span equals the complete matrix's bit
-    for bit. A horizon whose arrays exceed ``MAX_MATRIX_BYTES`` raises
+    matrix, and ``bound_plan`` holds the plan that set the bound. It bounds
+    only at the end of a bisection that leaves a start growing, so a horizon
+    whose complete matrix fits one bisection (T <= 28) is priced complete,
+    in one call, with ``bound_plan`` None. The ``lotpath.cycles`` logger
+    reports each build at debug level: spans priced, the numbers and
+    bisections, the bound passes, and the length at which the bound was
+    set. Every priced span equals the complete matrix's bit for bit. A
+    horizon whose arrays exceed ``MAX_MATRIX_BYTES`` raises
     :class:`InputError` before any is allocated.
     """
     T = instance.horizon
@@ -664,55 +665,38 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
     lengths = np.zeros(T, dtype=int)  # spans priced per start period
     rows = np.arange(T)  # start periods still growing
     n = 0  # spans are priced up to this length
-    ahead = []  # lengths priced but not yet reached: (n, starts, levels, costs)
-    calls = numbers = spans = 0
+    calls = numbers = passes = 0
     certified = None  # the length at which the bound was set
-    while True:
-        if not ahead:
-            # an uncertified build loses only starts past the horizon until
-            # its next power-of-two checkpoint, so it prices as many lengths
-            # ahead as one fused bisection holds, cut back to the last
-            # checkpoint reached short of the horizon; a certified build
-            # prices one length at a time, and a complete build fills groups
-            group, size = [], 0
-            top = n + 1 if prune and matrix.bound_plan is not None else T
-            for m in range(n + 1, top + 1):
-                r = rows[rows <= T - m]
-                if not r.size or group and size + m * r.size > MAX_FUSED_NUMBERS:
-                    break
-                group.append((m, r))
-                size += m * r.size
-            if not group:
+    while rows.size:
+        # one fused bisection prices the next lengths of the growing starts;
+        # an uncertified pruned build loses only starts that reach the
+        # horizon until its next power-of-two checkpoint, so its group is
+        # cut back to the last one it reaches short of the horizon
+        group, size = [], 0
+        for m in range(n + 1, T + 1):
+            r = rows[rows <= T - m]
+            if not r.size or group and size + m * r.size > MAX_FUSED_NUMBERS:
                 break
-            if prune and matrix.bound_plan is None and group[-1][0] < T:
-                marks = [k for k, (m, _) in enumerate(group) if not m & (m - 1)]
-                if marks:
-                    del group[marks[-1] + 1 :]
-            ahead = _price_spans(matrix, group)
-            calls += 1
-            numbers += sum(m * r.size for m, r in group)
-            spans += sum(r.size for _, r in group)
-        # reach the next length: write it for the starts still growing only,
-        # a subset of those priced, so the bounds see exactly the spans a
-        # build pricing length by length would, and spans priced ahead but
-        # pruned stay unpriced
-        n, starts, ys, cs = ahead.pop(0)
-        rows = rows[rows <= T - n]
-        if not rows.size:
-            break
-        if rows.size < starts.size:
-            keep = np.searchsorted(starts, rows)
-            ys, cs = ys[keep], cs[keep]
-        matrix.level[rows, rows + n - 1] = ys
-        cost[rows, rows + n - 1] = cs
-        lengths[rows] = n
-        if n == T:
-            break  # every start period has reached the horizon
-        # a certified build prunes after every length, one still certifying
-        # only at the powers of two, and a complete build never
-        if not prune or matrix.bound_plan is None and n & (n - 1):
+            group.append((m, r))
+            size += m * r.size
+        if prune and matrix.bound_plan is None and group[-1][0] < T:
+            marks = [k for k, (m, _) in enumerate(group) if not m & (m - 1)]
+            if marks:
+                del group[marks[-1] + 1 :]
+        for m, starts, ys, cs in _price_spans(matrix, group):
+            matrix.level[starts, starts + m - 1] = ys
+            cost[starts, starts + m - 1] = cs
+            lengths[starts] = m
+        calls += 1
+        numbers += sum(m * r.size for m, r in group)
+        n = group[-1][0]
+        rows = rows[rows < T - n]
+        # a pruned build bounds after the group while a start still grows:
+        # at every group end once certified, before that at powers of two
+        if not (prune and rows.size) or matrix.bound_plan is None and n & (n - 1):
             continue
         through, optimum, pred = _lower_bounds(matrix, lengths)
+        passes += 1
         if matrix.bound_plan is None:
             # certified once every path through a reduced span costs more
             # than the graph's optimum: that optimum then takes priced spans
@@ -721,14 +705,12 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
                 continue
             matrix.bound_plan = _constrained_plan(matrix, _relaxed_spans(pred))
             certified = n
-        bound = matrix.bound_plan.cost
-        rows = rows[_within_bound(through[rows], bound, instance)]
+        rows = rows[_within_bound(through[rows], matrix.bound_plan.cost, instance)]
     if _log.isEnabledFor(logging.DEBUG):
-        priced = int(np.isfinite(cost).sum())
         _log.debug(
-            "connection matrix T=%d: %d spans priced, %d priced ahead and dropped, "
-            "%d numbers in %d pricing bisections, %s",
-            T, priced, spans - priced, numbers, calls,
+            "connection matrix T=%d: %d spans priced, %d numbers in %d pricing bisections, "
+            "%d bound passes, %s",
+            T, len(matrix), numbers, calls, passes,
             f"certified at length {certified}" if certified else "not certified",
         )
     matrix.prefix, matrix.suffix, matrix.pred = _relaxed_distances(cost)

@@ -538,8 +538,9 @@ class TestReoptimise:
             assert sol.path.spans == tuple(zip(starts, [s - 1 for s in starts[1:]] + [99]))
             assert sol.expected_cost == pytest.approx(cost, rel=1e-12), inst.name
             priced += sol.spans_priced
-        # fusing the lengths between certification checkpoints prices no extra span
-        assert priced == 4_444
+        # 1,594 for r0, which certifies at length 16 and bounds once more,
+        # after its group of lengths 17..55; 1,480 each for r1 and r2
+        assert priced == 4_554
 
     @pytest.mark.parametrize(
         "case",

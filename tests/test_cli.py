@@ -24,7 +24,7 @@ class TestSolve:
         assert payload["relaxed_path"] == ["1", "2", "3", "4", "6"]
         assert payload["expected_cost"] == pytest.approx(447.4670, abs=1e-3)
         assert payload["relaxed_violations"] == 1
-        assert payload["spans_priced"] == 14  # of 15: span (1, 5) is pruned
+        assert payload["spans_priced"] == 15  # all: the complete matrix fits one bisection
         assert payload["policy"]["reviews"] == [1, 2, 3, 5]
         assert set(payload["timings"]) == {"t_matrix", "t_relaxed", "t_reoptimise"}
 

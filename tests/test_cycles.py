@@ -470,6 +470,8 @@ PRUNE_CASES = [
     ),
     *generate_instances("lumpy", 30, 0.3, 225.0, 10.0, count=4, seed=7),
     *generate_instances("erratic", 40, 0.2, 900.0, 5.0, count=2, seed=5),
+    # certifies at length 16, then bounds again after its group of lengths 17..55
+    generate_instances("lumpy", 100, 0.3, 225.0, 10.0, count=1, seed=7)[0],
 ]
 
 
@@ -499,9 +501,10 @@ def test_pruned_matrix_gives_the_complete_matrix_answer(instance):
 
 
 def checkpoint_build(instance):
-    """The pruned build as it ran before it priced ahead: each round prices
-    the lengths up to the next certification checkpoint, then bounds and
-    prunes. Returns its priced mask, levels, costs and bound plan."""
+    """A pruned build that bounds as often as the rule allows: each round
+    prices the lengths up to the next certification checkpoint, then bounds
+    and prunes, and after certification it bounds after every length.
+    Returns its priced mask, levels, costs and bound plan."""
     T = instance.horizon
     matrix = build_connection_matrix(instance)  # for the moment table
     matrix.level[:], matrix.cost[:] = np.nan, np.inf
@@ -530,9 +533,9 @@ def checkpoint_build(instance):
     return np.isfinite(matrix.cost), matrix.level, matrix.cost, matrix.bound_plan
 
 
-# lumpy T=10 r0 at b = 5 and 10 certifies at length 4 inside the one group
-# that prices all 55 spans and keeps 35 of them; lumpy T=8 K=0 r0 prunes
-# every row after length 3, with lengths up to 8 priced
+# the checkpoint build certifies lumpy T=10 r0 at b = 5 and 10 at length 4
+# and keeps 35 of its 55 spans, and prunes every row of lumpy T=8 K=0 r0
+# after length 3; the build prices each complete in one group
 AHEAD_CASES = [
     *(generate_instances("lumpy", 10, 0.3, 225.0, b, count=1, seed=7)[0] for b in (5.0, 10.0)),
     generate_instances("lumpy", 8, 0.3, 0.0, 2.0, count=1, seed=7)[0],
@@ -541,24 +544,37 @@ AHEAD_CASES = [
 
 @pytest.mark.parametrize("instance", PRUNE_CASES + AHEAD_CASES, ids=lambda inst: inst.name)
 def test_pricing_ahead_replays_the_checkpoint_build(instance):
+    # bounding at fewer lengths only prunes later: the build prices every
+    # span the checkpoint build prices, at the same level and cost
     priced, level, cost, bound = checkpoint_build(instance)
     matrix = build_connection_matrix(instance, prune=True)
-    assert np.array_equal(np.isfinite(matrix.cost), priced)
-    assert np.array_equal(matrix.level, level, equal_nan=True)
-    assert np.array_equal(matrix.cost, cost)
-    assert matrix.bound_plan == bound
+    assert (np.isfinite(matrix.cost) >= priced).all()
+    assert np.array_equal(matrix.level[priced], level[priced])
+    assert np.array_equal(matrix.cost[priced], cost[priced])
+    assert matrix.bound_plan is None or bound is None or matrix.bound_plan == bound
 
 
-def test_pricing_ahead_drops_what_pruning_leaves():
-    T = 10
-    for instance in AHEAD_CASES[:2]:
+def test_pruned_build_bounds_only_short_of_the_horizon(monkeypatch):
+    passes = []
+    lower_bounds = lotpath.cycles._lower_bounds
+
+    def counted(matrix, lengths):
+        passes.append(matrix.horizon)
+        return lower_bounds(matrix, lengths)
+
+    monkeypatch.setattr(lotpath.cycles, "_lower_bounds", counted)
+    # a group that reaches the horizon needs no bound, so a horizon whose
+    # complete matrix fits one bisection is priced complete, even where the
+    # horizon is a checkpoint (T = 8)
+    for instance in [golden_spec(), *AHEAD_CASES, *design_instances(**DESK_GRID)]:
+        T = instance.horizon
         matrix = build_connection_matrix(instance, prune=True)
-        assert len(matrix) == 35 < T * (T + 1) // 2
-    # its one bisection prices lengths 1..8, and pruning leaves no row to
-    # grow past length 3
-    matrix = build_connection_matrix(AHEAD_CASES[2], prune=True)
-    spans = np.argwhere(np.isfinite(matrix.cost))
-    assert (spans[:, 1] - spans[:, 0] + 1).max() == 3
+        assert len(matrix) == T * (T + 1) // 2 and matrix.bound_plan is None
+    assert passes == []
+    # lumpy T=100 r0 bounds after its groups ending at lengths 8, 16 (where
+    # it certifies) and 55
+    build_connection_matrix(PRUNE_CASES[-1], prune=True)
+    assert passes == [100] * 3
 
 
 def count_pricing_calls(monkeypatch, instances, prune):
@@ -586,26 +602,29 @@ def test_pruned_build_prices_in_few_bisections(monkeypatch):
     assert {inst.horizon for inst in desk} == {10, 20}
     assert count_pricing_calls(monkeypatch, desk, prune=True) == [1] * len(desk)
     # lumpy T=100 r0 prices lengths 1..8, 9..12, 13..15 and 16 (its group
-    # with 17 cut back to the checkpoint), certifies at 16, then prices 17 and
-    # 18 one at a time: 6 calls, where pricing checkpoint by checkpoint took 9
-    inst = generate_instances("lumpy", 100, 0.3, 225.0, 10.0, count=1, seed=7)[0]
-    assert count_pricing_calls(monkeypatch, [inst], prune=True) == [6]
+    # with 17 cut back to the checkpoint), certifies at 16, then prices the
+    # three starts left at lengths 17..55: 5 calls, where pricing checkpoint
+    # by checkpoint took 9
+    inst = PRUNE_CASES[-1]
+    assert count_pricing_calls(monkeypatch, [inst], prune=True) == [5]
     # the complete build keeps its cap-filled groups
     assert count_pricing_calls(monkeypatch, [inst], prune=False) == [64]
 
 
 def test_build_logs_its_pricing(caplog):
     with caplog.at_level(logging.DEBUG, logger="lotpath.cycles"):
-        build_connection_matrix(AHEAD_CASES[0], prune=True)
+        build_connection_matrix(PRUNE_CASES[-1], prune=True)
         build_connection_matrix(AHEAD_CASES[0])
     pruned, complete = caplog.records
     assert (pruned.name, pruned.levelno) == ("lotpath.cycles", logging.DEBUG)
     assert pruned.getMessage() == (
-        "connection matrix T=10: 35 spans priced, 20 priced ahead and dropped, "
-        "220 numbers in 1 pricing bisections, certified at length 4"
+        "connection matrix T=100: 1594 spans priced, 16290 numbers in 5 pricing bisections, "
+        "3 bound passes, certified at length 16"
     )
-    assert complete.getMessage().endswith("55 spans priced, 0 priced ahead and dropped, "
-                                          "220 numbers in 1 pricing bisections, not certified")
+    assert complete.getMessage() == (
+        "connection matrix T=10: 55 spans priced, 220 numbers in 1 pricing bisections, "
+        "0 bound passes, not certified"
+    )
 
 
 def test_long_horizon_prices_a_tenth_of_the_spans():

@@ -107,11 +107,12 @@ class TestBuildGraph:
         assert g.source == NodeId(1)
         assert g.sink == NodeId(6)
 
-    def test_rejects_a_matrix_with_unpriced_spans(self, golden, golden_solution):
-        # the solve's pruned matrix leaves span (1, 5) unpriced (cost +inf)
-        pruned = build_connection_matrix(golden, prune=True)
-        assert len(pruned) == golden_solution.spans_priced == 14
-        with pytest.raises(LotpathError, match="prices 14 of 15 spans"):
+    def test_rejects_a_matrix_with_unpriced_spans(self):
+        # the solve's pruned matrix of lumpy T=30 r0 prices lengths 1..16
+        # only, leaving the longer spans unpriced (cost +inf)
+        inst = generate_instances("lumpy", 30, 0.3, 225.0, 10.0, count=1, seed=7)[0]
+        pruned = build_connection_matrix(inst, prune=True)
+        with pytest.raises(LotpathError, match="prices 360 of 465 spans"):
             build_graph(pruned)
 
     def test_arc_payload_matches_matrix(self, golden_matrix):
