@@ -27,7 +27,8 @@ def main():
     args = parser.parse_args()
 
     grid = FULL_GRID if args.full else DESK_GRID
-    total = len(design_instances(**grid))
+    instances = design_instances(**grid)
+    total = len(instances)
     print(f"solving {total} instances (horizons {grid['horizons']}, "
           f"{grid['replicates']} replicates, seed {grid['seed']}) ...")
 
@@ -38,7 +39,7 @@ def main():
         if done[0] % 50 == 0:
             print(f"  {done[0]}/{total}", flush=True)
 
-    records = run_benchmark(**grid, progress=tick)
+    records = run_benchmark(instances, progress=tick)
 
     print("\nper-cell means (pattern x K), lumpy rows are where repairs live:")
     for row in summarize(records, by=("pattern", "K")):

@@ -49,9 +49,7 @@ from .cycles import (
     _constrained_plan,
     _loss_pair,
     _plan,
-    _priced_plan,
     _relaxed_spans,
-    _schedule_levels,
     _within_bound,
 )
 
@@ -221,12 +219,13 @@ def _grid_schedule(
     low, width = _windows(matrix, keep, lo, step, n)
     # depth: the cycle length of each start's last admissible end (0: none)
     depth = np.where(keep.any(axis=1), T - np.argmax(keep[:, ::-1], axis=1) - np.arange(T), 0)
-    # node t's values from value[at[t]], then +inf; best and best_end alike
+    # node t's values from value[at[t]], then +inf; best and best_end alike.
+    # value[at[t]] is finite exactly where node t is reached: a node with no
+    # window points at its +inf separator
     at = np.cumsum(width + 1) - width - 1
     nodes = np.stack([low, width, at])
     value = np.full(at[T] + n + 1, np.inf)
     value[at[T] : at[T] + n] = 0.0
-    reached = np.append(np.zeros(T, dtype=bool), True)  # nodes with a finite value
     best, best_end = np.full(value.size, np.inf), np.zeros(value.size, dtype=int)
     grid = np.arange(low.max() + n)
 
@@ -242,7 +241,7 @@ def _grid_schedule(
         prices = _price_windows(matrix, chunk, depth, low, width, lo, step)
         for s in chunk:
             m, wd, g, a = windows[s]
-            rel = (keep[s, s : s + m] & reached[s + 1 : s + m + 1]).nonzero()[0]
+            rel = (keep[s, s : s + m] & (value[at[s + 1 : s + m + 1]] < np.inf)).nonzero()[0]
             if rel.size == 0:
                 continue
             ends = s + rel
@@ -252,7 +251,6 @@ def _grid_schedule(
             k = total.argmin(axis=0)
             best[a : a + wd], best_end[a : a + wd] = total[k, grid[:wd]], ends[k]
             np.minimum.accumulate(best[a : a + wd][::-1], out=value[a : a + wd][::-1])
-            reached[s] = value[a] < np.inf
 
     schedule: List[Tuple[int, int]] = []
     s = g = 0
@@ -276,7 +274,7 @@ def reoptimise(matrix: ConnectionMatrix) -> Plan:
     plan is made here. Each start's grid positions (see ``GRID_PER_MEAN``)
     give levels from lo = min(0, the lowest matrix optimum of those spans)
     to the highest, hi, which hold every exact constrained level of a
-    schedule over them: in a pooled block of :func:`~lotpath.cycles._schedule_levels`
+    schedule over them: in a pooled block of :func:`~lotpath.cycles._constrained_plan`
     every prefix's root is at or above the block's position and every
     suffix's at or below it. So a cycle starting at s has its position at
     or above the root of the block's suffix from s, hence at or above the
@@ -295,7 +293,7 @@ def reoptimise(matrix: ConnectionMatrix) -> Plan:
     merges, or that it is the bound plan's schedule.
     """
     T = matrix.horizon
-    bound = matrix.bound_plan or _constrained_plan(matrix, _relaxed_spans(matrix.pred))
+    bound = matrix.bound_plan or _constrained_plan(matrix, _relaxed_spans(matrix.pred))[0]
     keep = _admissible_spans(matrix, bound.cost)
 
     levels = matrix.level[keep]
@@ -314,8 +312,8 @@ def reoptimise(matrix: ConnectionMatrix) -> Plan:
     if tuple(schedule) == bound.spans:
         plan, pooling = bound, "the bound plan's schedule"
     else:
-        ys, rounds, merges = _schedule_levels(matrix, schedule)
-        plan = min(bound, _priced_plan(matrix, schedule, ys), key=lambda plan: plan.cost)
+        plan, rounds, merges = _constrained_plan(matrix, schedule)
+        plan = min(bound, plan, key=lambda plan: plan.cost)
         pooling = f"schedule pooled in {rounds} rounds with {merges} merges"
     if _log.isEnabledFor(logging.DEBUG):
         _, width = _windows(matrix, keep, lo, step, n)

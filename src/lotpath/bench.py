@@ -90,20 +90,14 @@ def design_instances(
 
 
 def run_benchmark(
-    patterns: Sequence[str] = DESK_GRID["patterns"],
-    horizons: Sequence[int] = DESK_GRID["horizons"],
-    rhos: Sequence[float] = DESK_GRID["rhos"],
-    fixed_costs: Sequence[float] = DESK_GRID["fixed_costs"],
-    penalties: Sequence[float] = DESK_GRID["penalties"],
-    replicates: int = DESK_GRID["replicates"],
-    seed: int = DESK_GRID["seed"],
+    instances: Iterable[InstanceSpec],
     progress: Optional[Callable[[BenchRecord], None]] = None,
 ) -> List[BenchRecord]:
-    """Solve :func:`design_instances` (``DESK_GRID`` by default) in order and
-    return one record per instance, its factors read off the instance."""
-    design = (patterns, horizons, rhos, fixed_costs, penalties, replicates, seed)
+    """Solve ``instances`` (a design's, from :func:`design_instances`) in
+    order and return one record per instance, its factors read off the
+    instance."""
     records: List[BenchRecord] = []
-    for inst in design_instances(*design):
+    for inst in instances:
         sol = solve_instance(inst)
         rel = sol.relaxed_cost
         aug = sol.expected_cost

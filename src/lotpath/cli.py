@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from . import __version__
 from .augment import FEAS_TOL
-from .bench import DESK_GRID, FULL_GRID, bench_to_csv, run_benchmark, summarize
+from .bench import DESK_GRID, FULL_GRID, bench_to_csv, design_instances, run_benchmark, summarize
 from .cycles import build_connection_matrix
 from .errors import InputError, LotpathError, NonTerminationError
 from .instances import PATTERNS, generate_instances, load_instance, save_instance
@@ -152,7 +152,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_bench(args) -> int:
     grid = dict(FULL_GRID if args.full else DESK_GRID)
     grid.update((k, v) for k, v in vars(args).items() if k in grid and v is not None)
-    records = run_benchmark(**grid)
+    records = run_benchmark(design_instances(**grid))
     if not records:
         raise InputError("benchmark grid is empty (check factor lists and --replicates)")
     csv_text = bench_to_csv(records)

@@ -440,10 +440,11 @@ def _relaxed_spans(pred: np.ndarray) -> List[Tuple[int, int]]:
     return spans[::-1]
 
 
-def _schedule_levels(
+def _constrained_plan(
     matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]]
-) -> Tuple[List[float], int, int]:
-    """Exact cheapest levels of one schedule under the hand-off constraints.
+) -> Tuple[Plan, int, int]:
+    """``schedule`` at its exact cheapest levels under the hand-off
+    constraints, priced from the matrix's moment rows.
 
     With x_k = y_k + (mean demand before cycle k), the constraint that cycle
     k + 1 absorbs the stock cycle k carries, y_{k+1} >= y_k - mu_k, reads
@@ -468,7 +469,10 @@ def _schedule_levels(
     bit, in whatever order they were pooled. A schedule that needs no
     pooling makes no kernel call.
 
-    Returns the levels, the pooling rounds (kernel calls) and the merges
+    The schedule's moment rows are gathered once. The pooling reads them
+    shifted to positions; the pricing reads them as they are, each cycle a
+    (1 x n) block at its final level, all in one cost pass, as the matrix
+    prices its own. Returns the plan, the pooling rounds (kernel calls) and the merges
     (cycles less final blocks).
     """
     T = matrix.horizon
@@ -476,6 +480,11 @@ def _schedule_levels(
     lengths = ends - starts + 1
     means = matrix.mus[starts, lengths - 1]
     offsets = np.concatenate(([0.0], np.cumsum(means)))
+    # every cycle's moment rows end to end
+    heads = np.concatenate(([0], np.cumsum(lengths)))  # each cycle's first number
+    rows = np.repeat(starts, lengths)
+    cols = np.arange(heads[-1]) - np.repeat(heads[:-1], lengths)
+    flat_mus, flat_sds = matrix.mus[rows, cols], matrix.sds[rows, cols]
     xs = (matrix.level[starts, ends] + offsets[:-1]).tolist()
     # blocks as [first, last, x, lowest member x, highest member x]
     blocks = [[k, k, x, x, x] for k, x in enumerate(xs)]
@@ -492,12 +501,7 @@ def _schedule_levels(
         if not runs:
             break
         if not rounds:
-            # every cycle's moment rows end to end, each shifted to positions
-            rows = np.repeat(starts, lengths)
-            cols = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            flat_mus = matrix.mus[rows, cols] + np.repeat(offsets[:-1], lengths)
-            flat_sds = matrix.sds[rows, cols]
-            heads = np.concatenate(([0], np.cumsum(lengths)))  # each cycle's first number
+            positions = flat_mus + np.repeat(offsets[:-1], lengths)
         rounds += 1
         pooled = [
             (blocks[b][0], blocks[c][1],
@@ -509,7 +513,7 @@ def _schedule_levels(
         cuts = list(zip(heads[first].tolist(), heads[last + 1].tolist()))
         tol = LEVEL_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         roots = _bisect_levels(
-            np.concatenate([flat_mus[i:j] for i, j in cuts]),
+            np.concatenate([positions[i:j] for i, j in cuts]),
             np.concatenate([flat_sds[i:j] for i, j in cuts]),
             [(1, j - i) for i, j in cuts],
             _fractile_target(matrix.instance, heads[last + 1] - heads[first], ends[last] == T - 1),
@@ -525,7 +529,10 @@ def _schedule_levels(
     means = means.tolist()
     for k in range(1, len(levels)):
         levels[k] = max(levels[k], levels[k - 1] - means[k - 1])
-    return levels, rounds, len(schedule) - len(blocks)
+    ys = np.array(levels)
+    shapes = [(1, n) for n in lengths.tolist()]
+    costs = _block_costs(ys, flat_mus, flat_sds, shapes, matrix.instance, ends == T - 1)
+    return _plan(matrix, starts, ends, ys, costs), rounds, len(schedule) - len(blocks)
 
 
 @dataclass(frozen=True)
@@ -566,25 +573,6 @@ def _plan(matrix: ConnectionMatrix, starts, ends, levels, costs) -> Plan:
         tuple((levels - matrix.mus[starts, ends - starts]).tolist()),
         tuple(costs.tolist()),
     )
-
-
-def _constrained_plan(matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]]) -> Plan:
-    """``schedule`` at its exact constrained levels (:func:`_schedule_levels`)."""
-    return _priced_plan(matrix, schedule, _schedule_levels(matrix, schedule)[0])
-
-
-def _priced_plan(
-    matrix: ConnectionMatrix, schedule: Sequence[Tuple[int, int]], levels: Sequence[float]
-) -> Plan:
-    """``schedule`` at ``levels``, each cycle priced from the matrix's moment
-    rows as a (1 x n) block, as the matrix prices its own."""
-    ys = np.array(levels)
-    starts, ends = np.array(schedule).T
-    mus = np.concatenate([matrix.mus[s, : e - s + 1] for s, e in schedule])
-    sds = np.concatenate([matrix.sds[s, : e - s + 1] for s, e in schedule])
-    shapes = [(1, n) for n in (ends - starts + 1).tolist()]
-    costs = _block_costs(ys, mus, sds, shapes, matrix.instance, ends == matrix.horizon - 1)
-    return _plan(matrix, starts, ends, ys, costs)
 
 
 def _lower_bounds(
@@ -703,7 +691,7 @@ def build_connection_matrix(instance, prune: bool = False) -> ConnectionMatrix:
             # only and is the relaxed optimum of the complete matrix
             if _within_bound(through.min(), optimum, instance):
                 continue
-            matrix.bound_plan = _constrained_plan(matrix, _relaxed_spans(pred))
+            matrix.bound_plan = _constrained_plan(matrix, _relaxed_spans(pred))[0]
             certified = n
         rows = rows[_within_bound(through[rows], matrix.bound_plan.cost, instance)]
     if _log.isEnabledFor(logging.DEBUG):

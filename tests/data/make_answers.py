@@ -59,7 +59,7 @@ def key(instance) -> str:
 
 
 def desk_instances() -> list:
-    """The desk grid's instances, in ``run_benchmark``'s order."""
+    """The desk grid's instances, in :func:`design_instances`' run order."""
     return design_instances(**DESK_GRID)
 
 

@@ -115,9 +115,10 @@ def enumerated_grid_schedule(matrix, keep, lo, step, n):
 
 
 def stack_pooled_levels(matrix, schedule):
-    """Reference for ``cycles._schedule_levels``: the stack pooling, which
-    pushes the cycles in order and merges the top two blocks while they
-    violate, bisecting each merged block's root in its own kernel call."""
+    """Reference for the levels of ``cycles._constrained_plan``: the stack
+    pooling, which pushes the cycles in order and merges the top two blocks
+    while they violate, bisecting each merged block's root in its own kernel
+    call."""
     T = matrix.horizon
     means = [float(matrix.mus[s, e - s]) for s, e in schedule]
     offsets = np.concatenate(([0.0], np.cumsum(means)))
@@ -149,6 +150,16 @@ def stack_pooled_levels(matrix, schedule):
     for k in range(1, len(levels)):
         levels[k] = max(levels[k], levels[k - 1] - means[k - 1])
     return levels, len(schedule) - len(blocks)
+
+
+def singleton_schedule(r):
+    """A complete matrix and its schedule of one-period cycles: lumpy T=12
+    replicate ``r`` (seed 7), or flat demand for ``"flat"``."""
+    if r == "flat":
+        inst = InstanceSpec(horizon=6, means=(50.0,) * 6, cv=0.2, K=10.0, z=0.0, h=1.0, b=9.0)
+    else:
+        inst = generate_instances("lumpy", 12, 0.3, 225.0, 10.0, count=6, seed=7)[r]
+    return build_connection_matrix(inst), [(t, t) for t in range(inst.horizon)]
 
 
 #: relaxed plans that expect negative orders: the golden instance, five
@@ -588,14 +599,7 @@ class TestReoptimise:
         # every cycle on its own: lumpy r0 and r5 pool several disjoint runs
         # in their first round, and a pooled run then violates its left
         # neighbour; r3 pools once; flat demand never violates
-        if r == "flat":
-            inst = InstanceSpec(
-                horizon=6, means=(50.0,) * 6, cv=0.2, K=10.0, z=0.0, h=1.0, b=9.0
-            )
-        else:
-            inst = generate_instances("lumpy", 12, 0.3, 225.0, 10.0, count=6, seed=7)[r]
-        matrix = build_connection_matrix(inst)
-        schedule = [(t, t) for t in range(inst.horizon)]
+        matrix, schedule = singleton_schedule(r)
         want, want_merges = stack_pooled_levels(matrix, schedule)
         rows = []
         kernel = cycles._bisect_levels
@@ -605,9 +609,34 @@ class TestReoptimise:
             return kernel(mus, sds, shapes, *args)
 
         monkeypatch.setattr(cycles, "_bisect_levels", counted)
-        levels, rounds, merges = cycles._schedule_levels(matrix, schedule)
-        assert levels == want
+        plan, rounds, merges = cycles._constrained_plan(matrix, schedule)
+        assert list(plan.levels) == want
         assert (rows, rounds, merges) == (calls, len(calls), want_merges)
+
+    @pytest.mark.parametrize("r", [0, 3, "flat"])
+    def test_constrained_plan_reads_its_moment_rows_once(self, r, monkeypatch):
+        # one gather of the schedule's moment rows serves the pooling and the
+        # pricing, and one cost pass prices every cycle at its final level
+        matrix, schedule = singleton_schedule(r)
+        want = cycles._constrained_plan(matrix, schedule)
+        reads, passes = [], []
+
+        class Counted(np.ndarray):
+            def __getitem__(self, key):
+                reads.append(key)
+                out = super().__getitem__(key)
+                return out.view(np.ndarray) if isinstance(out, np.ndarray) else out
+
+        block_costs = cycles._block_costs
+
+        def counted(*args):
+            passes.append(len(args[3]))
+            return block_costs(*args)
+
+        monkeypatch.setattr(cycles, "_block_costs", counted)
+        matrix.sds = matrix.sds.view(Counted)
+        assert cycles._constrained_plan(matrix, schedule) == want
+        assert (len(reads), passes) == (1, [matrix.horizon])
 
     @pytest.mark.parametrize("r, pooled", [(0, False), (4, True)])
     def test_debug_line_describes_the_stage(self, r, pooled, caplog):

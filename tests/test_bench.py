@@ -10,6 +10,7 @@ from lotpath.bench import (
     DESK_GRID,
     FULL_GRID,
     bench_to_csv,
+    design_instances,
     run_benchmark,
     summarize,
 )
@@ -30,7 +31,8 @@ ONE_CELL = dict(
 
 @pytest.fixture(scope="module")
 def tiny_records():
-    return run_benchmark(**dict(ONE_CELL, horizons=(6,), penalties=(2.0, 10.0), replicates=2))
+    design = dict(ONE_CELL, horizons=(6,), penalties=(2.0, 10.0), replicates=2)
+    return run_benchmark(design_instances(**design))
 
 
 class TestRunBenchmark:
@@ -57,7 +59,7 @@ class TestRunBenchmark:
 
     def test_progress_callback_sees_every_record(self):
         seen = []
-        records = run_benchmark(
+        design = design_instances(
             patterns=("erratic",),
             horizons=(5,),
             rhos=(0.1,),
@@ -65,8 +67,8 @@ class TestRunBenchmark:
             penalties=(2.0,),
             replicates=2,
             seed=1,
-            progress=seen.append,
         )
+        records = run_benchmark(design, progress=seen.append)
         assert seen == records
 
     @pytest.mark.parametrize(
@@ -84,7 +86,9 @@ class TestRunBenchmark:
         # cell double in the summary
         seen = []
         with pytest.raises(InputError) as exc:
-            run_benchmark(**dict(ONE_CELL, **{factor: levels}), progress=seen.append)
+            run_benchmark(
+                design_instances(**dict(ONE_CELL, **{factor: levels})), progress=seen.append
+            )
         assert str(exc.value) == f"factor {factor!r} repeats level {shown}"
         assert seen == []
 
@@ -98,7 +102,9 @@ class TestRunBenchmark:
         # a list of one-letter patterns
         seen = []
         with pytest.raises(InputError) as exc:
-            run_benchmark(**dict(ONE_CELL, **{factor: value}), progress=seen.append)
+            run_benchmark(
+                design_instances(**dict(ONE_CELL, **{factor: value})), progress=seen.append
+            )
         assert str(exc.value) == f"factor {factor!r} must be a list or tuple of levels, got {shown}"
         assert seen == []
 
@@ -154,9 +160,8 @@ class TestGrids:
             replicates=3,
             seed=7,
         )
-        # the grid holds every design keyword, and run_benchmark's defaults are it
-        params = inspect.signature(run_benchmark).parameters
-        assert {k: p.default for k, p in params.items() if k != "progress"} == DESK_GRID
+        # the grid holds every design keyword, in design_instances' order
+        assert list(inspect.signature(design_instances).parameters) == list(DESK_GRID)
         assert grid_size(DESK_GRID) == 324
 
     def test_full_grid_size(self):

@@ -500,6 +500,26 @@ def test_pruned_matrix_gives_the_complete_matrix_answer(instance):
     assert sol.path == plan
 
 
+@pytest.mark.parametrize(
+    "instance",
+    PRUNE_CASES
+    + generate_instances("lumpy", 100, 0.3, 225.0, 10.0, count=3, seed=7)[1:]
+    + generate_instances("lumpy", 400, 0.3, 225.0, 10.0, count=1, seed=7),
+    ids=lambda inst: inst.name,
+)
+def test_bound_plan_is_the_relaxed_schedule_constrained(instance):
+    # the plan that bounded the build is the one the re-optimising stage
+    # makes for a complete matrix: the finished relaxed schedule at its
+    # exact constrained levels
+    matrix = build_connection_matrix(instance, prune=True)
+    if instance.horizon <= 28:
+        # T (T + 1) (T + 2) / 6 numbers fit MAX_FUSED_NUMBERS: priced
+        # complete in one bisection, with no bound
+        assert matrix.bound_plan is None
+    else:
+        assert matrix.bound_plan == _constrained_plan(matrix, _relaxed_spans(matrix.pred))[0]
+
+
 def checkpoint_build(instance):
     """A pruned build that bounds as often as the rule allows: each round
     prices the lengths up to the next certification checkpoint, then bounds
@@ -528,7 +548,7 @@ def checkpoint_build(instance):
         if matrix.bound_plan is None:
             if _within_bound(through.min(), optimum, instance):
                 continue
-            matrix.bound_plan = _constrained_plan(matrix, _relaxed_spans(pred))
+            matrix.bound_plan = _constrained_plan(matrix, _relaxed_spans(pred))[0]
         rows = rows[_within_bound(through[rows], matrix.bound_plan.cost, instance)]
     return np.isfinite(matrix.cost), matrix.level, matrix.cost, matrix.bound_plan
 

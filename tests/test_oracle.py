@@ -167,7 +167,7 @@ def schedule_cost_pairs(case):
     for schedule, cost in con.schedule_costs.items():
         ends = schedule[1:] + (inst.horizon + 1,)
         spans = [(a - 1, e - 2) for a, e in zip(schedule, ends)]
-        pairs.append((schedule, cost, _constrained_plan(matrix, spans).cost - offset))
+        pairs.append((schedule, cost, _constrained_plan(matrix, spans)[0].cost - offset))
     return pairs
 
 
